@@ -50,10 +50,10 @@ def run_one(
             seed=seeding.mix_seed(master_seed, _SERIES_TAG, dataset_id, run_index),
         )
     )
-    grid_kwargs = dict(detector_kwargs.pop("grid_kwargs", {}))
+    detector_kwargs = dict(detector_kwargs)
     grid = CvGrid(
         seed=seeding.mix_seed(master_seed, _DETECT_TAG, dataset_id, run_index),
-        **grid_kwargs,
+        **detector_kwargs.pop("grid_kwargs", {}),
     )
     config = DetectorConfig(estimator_kind=estimator, grid=grid, **detector_kwargs)
     scores = change_scores(series, config)
@@ -66,8 +66,7 @@ def _task(args: tuple) -> tuple:
     dataset_id, estimator, run_index, master_seed, length, segment_len, det = args
     try:
         auc = run_one(
-            dataset_id, estimator, run_index, master_seed, length, segment_len,
-            dict(det),
+            dataset_id, estimator, run_index, master_seed, length, segment_len, det
         )
         return dataset_id, estimator, run_index, auc, None
     except ChangePointError as exc:

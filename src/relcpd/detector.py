@@ -80,6 +80,11 @@ class DetectorConfig:
             raise ParameterError(f"unknown score mode {self.score_mode!r}")
         if int(self.stride) < 1 or int(self.cv_stride) < 1:
             raise ParameterError("stride and cv_stride must be >= 1")
+        if int(self.n) < self.grid.folds:
+            raise ParameterError(
+                f"segment sample count n={self.n} is smaller than the CV fold "
+                f"count {self.grid.folds}"
+            )
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "alpha", float(self.alpha))

@@ -99,49 +99,43 @@ def _solve_spd(h_mat: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
     return cho_solve(factor, rhs, check_finite=False)
 
 
-def ulsif_fit(design, lam: float) -> tuple[RatioModel, FitDiagnostics]:
-    """Closed-form least-squares ratio fit.
+def gram_system(
+    k_num: np.ndarray, k_den: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alpha-mixed Gram matrix H and vector h of the least-squares fit:
 
-    H[l, l'] = mean_j K(Y'_j, C_l) K(Y'_j, C_l'),  h[l] = mean_i K(Y_i, C_l),
-    theta = (H + lam I)^-1 h.
+    H[l, l'] = alpha mean_i K(Y_i, C_l) K(Y_i, C_l')
+             + (1 - alpha) mean_j K(Y'_j, C_l) K(Y'_j, C_l'),
+    h[l] = mean_i K(Y_i, C_l).
+
+    Takes (samples, centers) kernels or stacks of them, (..., samples,
+    centers); H is then (..., centers, centers) and h (..., centers).
     """
-    lam = float(lam)
-    if lam < 0.0 or not np.isfinite(lam):
-        raise ParameterError(f"regularizer must be >= 0 and finite, got {lam}")
-    k_num, k_den = design.k_num, design.k_den
-    h_mat = k_den.T @ k_den / k_den.shape[0]
-    h_mat = 0.5 * (h_mat + h_mat.T)
-    h_vec = k_num.mean(axis=0)
-    theta = _solve_spd(h_mat, lam, h_vec)
-    objective = float(
-        0.5 * theta @ h_mat @ theta - h_vec @ theta + 0.5 * lam * theta @ theta
-    )
-    model = RatioModel(
-        centers=design.centers, theta=theta, sigma=design.sigma, alpha=0.0
-    )
-    return model, FitDiagnostics(objective_value=objective)
+    h_mat = ((1.0 - alpha) / k_den.shape[-2]) * (k_den.swapaxes(-1, -2) @ k_den)
+    if alpha:  # uLSIF (alpha = 0) skips the numerator Gram product
+        h_mat += (alpha / k_num.shape[-2]) * (k_num.swapaxes(-1, -2) @ k_num)
+    h_mat = 0.5 * (h_mat + h_mat.swapaxes(-1, -2))
+    return h_mat, k_num.mean(axis=-2)
+
+
+def ulsif_fit(design, lam: float) -> tuple[RatioModel, FitDiagnostics]:
+    """Closed-form least-squares fit of the plain ratio p/p': ``rulsif_fit``
+    with alpha = 0, so H[l, l'] = mean_j K(Y'_j, C_l) K(Y'_j, C_l')."""
+    return rulsif_fit(design, lam, 0.0)
 
 
 def rulsif_fit(
     design, lam: float, alpha: float
 ) -> tuple[RatioModel, FitDiagnostics]:
-    """Closed-form alpha-relative ratio fit; only the Gram matrix changes:
-
-    H[l, l'] = alpha mean_i K(Y_i, C_l) K(Y_i, C_l')
-             + (1 - alpha) mean_j K(Y'_j, C_l) K(Y'_j, C_l').
-    """
+    """Closed-form alpha-relative ratio fit theta = (H + lam I)^-1 h, with
+    H and h from ``gram_system``."""
     lam = float(lam)
     alpha = float(alpha)
     if lam < 0.0 or not np.isfinite(lam):
         raise ParameterError(f"regularizer must be >= 0 and finite, got {lam}")
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"alpha must lie in [0, 1), got {alpha}")
-    k_num, k_den = design.k_num, design.k_den
-    h_mat = (alpha / k_num.shape[0]) * (k_num.T @ k_num) + (
-        (1.0 - alpha) / k_den.shape[0]
-    ) * (k_den.T @ k_den)
-    h_mat = 0.5 * (h_mat + h_mat.T)
-    h_vec = k_num.mean(axis=0)
+    h_mat, h_vec = gram_system(design.k_num, design.k_den, alpha)
     theta = _solve_spd(h_mat, lam, h_vec)
     objective = float(
         0.5 * theta @ h_mat @ theta - h_vec @ theta + 0.5 * lam * theta @ theta

@@ -17,6 +17,15 @@ Held-out criteria:
   is ignored (KLIEP has no ridge term); the score table repeats the
   per-sigma score across lambda so the table stays exhaustive.
 
+The least-squares grid runs on stacked (sigma, sample, center) kernels.  Per
+fold, one ``estimators.gram_system`` call builds H and h for every sigma, one
+``np.linalg.solve`` solves all (sigma, lambda) systems H + lambda I, and one
+matmul scores every theta on the held-out samples.  Folds are solved one at a
+time, so the largest temporary is sigmas x lambdas x centers^2 doubles (0.5 MB
+for the default grid and 50 centers).  A fold whose batched solve hits a
+singular system is re-solved system by system with ``estimators._solve_spd``
+(jitter retry, then ``SingularSystemError``).
+
 Ties are broken toward the larger sigma, then the larger lambda.
 """
 
@@ -33,6 +42,7 @@ from .estimators import (
     KLIEP,
     LOG_FLOOR,
     _solve_spd,
+    gram_system,
     kliep_fit,
 )
 from .kernel import DesignMatrices, median_distance
@@ -75,8 +85,12 @@ class CvResult:
     score_table: dict[tuple[float, float], float] = field(repr=False)
 
 
-def _fold_blocks(count: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    return np.array_split(rng.permutation(count), folds)
+def _fold_blocks(count: int, folds: int, rng: np.random.Generator) -> list[tuple]:
+    """(training, held-out) index pairs: one shuffle cut into contiguous blocks."""
+    blocks = np.array_split(rng.permutation(count), folds)
+    return [
+        (np.concatenate(blocks[:f] + blocks[f + 1 :]), blocks[f]) for f in range(folds)
+    ]
 
 
 def cv_select(
@@ -101,79 +115,65 @@ def cv_select(
     sigmas = [f * d_med for f in grid.sigma_factors]
 
     rng = seeding.rng_from(grid.seed)
-    num_blocks = _fold_blocks(num.shape[0], grid.folds, rng)
-    den_blocks = _fold_blocks(den.shape[0], grid.folds, rng)
-    num_train = [
-        np.concatenate([b for j, b in enumerate(num_blocks) if j != f])
-        for f in range(grid.folds)
-    ]
-    den_train = [
-        np.concatenate([b for j, b in enumerate(den_blocks) if j != f])
-        for f in range(grid.folds)
-    ]
+    num_folds = _fold_blocks(num.shape[0], grid.folds, rng)  # drawn before den's
+    folds = list(zip(num_folds, _fold_blocks(den.shape[0], grid.folds, rng)))
 
     centers = num
     sq_num = cdist(num, centers, "sqeuclidean")
     sq_den = cdist(den, centers, "sqeuclidean")
+    scales = np.array([2.0 * sigma**2 for sigma in sigmas])[:, None, None]
+    k_num = np.exp(-sq_num / scales)  # (sigma, sample, center)
+    k_den = np.exp(-sq_den / scales)
 
-    table: dict[tuple[float, float], float] = {}
-    for sigma in sigmas:
-        scale = 2.0 * sigma**2
-        k_num = np.exp(-sq_num / scale)
-        k_den = np.exp(-sq_den / scale)
-        if estimator_kind == KLIEP:
+    scores = np.zeros((len(sigmas), len(grid.lambdas)))
+    if estimator_kind == KLIEP:
+        for s, sigma in enumerate(sigmas):
             fold_scores = np.empty(grid.folds)
-            for f in range(grid.folds):
+            for f, ((num_tr, num_ho), (den_tr, _)) in enumerate(folds):
                 design = DesignMatrices(
-                    k_num=k_num[num_train[f]],
-                    k_den=k_den[den_train[f]],
+                    k_num=k_num[s][num_tr],
+                    k_den=k_den[s][den_tr],
                     centers=centers,
                     sigma=sigma,
                 )
                 model, _ = kliep_fit(design)
-                g_hold = k_num[num_blocks[f]] @ model.theta
+                g_hold = k_num[s][num_ho] @ model.theta
                 fold_scores[f] = np.mean(np.log(np.maximum(g_hold, LOG_FLOOR)))
-            score = float(fold_scores.mean())
-            for lam in grid.lambdas:
-                table[(sigma, lam)] = score
-        else:
-            sums = {lam: 0.0 for lam in grid.lambdas}
-            for f in range(grid.folds):
-                b_tr = k_num[num_train[f]]
-                a_tr = k_den[den_train[f]]
-                h_mat = (alpha / b_tr.shape[0]) * (b_tr.T @ b_tr) + (
-                    (1.0 - alpha) / a_tr.shape[0]
-                ) * (a_tr.T @ a_tr)
-                h_mat = 0.5 * (h_mat + h_mat.T)
-                h_vec = b_tr.mean(axis=0)
-                b_ho = k_num[num_blocks[f]]
-                a_ho = k_den[den_blocks[f]]
-                for lam in grid.lambdas:
-                    theta = _solve_spd(h_mat, lam, h_vec)
-                    g_num = b_ho @ theta
-                    g_den = a_ho @ theta
-                    sums[lam] += 0.5 * (
-                        alpha * float(np.mean(g_num**2))
-                        + (1.0 - alpha) * float(np.mean(g_den**2))
-                    ) - float(np.mean(g_num))
-            for lam in grid.lambdas:
-                table[(sigma, lam)] = sums[lam] / grid.folds
+            scores[s] = float(fold_scores.mean())
+    else:
+        for (num_tr, num_ho), (den_tr, den_ho) in folds:
+            h_mat, h_vec = gram_system(k_num[:, num_tr], k_den[:, den_tr], alpha)
+            systems = np.repeat(h_mat[:, None], len(grid.lambdas), axis=1)
+            flat = systems.reshape(*systems.shape[:2], -1)  # view: H + lambda I
+            flat[..., :: centers.shape[0] + 1] += np.asarray(grid.lambdas)[:, None]
+            # explicit column axis: numpy 1.x and 2.x read a (..., b) rhs differently
+            rhs = np.broadcast_to(h_vec[:, None, :, None], systems.shape[:-1] + (1,))
+            try:
+                theta = np.linalg.solve(systems, rhs)[..., 0]
+            except np.linalg.LinAlgError:
+                theta = np.array(
+                    [[_solve_spd(h, lam, v) for lam in grid.lambdas]
+                     for h, v in zip(h_mat, h_vec)]
+                )
+            held = np.concatenate([k_num[:, num_ho], k_den[:, den_ho]], axis=1)
+            g = held @ theta.swapaxes(-1, -2)  # (sigma, held-out sample, lambda)
+            g_num, g_den = g[:, : len(num_ho)], g[:, len(num_ho) :]
+            scores += 0.5 * (
+                alpha * np.mean(g_num**2, axis=1)
+                + (1.0 - alpha) * np.mean(g_den**2, axis=1)
+            ) - np.mean(g_num, axis=1)
+        scores /= grid.folds
+    table = {
+        (sigma, lam): float(scores[s, l])
+        for s, sigma in enumerate(sigmas)
+        for l, lam in enumerate(grid.lambdas)
+    }
 
-    maximize = estimator_kind == KLIEP
-    best_key = None
-    best_score = None
-    for sigma in sigmas:  # ascending; ties resolve to the larger sigma/lambda
-        for lam in grid.lambdas:
-            score = table[(sigma, lam)]
-            if best_score is None:
-                better = True
-            elif maximize:
-                better = score >= best_score
-            else:
-                better = score <= best_score
-            if better:
-                best_key = (sigma, lam)
-                best_score = score
+    sign = -1.0 if estimator_kind == KLIEP else 1.0  # KLIEP maximizes
+    best_key, best_score = None, None
+    for key, score in table.items():  # ascending; ties go to the larger sigma/lambda
+        if best_score is None or sign * score <= sign * best_score:
+            best_key, best_score = key, score
     return CvResult(
         best_sigma=best_key[0], best_lambda=best_key[1], score_table=table
     )

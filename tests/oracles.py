@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial.distance import pdist
 
 
 def window_vectors_by_index(values: np.ndarray, k: int) -> list[list[float]]:
@@ -113,3 +114,58 @@ def simulate_ar2_long_run_mean(mu: float, steps: int, seed: int) -> float:
     for t in range(2, steps):
         y[t] = 0.6 * y[t - 1] - 0.5 * y[t - 2] + noise[t]
     return float(y[steps // 2 :].mean())
+
+
+def least_squares_cv_loop(num, den, sigma_factors, lambdas, folds, seed, alpha):
+    """(R)uLSIF grid CV with one plain numpy solve per (sigma, fold, lambda).
+
+    Folds: one PCG64 permutation of the numerator indices, then one of the
+    denominator indices, each cut into contiguous blocks by
+    ``np.array_split``.  Centers are the numerator samples.  A singular
+    system is solved again with the diagonal raised by 1e-10 trace(H) / b.
+    Returns (table, best_key); the best key is the last minimum in
+    ascending (sigma, lambda) order.
+    """
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    d_med = float(np.median(pdist(np.vstack([num, den]))))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    num_blocks = np.array_split(rng.permutation(len(num)), folds)
+    den_blocks = np.array_split(rng.permutation(len(den)), folds)
+    b = len(num)
+    table = {}
+    for factor in sorted(set(sigma_factors)):
+        sigma = factor * d_med
+
+        def kernel(x):
+            sq = ((x[:, None, :] - num[None, :, :]) ** 2).sum(axis=-1)
+            return np.exp(-sq / (2.0 * sigma**2))
+
+        k_num, k_den = kernel(num), kernel(den)
+        sums = {lam: 0.0 for lam in lambdas}
+        for f in range(folds):
+            tr_num = np.concatenate([blk for j, blk in enumerate(num_blocks) if j != f])
+            tr_den = np.concatenate([blk for j, blk in enumerate(den_blocks) if j != f])
+            h_mat = alpha * k_num[tr_num].T @ k_num[tr_num] / len(tr_num) + (
+                1.0 - alpha
+            ) * k_den[tr_den].T @ k_den[tr_den] / len(tr_den)
+            h_vec = k_num[tr_num].mean(axis=0)
+            for lam in lambdas:
+                system = h_mat + lam * np.eye(b)
+                try:
+                    theta = np.linalg.solve(system, h_vec)
+                except np.linalg.LinAlgError:
+                    jitter = 1e-10 * np.trace(h_mat) / b
+                    theta = np.linalg.solve(system + jitter * np.eye(b), h_vec)
+                g_num = k_num[num_blocks[f]] @ theta
+                g_den = k_den[den_blocks[f]] @ theta
+                sums[lam] += 0.5 * (
+                    alpha * np.mean(g_num**2) + (1.0 - alpha) * np.mean(g_den**2)
+                ) - np.mean(g_num)
+        for lam in lambdas:
+            table[(sigma, lam)] = sums[lam] / folds
+    best_key = None
+    for key in sorted(table):
+        if best_key is None or table[key] <= table[best_key]:
+            best_key = key
+    return table, best_key

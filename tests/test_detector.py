@@ -31,7 +31,7 @@ def _config(**kw):
 
 def test_minimum_length_values():
     assert minimum_length(DetectorConfig(n=50, k=10)) == 109
-    assert minimum_length(DetectorConfig(n=2, k=1)) == 4
+    assert minimum_length(DetectorConfig(n=2, k=1, grid=CvGrid(folds=2))) == 4
     assert minimum_length(DetectorConfig(n=25, k=5)) == 54
 
 
@@ -58,6 +58,12 @@ def test_config_validation():
         DetectorConfig(score_mode="sideways")
     with pytest.raises(ParameterError):
         DetectorConfig(stride=0)
+
+
+def test_fold_count_above_sample_count_rejected_at_config_time():
+    with pytest.raises(ParameterError, match=r"n=3 .* fold count 5"):
+        DetectorConfig(n=3, k=2, grid=CvGrid(folds=5))
+    assert DetectorConfig(n=5, k=2, grid=CvGrid(folds=5)).n == 5
 
 
 def test_boundaries_follow_stride():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from relcpd import seeding
+from relcpd.embedding import build_windows, segment_pair
 from relcpd.errors import DegenerateBandwidthError, ParameterError
 from relcpd.kernel import median_distance
 from relcpd.model_selection import (
@@ -9,6 +11,9 @@ from relcpd.model_selection import (
     CvGrid,
     cv_select,
 )
+from relcpd.synthgen import SynthSpec, generate
+
+from oracles import least_squares_cv_loop
 
 
 def _samples(seed=0, n=30, dim=2, shift=0.4):
@@ -121,3 +126,40 @@ def test_tie_break_prefers_larger_sigma_then_lambda():
     grid2 = CvGrid(sigma_factors=(0.9,), lambdas=(0.01, 1.0, 10.0), seed=0)
     res2 = cv_select(num, den, grid2, "kliep")
     assert res2.best_lambda == 10.0
+
+
+def _assert_matches_loop_oracle(num, den, grid, alpha):
+    kind = "ulsif" if alpha == 0.0 else "rulsif"
+    res = cv_select(num, den, grid, kind, alpha)
+    table, best = least_squares_cv_loop(
+        num, den, grid.sigma_factors, grid.lambdas, grid.folds, grid.seed, alpha
+    )
+    assert list(res.score_table) == list(table)
+    assert (res.best_sigma, res.best_lambda) == best
+    got = np.array(list(res.score_table.values()))
+    want = np.array(list(table.values()))
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
+    return res
+
+
+@pytest.mark.parametrize("dataset_id", [1, 2, 3, 4])
+def test_least_squares_grid_matches_loop_oracle(dataset_id):
+    series = generate(SynthSpec(dataset_id=dataset_id, length=1000, seed=31))
+    windows = build_windows(series, 10)
+    for t in (1, 356, 842):
+        pair = segment_pair(windows, t, 50)
+        for direction, (num, den) in enumerate(
+            ((pair.reference, pair.test), (pair.test, pair.reference))
+        ):
+            grid = CvGrid(seed=seeding.mix_seed(17, t, direction))
+            for alpha in (0.1, 0.0):
+                _assert_matches_loop_oracle(num, den, grid, alpha)
+
+
+def test_singular_fold_falls_back_to_jittered_solve():
+    rng = np.random.default_rng(0)
+    num = np.repeat(rng.normal(size=(10, 3)), 5, axis=0)  # duplicate centers
+    den = rng.normal(size=(50, 3))
+    grid = CvGrid(lambdas=(1e-300, 1.0), seed=4)
+    res = _assert_matches_loop_oracle(num, den, grid, 0.1)
+    assert res.best_lambda == 1.0
