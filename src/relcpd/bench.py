@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import seeding
 from .detector import DetectorConfig, change_scores
 from .errors import ChangePointError
+from .evaluation import MATCH_WINDOW, MIN_ALARM_SPACING
 from .evaluation import find_peaks, roc_curve, summarize_runs
 from .model_selection import CvGrid
 from .synthgen import SynthSpec, generate
@@ -26,8 +27,8 @@ _DETECT_TAG = 2
 
 _CONVENTIONS = {
     "score_alignment": "boundary t+n",
-    "alarm_dedup_min_spacing": 20,
-    "match_window": 10,
+    "alarm_dedup_min_spacing": MIN_ALARM_SPACING,
+    "match_window": MATCH_WINDOW,
     "time_indexing": "1-based",
 }
 

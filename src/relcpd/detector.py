@@ -14,6 +14,11 @@ positions; in between, the last selection is reused.  CV seeds derive from
 the master seed via ``seeding.mix_seed(master, t, direction)``, so any
 evaluation order (serial or parallel over positions) yields identical
 output.
+
+KLIEP final fits are stacked: the positions and directions that share one
+CV selection are fitted by one ``kliep_ascent`` call, at most KLIEP_STACK
+problems at a time, and each term is the fit's final objective (the
+formula of ``kl_estimate``).  Least-squares fits stay one per position.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ from .estimators import (
     KLIEP,
     RULSIF,
     ULSIF,
-    kl_estimate,
-    kliep_fit,
+    kl_estimate,  # noqa: F401 -- kept importable from here for tracing wrappers
+    kliep_ascent,
+    kliep_fit,  # noqa: F401
     pe_alpha_estimate,
     rulsif_fit,
     ulsif_fit,
@@ -52,6 +58,9 @@ SCORE_MODES = (SYMMETRIC, FORWARD, BACKWARD)
 _FWD = 0
 _BWD = 1
 _MODE_DIRECTIONS = {SYMMETRIC: (_FWD, _BWD), FORWARD: (_FWD,), BACKWARD: (_BWD,)}
+
+# most KLIEP final fits (positions x directions) fitted as one stack
+KLIEP_STACK = 25
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,16 @@ def _standardized(series: TimeSeries) -> TimeSeries:
     )
 
 
+def _kliep_terms(designs: list) -> np.ndarray:
+    """KL terms of a block of designs from one ``kliep_ascent`` stack: each
+    fit's final objective mean_i log g(Y_i), the formula of ``kl_estimate``."""
+    _, objective, _, _ = kliep_ascent(
+        np.stack([d.k_num for d in designs]),
+        np.stack([d.k_den.mean(axis=0) for d in designs]),
+    )
+    return objective
+
+
 def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     """Slide the segment pair over the series and score every boundary."""
     t_len = series.length
@@ -137,8 +156,10 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     selections: dict[int, tuple[float, float]] = {}
     boundaries: list[int] = []
     scores: list[float] = []
+    block: list = []  # KLIEP designs awaiting one stacked fit
     t_last = t_len - 2 * n - config.k + 2
-    for idx, t in enumerate(range(1, t_last + 1, config.stride)):
+    starts = range(1, t_last + 1, config.stride)
+    for idx, t in enumerate(starts):
         pair = segment_pair(windows, t, n)
         by_direction = {
             _FWD: (pair.reference, pair.test),
@@ -155,24 +176,35 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
                         f"{exc} (at position t={t}, boundary {pair.boundary})"
                     ) from exc
                 selections[direction] = (sel.best_sigma, sel.best_lambda)
+        boundaries.append(pair.boundary)
+        if config.estimator_kind == KLIEP:
+            for direction in directions:
+                num, den = by_direction[direction]
+                block.append(design_matrices(num, den, num, selections[direction][0]))
+            if (
+                (idx + 1) % config.cv_stride == 0
+                or len(block) + len(directions) > KLIEP_STACK
+                or idx + 1 == len(starts)
+            ):
+                terms = _kliep_terms(block).reshape(-1, len(directions))
+                if config.clip_negative:
+                    terms = np.maximum(terms, 0.0)
+                scores.extend(sum(row, 0.0) for row in terms.tolist())
+                block = []
+            continue
         score = 0.0
         for direction in directions:
             num, den = by_direction[direction]
             sigma, lam = selections[direction]
             design = design_matrices(num, den, num, sigma)
-            if config.estimator_kind == KLIEP:
-                model, _ = kliep_fit(design)
-                term = kl_estimate(model, num, design=design)
-            elif config.estimator_kind == ULSIF:
+            if config.estimator_kind == ULSIF:
                 model, _ = ulsif_fit(design, lam)
-                term = pe_alpha_estimate(model, num, den, design=design)
             else:
                 model, _ = rulsif_fit(design, lam, alpha)
-                term = pe_alpha_estimate(model, num, den, design=design)
+            term = pe_alpha_estimate(model, num, den, design=design)
             if config.clip_negative:
                 term = max(term, 0.0)
             score += term
-        boundaries.append(pair.boundary)
         scores.append(score)
 
     arr = np.asarray(scores, dtype=np.float64)

@@ -9,6 +9,19 @@ Three fitters share the kernel model g(Y; theta) = sum_l theta_l K(Y, C_l):
 * ``kliep_fit``   -- maximum-likelihood fit of the plain ratio under a
                      normalization constraint; projected gradient ascent.
 
+KLIEP fits run on ``kliep_ascent``, which runs a stack of problems in
+lockstep: per iteration one gradient, one batch of candidate steps and one
+row-wise exact projection for every problem still running, each with its
+own step size.  The backtracking is speculative: a round tries the next
+_SPECULATIVE_HALVINGS halvings of every pending problem at once and keeps
+the first that passes the Armijo test, the step a one-at-a-time search
+accepts.  Products are matrix-vector or dot products per candidate, so a
+problem's iterates do not depend on the rest of the stack.  Finished
+problems leave the stack; the largest temporaries are a few (problems x
+_SPECULATIVE_HALVINGS x centers) arrays.  On one problem the engine is about
+twice as slow as a plain loop, so callers batch: CV sends its 25 (sigma,
+fold) problems (default grid), the detector up to 25 final fits at a time.
+
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
 """
@@ -38,6 +51,9 @@ LOG_FLOOR = 1e-12
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+# halvings tried at once per problem in the first backtracking round; later
+# rounds split the same number of candidates among the problems still pending
+_SPECULATIVE_HALVINGS = 3
 
 
 @dataclass(frozen=True)
@@ -146,10 +162,14 @@ def rulsif_fit(
     return model, FitDiagnostics(objective_value=objective)
 
 
+def _mean_log(g: np.ndarray) -> np.ndarray:
+    """mean log g over the last axis, with g floored at LOG_FLOOR."""
+    return np.log(np.maximum(g, LOG_FLOOR)).sum(axis=-1) / g.shape[-1]
+
+
 def kliep_objective(design, theta: np.ndarray) -> float:
     """Mean log model value over numerator samples, floored at LOG_FLOOR."""
-    g = design.k_num @ theta
-    return float(np.mean(np.log(np.maximum(g, LOG_FLOOR))))
+    return float(_mean_log(design.k_num @ theta))
 
 
 def kliep_gradient(design, theta: np.ndarray) -> np.ndarray:
@@ -160,26 +180,147 @@ def kliep_gradient(design, theta: np.ndarray) -> np.ndarray:
 
 
 def _kliep_project(theta: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto {theta >= 0, b.theta = 1} (b > 0).
+    """Exact Euclidean projection of every row of ``theta`` (..., centers)
+    onto {x >= 0, b.x = 1}, with b > 0 broadcast against the rows.
 
     Solves min ||x - theta||^2 by thresholding x = max(theta - mu b, 0) with
     mu chosen from the sorted breakpoints theta_i / b_i.  Cheaper heuristics
     (clamp then rescale) have stationary points that are not KKT points of
-    the KLIEP problem and stall the ascent far from the optimum.
+    the KLIEP problem and stall the ascent far from the optimum.  Ties among
+    the breakpoints may be sorted either way; the threshold does not change.
+    Many rows are projected at once, so temporaries are reused in place.
     """
-    order = np.argsort(-(theta / b_vec), kind="stable")
-    b_sorted = b_vec[order]
-    ratios = theta[order] / b_sorted
-    cum_bt = np.cumsum(b_sorted * theta[order])
-    cum_b2 = np.cumsum(b_sorted * b_sorted)
-    mu = (cum_bt - 1.0) / cum_b2
-    active = np.nonzero(ratios > mu)[0]
-    level = mu[active[-1]] if active.size else mu[-1]
-    out = np.maximum(theta - level * b_vec, 0.0)
-    s = float(b_vec @ out)
-    if s <= 0.0:
-        return out  # numerically degenerate candidate; line search rejects it
-    return out / s  # pin the equality constraint to machine precision
+    width = theta.shape[-1]
+    ratios = theta / b_vec
+    np.negative(ratios, out=ratios)
+    order = ratios.argsort(axis=-1)  # descending breakpoints
+    np.negative(ratios, out=ratios)
+    # flat positions, so one gather sorts every row
+    rows = np.arange(0, theta.size, width).reshape(theta.shape[:-1] + (1,))
+    order += rows
+    ratios = ratios.reshape(-1)[order]
+    work = b_vec * theta
+    mu = work.reshape(-1)[order]
+    np.cumsum(mu, axis=-1, out=mu)
+    mu -= 1.0
+    np.multiply(b_vec, b_vec, out=work)
+    work = work.reshape(-1)[order]
+    np.cumsum(work, axis=-1, out=work)
+    mu /= work
+    # the level is mu at the last breakpoint above it, else mu at the end
+    last = rows[..., 0] + (width - 1) - np.argmax((ratios > mu)[..., ::-1], axis=-1)
+    out = np.multiply(mu.reshape(-1)[last][..., None], b_vec, out=work)
+    np.subtract(theta, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    s = (b_vec[..., None, :] @ out[..., None])[..., 0]  # b.x by dot, row by row
+    # a numerically degenerate candidate (s <= 0) stays unscaled and the line
+    # search rejects it; otherwise pin the equality constraint
+    out /= np.where(s > 0.0, s, 1.0)
+    return out
+
+
+def _try_steps(stack, theta, grad, objective, b_vec, steps, pending):
+    """One backtracking round: for each problem in ``pending``, project
+    theta + step * grad for each of its ``steps`` (pending, tried) and find
+    the first candidate that passes the Armijo test.  Returns the mask of
+    problems with a passing step, the index of that step, and the candidate
+    with its objective and model values g, for the masked problems."""
+    base, direction = theta[pending, None], grad[pending, None]
+    cand = _kliep_project(base + steps[..., None] * direction, b_vec[pending, None])
+    # products per candidate (matrix-vector and dot, not matrix-matrix), so
+    # each value is computed as in a one-problem fit
+    gain = ((cand - base)[..., None, :] @ direction[..., None])[..., 0, 0]
+    if pending.size == len(stack):
+        cand_g = stack[:, None] @ cand[..., None]
+    else:  # problem by problem, so the pending rows of the stack are not copied
+        cand_g = np.stack([stack[p] @ c[..., None] for p, c in zip(pending, cand)])
+    cand_g = cand_g[..., 0]  # (pending, tried, samples)
+    cand_objective = _mean_log(cand_g)
+    passed = (gain > 0.0) & (cand_objective >= objective[pending, None] + _ARMIJO * gain)
+    hit = passed.any(axis=1)
+    pick = passed.argmax(axis=1)[hit]
+    return hit, pick, cand[hit, pick], cand_objective[hit, pick], cand_g[hit, pick]
+
+
+def kliep_ascent(
+    k_num: np.ndarray,
+    b_vec: np.ndarray,
+    tolerance: float = 1e-6,
+    max_iters: int = 500,
+    traces: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Projected gradient ascent for a stack of KLIEP problems in lockstep.
+
+    Problem p maximizes mean_i log (k_num[p] @ theta)_i subject to
+    b_vec[p] . theta = 1 and theta >= 0; ``k_num`` is (problems, samples,
+    centers) and ``b_vec`` (problems, centers) holds the mean denominator
+    kernel rows.  Each step starts at twice the last accepted one (1.0 at
+    first) and is halved up to _MAX_HALVINGS times until a projected
+    candidate passes the Armijo test (factor 1e-4); later backtracking rounds
+    share the first round's candidate count among the problems still
+    pending.  A problem is done when no step passes or the gain is below
+    ``tolerance`` (both converged) or after ``max_iters`` iterations (not
+    converged).  Finished problems' rows of ``k_num`` are overwritten, as
+    the stack is compacted in place.  ``traces``, when given, holds one list
+    per problem for its start objective and the objective after every
+    accepted step.  Returns (theta, objective, iterations, converged).
+    """
+    count, samples, centers = k_num.shape
+    theta = np.repeat(1.0 / b_vec.sum(axis=1, keepdims=True), centers, axis=1)
+    g = (k_num @ theta[..., None])[..., 0]
+    objective = _mean_log(g)
+    step = np.ones(count)
+    out_theta = np.empty((count, centers))
+    out_objective = np.empty(count)
+    iterations = np.full(count, max_iters)
+    converged = np.zeros(count, dtype=bool)
+    live = np.arange(count)  # original index of each stacked problem
+    if traces is not None:
+        for p in live:
+            traces[p].append(float(objective[p]))
+    for it in range(1, max_iters + 1):
+        stack = k_num[: live.size]
+        w = np.where(g > LOG_FLOOR, 1.0 / np.maximum(g, LOG_FLOOR), 0.0)
+        grad = (stack.swapaxes(1, 2) @ w[..., None])[..., 0] / samples
+        moved = np.zeros(live.size, dtype=bool)
+        delta = np.zeros(live.size)
+        pending = np.arange(live.size)
+        first, width = 0, _SPECULATIVE_HALVINGS
+        while pending.size and first < _MAX_HALVINGS:
+            tried = 0.5 ** np.arange(first, min(first + width, _MAX_HALVINGS))
+            hit, pick, cand, cand_objective, cand_g = _try_steps(
+                stack, theta, grad, objective, b_vec, step[pending, None] * tried, pending
+            )
+            accept = pending[hit]
+            delta[accept] = cand_objective - objective[accept]
+            theta[accept], objective[accept], g[accept] = cand, cand_objective, cand_g
+            step[accept] *= 2.0 * tried[pick]
+            moved[accept] = True
+            pending = pending[~hit]
+            first += width
+            width = _SPECULATIVE_HALVINGS * live.size // max(pending.size, 1)
+        if not np.all(np.isfinite(objective[moved])):
+            raise NumericError("KLIEP objective became non-finite")
+        if traces is not None:
+            for i in np.flatnonzero(moved):
+                traces[live[i]].append(float(objective[i]))
+        done = ~moved | (delta < tolerance)
+        if not done.any():
+            continue
+        idx = live[done]
+        out_theta[idx], out_objective[idx] = theta[done], objective[done]
+        iterations[idx], converged[idx] = it, True
+        keep = np.flatnonzero(~done)
+        for dst, src in enumerate(keep):  # ascending: no row is read after
+            if dst != src:  # it has been overwritten
+                k_num[dst] = k_num[src]
+        live, theta, objective, g, step, b_vec = (
+            a[keep] for a in (live, theta, objective, g, step, b_vec)
+        )
+        if not live.size:
+            break
+    out_theta[live], out_objective[live] = theta, objective
+    return out_theta, out_objective, iterations, converged
 
 
 def kliep_fit(
@@ -190,55 +331,25 @@ def kliep_fit(
 ) -> tuple[RatioModel, FitDiagnostics]:
     """Constrained maximum-likelihood ratio fit by projected gradient ascent.
 
-    Maximizes mean_i log g(Y_i) subject to mean_j g(Y'_j) = 1 and theta >= 0.
-    Gradient steps are projected exactly onto the feasible set and accepted
-    by backtracking line search (initial step 1.0, halving, Armijo factor
-    1e-4), so the objective trace is monotone non-decreasing.  ``trace``,
-    when given, receives the objective value after every accepted step.
+    Maximizes mean_i log g(Y_i) subject to mean_j g(Y'_j) = 1 and theta >= 0
+    with ``kliep_ascent`` on a one-problem stack; the objective trace is
+    monotone non-decreasing.  ``trace``, when given, receives the start
+    objective and the objective after every accepted step.
     """
-    k_den = design.k_den
-    b_vec = k_den.mean(axis=0)
-    n_centers = design.k_num.shape[1]
-    theta = np.full(n_centers, 1.0 / float(b_vec.sum()))
-    objective = kliep_objective(design, theta)
-    if trace is not None:
-        trace.append(objective)
-    iterations = 0
-    converged = False
-    step_init = 1.0
-    for it in range(1, max_iters + 1):
-        iterations = it
-        grad = kliep_gradient(design, theta)
-        step = step_init
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            candidate = _kliep_project(theta + step * grad, b_vec)
-            gain = float(grad @ (candidate - theta))
-            if gain > 0.0:
-                cand_objective = kliep_objective(design, candidate)
-                if cand_objective >= objective + _ARMIJO * gain:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            converged = True  # no ascent step exists at this point
-            break
-        step_init = 2.0 * step  # warm-start the next backtracking search
-        delta = cand_objective - objective
-        theta = candidate
-        objective = cand_objective
-        if not np.isfinite(objective):
-            raise NumericError("KLIEP objective became non-finite")
-        if trace is not None:
-            trace.append(objective)
-        if delta < tolerance:
-            converged = True
-            break
+    theta, objective, iterations, converged = kliep_ascent(
+        design.k_num[None],
+        design.k_den.mean(axis=0)[None],
+        tolerance,
+        max_iters,
+        None if trace is None else [trace],
+    )
     model = RatioModel(
-        centers=design.centers, theta=theta, sigma=design.sigma, alpha=0.0
+        centers=design.centers, theta=theta[0], sigma=design.sigma, alpha=0.0
     )
     return model, FitDiagnostics(
-        objective_value=objective, iterations=iterations, converged=converged
+        objective_value=float(objective[0]),
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
     )
 
 
@@ -288,4 +399,4 @@ def kl_estimate(
         g_num = design.k_num @ model.theta
     else:
         g_num = model.evaluate(numerator_samples)
-    return float(np.mean(np.log(np.maximum(g_num, LOG_FLOOR))))
+    return float(_mean_log(g_num))

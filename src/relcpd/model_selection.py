@@ -26,6 +26,14 @@ for the default grid and 50 centers).  A fold whose batched solve hits a
 singular system is re-solved system by system with ``estimators._solve_spd``
 (jitter retry, then ``SingularSystemError``).
 
+The KLIEP grid is fitted by ``estimators.kliep_ascent`` in lockstep: the
+training rows of every (sigma, fold) problem are gathered into one (problem,
+sample, center) stack, 25 problems for the default grid (0.4 MB for 50
+samples), and each fold contributes only its mean denominator kernel rows.
+Folds of unequal training size (n = 52 in 5 folds) are grouped by size, one
+stack per size.  The held-out scores are exactly those of one fit per
+problem.
+
 Ties are broken toward the larger sigma, then the larger lambda.
 """
 
@@ -40,12 +48,13 @@ from .errors import ParameterError
 from .estimators import (
     ESTIMATOR_KINDS,
     KLIEP,
-    LOG_FLOOR,
+    _mean_log,
     _solve_spd,
     gram_system,
-    kliep_fit,
+    kliep_ascent,
+    kliep_fit,  # noqa: F401 -- kept importable from here for tracing wrappers
 )
-from .kernel import DesignMatrices, median_distance
+from .kernel import median_distance
 from scipy.spatial.distance import cdist
 
 DEFAULT_SIGMA_FACTORS = (0.6, 0.8, 1.0, 1.2, 1.4)
@@ -93,6 +102,32 @@ def _fold_blocks(count: int, folds: int, rng: np.random.Generator) -> list[tuple
     ]
 
 
+def _kliep_cv_scores(k_num: np.ndarray, b_vecs: list, folds: list) -> np.ndarray:
+    """Held-out numerator log-likelihood per sigma, averaged over folds.
+
+    ``b_vecs[f]`` holds fold f's mean denominator kernel rows (sigma,
+    center).  The (sigma, fold) problems of all folds with the same training
+    size go to ``kliep_ascent`` as one stack.
+    """
+    fold_scores = np.empty((len(k_num), len(folds)))
+    sizes = [len(num_tr) for (num_tr, _), _ in folds]
+    for size in sorted(set(sizes)):
+        group = [f for f, count in enumerate(sizes) if count == size]
+        # (fold, sigma, training sample, center), filled without temporaries
+        stack = np.empty((len(group), len(k_num), size, k_num.shape[2]))
+        for i, f in enumerate(group):
+            np.take(k_num, folds[f][0][0], axis=1, out=stack[i])
+        theta, _, _, _ = kliep_ascent(
+            stack.reshape(-1, *stack.shape[2:]),
+            np.concatenate([b_vecs[f] for f in group]),
+        )
+        theta = theta.reshape(len(group), len(k_num), -1, 1)
+        for i, f in enumerate(group):
+            g_hold = (k_num[:, folds[f][0][1]] @ theta[i])[..., 0]
+            fold_scores[:, f] = _mean_log(g_hold)
+    return fold_scores.mean(axis=1)
+
+
 def cv_select(
     numerator_samples: np.ndarray,
     denominator_samples: np.ndarray,
@@ -119,27 +154,16 @@ def cv_select(
     folds = list(zip(num_folds, _fold_blocks(den.shape[0], grid.folds, rng)))
 
     centers = num
-    sq_num = cdist(num, centers, "sqeuclidean")
-    sq_den = cdist(den, centers, "sqeuclidean")
     scales = np.array([2.0 * sigma**2 for sigma in sigmas])[:, None, None]
-    k_num = np.exp(-sq_num / scales)  # (sigma, sample, center)
-    k_den = np.exp(-sq_den / scales)
+    k_num = np.exp(-cdist(num, centers, "sqeuclidean") / scales)  # (sigma, sample, center)
+    k_den = np.exp(-cdist(den, centers, "sqeuclidean") / scales)
 
     scores = np.zeros((len(sigmas), len(grid.lambdas)))
     if estimator_kind == KLIEP:
-        for s, sigma in enumerate(sigmas):
-            fold_scores = np.empty(grid.folds)
-            for f, ((num_tr, num_ho), (den_tr, _)) in enumerate(folds):
-                design = DesignMatrices(
-                    k_num=k_num[s][num_tr],
-                    k_den=k_den[s][den_tr],
-                    centers=centers,
-                    sigma=sigma,
-                )
-                model, _ = kliep_fit(design)
-                g_hold = k_num[s][num_ho] @ model.theta
-                fold_scores[f] = np.mean(np.log(np.maximum(g_hold, LOG_FLOOR)))
-            scores[s] = float(fold_scores.mean())
+        # the ascent needs only each fold's mean denominator kernel rows
+        b_vecs = [k_den[:, den_tr].mean(axis=1) for _, (den_tr, _) in folds]
+        del k_den
+        scores[:] = _kliep_cv_scores(k_num, b_vecs, folds)[:, None]
     else:
         for (num_tr, num_ho), (den_tr, den_ho) in folds:
             h_mat, h_vec = gram_system(k_num[:, num_tr], k_den[:, den_tr], alpha)

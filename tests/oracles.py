@@ -169,3 +169,116 @@ def least_squares_cv_loop(num, den, sigma_factors, lambdas, folds, seed, alpha):
         if best_key is None or table[key] <= table[best_key]:
             best_key = key
     return table, best_key
+
+
+def _kliep_objective_loop(k_num, theta, floor=1e-12):
+    g = k_num @ theta
+    return float(np.mean(np.log(np.maximum(g, floor))))
+
+
+def _kliep_project_loop(theta, b_vec):
+    """Exact Euclidean projection onto {theta >= 0, b.theta = 1} (b > 0) by
+    thresholding at the level read off the sorted breakpoints theta_i / b_i."""
+    order = np.argsort(-(theta / b_vec), kind="stable")
+    b_sorted = b_vec[order]
+    ratios = theta[order] / b_sorted
+    cum_bt = np.cumsum(b_sorted * theta[order])
+    cum_b2 = np.cumsum(b_sorted * b_sorted)
+    mu = (cum_bt - 1.0) / cum_b2
+    active = np.nonzero(ratios > mu)[0]
+    level = mu[active[-1]] if active.size else mu[-1]
+    out = np.maximum(theta - level * b_vec, 0.0)
+    s = float(b_vec @ out)
+    if s <= 0.0:
+        return out
+    return out / s
+
+
+def kliep_fit_loop(k_num, k_den, tolerance=1e-6, max_iters=500, trace=None):
+    """KLIEP by projected gradient ascent, one problem at a time.
+
+    Maximizes mean_i log g(Y_i) (g floored at 1e-12) over theta >= 0 with
+    mean_j g(Y'_j) = 1.  Each iteration tries the step 1, 1/2, 1/4, ... (at
+    most 60 halvings, starting from twice the last accepted step) and takes
+    the first projected candidate that passes the Armijo test with factor
+    1e-4.  It stops when no step passes (converged), when the gain falls
+    below ``tolerance`` (converged) or after ``max_iters`` iterations.
+    ``trace`` receives the start objective and the objective after every
+    accepted step.  Returns (theta, objective, iterations, converged).
+    """
+    floor = 1e-12
+    b_vec = k_den.mean(axis=0)
+    theta = np.full(k_num.shape[1], 1.0 / float(b_vec.sum()))
+    objective = _kliep_objective_loop(k_num, theta)
+    if trace is not None:
+        trace.append(objective)
+    iterations = 0
+    converged = False
+    step_init = 1.0
+    for it in range(1, max_iters + 1):
+        iterations = it
+        g = k_num @ theta
+        w = np.where(g > floor, 1.0 / np.maximum(g, floor), 0.0)
+        grad = k_num.T @ w / k_num.shape[0]
+        step = step_init
+        accepted = False
+        for _ in range(60):
+            candidate = _kliep_project_loop(theta + step * grad, b_vec)
+            gain = float(grad @ (candidate - theta))
+            if gain > 0.0:
+                cand_objective = _kliep_objective_loop(k_num, candidate)
+                if cand_objective >= objective + 1e-4 * gain:
+                    accepted = True
+                    break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        step_init = 2.0 * step
+        delta = cand_objective - objective
+        theta = candidate
+        objective = cand_objective
+        if trace is not None:
+            trace.append(objective)
+        if delta < tolerance:
+            converged = True
+            break
+    return theta, objective, iterations, converged
+
+
+def kliep_cv_loop(num, den, sigma_factors, folds, seed):
+    """KLIEP grid CV with one ``kliep_fit_loop`` per (sigma, fold).
+
+    Folds and centers as in ``least_squares_cv_loop``.  The score of a sigma
+    is the held-out numerator log-likelihood averaged over folds.  Returns
+    (per-sigma scores, best sigma); the best sigma is the last maximum in
+    ascending order.
+    """
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    d_med = float(np.median(pdist(np.vstack([num, den]))))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    num_blocks = np.array_split(rng.permutation(len(num)), folds)
+    den_blocks = np.array_split(rng.permutation(len(den)), folds)
+    scores = {}
+    for factor in sorted(set(sigma_factors)):
+        sigma = factor * d_med
+
+        def kernel(x):
+            sq = ((x[:, None, :] - num[None, :, :]) ** 2).sum(axis=-1)
+            return np.exp(-sq / (2.0 * sigma**2))
+
+        k_num, k_den = kernel(num), kernel(den)
+        total = 0.0
+        for f in range(folds):
+            tr_num = np.concatenate([blk for j, blk in enumerate(num_blocks) if j != f])
+            tr_den = np.concatenate([blk for j, blk in enumerate(den_blocks) if j != f])
+            theta, _, _, _ = kliep_fit_loop(k_num[tr_num], k_den[tr_den])
+            g_hold = k_num[num_blocks[f]] @ theta
+            total += np.mean(np.log(np.maximum(g_hold, 1e-12)))
+        scores[sigma] = total / folds
+    best = None
+    for sigma in sorted(scores):
+        if best is None or scores[sigma] >= scores[best]:
+            best = sigma
+    return scores, best

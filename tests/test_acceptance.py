@@ -213,6 +213,7 @@ def fig2_scores():
     return runs
 
 
+@pytest.mark.slow
 def test_c06a_variance_switch_symmetric_detects_both(fig2_scores):
     hits = 0
     for bounds, fwd, bwd in fig2_scores:
@@ -223,6 +224,7 @@ def test_c06a_variance_switch_symmetric_detects_both(fig2_scores):
     assert hits >= 8, f"symmetric score found both changes in only {hits}/10 seeds"
 
 
+@pytest.mark.slow
 def test_c06b_variance_switch_forward_misses_second(fig2_scores):
     misses = 0
     for bounds, fwd, _ in fig2_scores:
@@ -233,6 +235,7 @@ def test_c06b_variance_switch_forward_misses_second(fig2_scores):
     )
 
 
+@pytest.mark.slow
 def test_c06_forward_regression_invariant(fig2_scores):
     # seeded regression: the forward score peaks near the first change and
     # never exceeds the symmetric score at the second one
@@ -257,6 +260,7 @@ TARGETS = {
 BENCH_DETECTOR = {"n": 50, "k": 10, "alpha": 0.1, "stride": 5, "cv_stride": 5}
 
 
+@pytest.mark.slow
 def test_c07_benchmark_table_reproduction():
     estimators = ("rulsif", "ulsif", "kliep")
     t0 = time.perf_counter()

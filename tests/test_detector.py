@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+from relcpd import seeding
 from relcpd.detector import (
+    KLIEP_STACK,
     DetectorConfig,
     change_scores,
     minimum_length,
 )
-from relcpd.embedding import TimeSeries
+from relcpd.embedding import TimeSeries, build_windows, segment_pair
 from relcpd.errors import (
     DegenerateBandwidthError,
     InsufficientDataError,
     ParameterError,
 )
-from relcpd.model_selection import CvGrid
+from relcpd.kernel import design_matrices
+from relcpd.model_selection import CvGrid, cv_select
+
+from oracles import kliep_fit_loop
 
 
 def _series(seed=0, t_len=140, step_at=None):
@@ -120,6 +125,44 @@ def test_kliep_mode_runs():
     series = _series(seed=6, step_at=70)
     scores = change_scores(series, _config(estimator_kind="kliep"))
     assert np.all(np.isfinite(scores.scores))
+
+
+def _kliep_scores_loop(series, config):
+    """KLIEP scores with one ``kliep_fit_loop`` per position and direction."""
+    windows = build_windows(series, config.k)
+    directions = {"symmetric": (0, 1), "forward": (0,), "backward": (1,)}
+    selections, scores = {}, []
+    t_last = series.length - 2 * config.n - config.k + 2
+    for idx, t in enumerate(range(1, t_last + 1, config.stride)):
+        pair = segment_pair(windows, t, config.n)
+        score = 0.0
+        for direction in directions[config.score_mode]:
+            num, den = [(pair.reference, pair.test), (pair.test, pair.reference)][direction]
+            if idx % config.cv_stride == 0:
+                seed = seeding.mix_seed(config.grid.seed, t, direction)
+                grid = CvGrid(seed=seed)
+                selections[direction] = cv_select(num, den, grid, "kliep").best_sigma
+            d = design_matrices(num, den, num, selections[direction])
+            term = kliep_fit_loop(d.k_num, d.k_den)[1]
+            score += max(term, 0.0) if config.clip_negative else term
+        scores.append(score)
+    return np.array(scores)
+
+
+@pytest.mark.parametrize(
+    "mode, stride, cv_stride",
+    [("symmetric", 5, 2), ("symmetric", 1, 2 * KLIEP_STACK), ("forward", 3, 1)],
+)
+def test_kliep_block_fits_match_per_position_loop(mode, stride, cv_stride):
+    # positions sharing a selection are fitted as one stack, split at the
+    # stack cap (the second case) and at every CV refresh
+    series = _series(seed=9, t_len=160, step_at=80)
+    cfg = _config(
+        estimator_kind="kliep", score_mode=mode, stride=stride, cv_stride=cv_stride,
+        clip_negative=mode != "forward",
+    )
+    got = change_scores(series, cfg).scores
+    np.testing.assert_allclose(got, _kliep_scores_loop(series, cfg), rtol=1e-12, atol=1e-14)
 
 
 def test_step_change_produces_peak_near_change():

@@ -10,6 +10,7 @@ from relcpd.estimators import (
     LOG_FLOOR,
     RatioModel,
     kl_estimate,
+    kliep_ascent,
     kliep_fit,
     kliep_gradient,
     kliep_objective,
@@ -19,7 +20,7 @@ from relcpd.estimators import (
     ulsif_fit,
 )
 
-from oracles import gaussian_pdf, gaussian_kl, true_pe_alpha
+from oracles import gaussian_pdf, gaussian_kl, kliep_fit_loop, true_pe_alpha
 
 
 def _design(rng, n=20, dim=3, shift=0.5, sigma=None):
@@ -190,6 +191,79 @@ class TestKliep:
                 fd[i] = (kliep_objective(d, up) - kliep_objective(d, dn)) / (2 * h)
             rel = np.linalg.norm(fd - grad) / np.linalg.norm(grad)
             assert rel <= 1e-4
+
+
+def _kliep_problems(seed, count, samples=40, centers=50, dim=4):
+    """Numerator and denominator kernels of ``count`` KLIEP problems shaped
+    like one CV fold: ``samples`` training rows against ``centers`` centers,
+    shifted Gaussian sets and bandwidths spread around the median distance."""
+    rng = np.random.default_rng(seed)
+    k_nums, k_dens = [], []
+    for p in range(count):
+        num = rng.normal(0.0, 1.0, (centers, dim))
+        den = rng.normal(rng.uniform(-1, 1), rng.uniform(0.7, 1.5), (centers, dim))
+        sigma = (0.6 + 0.2 * (p % 5)) * median_distance(np.vstack([num, den]))
+        d = design_matrices(num[:samples], den[:samples], num, sigma)
+        k_nums.append(d.k_num)
+        k_dens.append(d.k_den)
+    return k_nums, k_dens
+
+
+def _assert_ascent_matches_loop(k_nums, k_dens, max_iters=500):
+    """Runs one lockstep stack and checks every problem against the loop
+    oracle; returns the oracle's (theta, objective, iterations, converged)."""
+    traces = [[] for _ in k_nums]
+    theta, objective, iterations, converged = kliep_ascent(
+        np.stack(k_nums),
+        np.stack([k.mean(axis=0) for k in k_dens]),
+        max_iters=max_iters,
+        traces=traces,
+    )
+    wants = []
+    for p, (k_num, k_den) in enumerate(zip(k_nums, k_dens)):
+        trace = []
+        want = kliep_fit_loop(k_num, k_den, max_iters=max_iters, trace=trace)
+        assert (iterations[p], converged[p]) == want[2:]
+        np.testing.assert_allclose(theta[p], want[0], rtol=0, atol=1e-10)
+        assert abs(objective[p] - want[1]) <= 1e-12
+        assert len(traces[p]) == len(trace)
+        np.testing.assert_allclose(traces[p], trace, rtol=0, atol=1e-12)
+        wants.append(want)
+    return wants
+
+
+class TestKliepAscent:
+    def test_mixed_stack_matches_loop(self):
+        k_nums, k_dens = _kliep_problems(11, 12)
+        # a flat problem: every feasible theta has the same objective, so
+        # no step ascends from the start
+        k_nums.append(np.ones((40, 50)))
+        k_dens.append(np.ones((40, 50)))
+        wants = _assert_ascent_matches_loop(k_nums, k_dens)
+        iterations = [want[2] for want in wants]
+        assert len(set(iterations[:-1])) >= 4  # problems leave the stack apart
+        assert iterations[-1] == 1 and wants[-1][3]
+        assert np.array_equal(wants[-1][0], np.full(50, 1.0 / 50.0))  # never moved
+
+    def test_max_iters_cuts_slow_problems(self):
+        k_nums, k_dens = _kliep_problems(12, 10)
+        wants = _assert_ascent_matches_loop(k_nums, k_dens, max_iters=11)
+        assert {want[3] for want in wants} == {True, False}
+        assert all(want[2] == 11 for want in wants if not want[3])
+
+    def test_single_problem_fit_matches_loop(self):
+        (k_num,), (k_den,) = _kliep_problems(13, 1)
+        trace, want_trace = [], []
+        want = kliep_fit_loop(k_num, k_den, trace=want_trace)
+        design = DesignMatrices(
+            k_num=k_num, k_den=k_den, centers=np.zeros((50, 4)), sigma=1.0
+        )
+        model, diag = kliep_fit(design, trace=trace)
+        assert diag.objective_value == pytest.approx(want[1], rel=0, abs=1e-12)
+        assert (diag.iterations, diag.converged) == want[2:]
+        np.testing.assert_allclose(model.theta, want[0], rtol=0, atol=1e-10)
+        assert len(trace) == len(want_trace)
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
 
 
 class TestDivergenceEstimates:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from relcpd.model_selection import (
 )
 from relcpd.synthgen import SynthSpec, generate
 
-from oracles import least_squares_cv_loop
+from oracles import kliep_cv_loop, least_squares_cv_loop
 
 
 def _samples(seed=0, n=30, dim=2, shift=0.4):
@@ -163,3 +165,43 @@ def test_singular_fold_falls_back_to_jittered_solve():
     grid = CvGrid(lambdas=(1e-300, 1.0), seed=4)
     res = _assert_matches_loop_oracle(num, den, grid, 0.1)
     assert res.best_lambda == 1.0
+
+
+@pytest.mark.parametrize("n", [50, 52, 53])
+def test_kliep_grid_matches_loop_oracle(n):
+    # 5 folds of 52 or 53 samples have unequal training sizes, so the
+    # lockstep ascent runs one stack per training size
+    series = generate(SynthSpec(dataset_id=2, length=800, seed=n))
+    windows = build_windows(series, 10)
+    for t in (1, 301):
+        pair = segment_pair(windows, t, n)
+        for direction, (num, den) in enumerate(
+            ((pair.reference, pair.test), (pair.test, pair.reference))
+        ):
+            grid = CvGrid(seed=seeding.mix_seed(23, t, direction))
+            res = cv_select(num, den, grid, "kliep")
+            scores, best = kliep_cv_loop(
+                num, den, grid.sigma_factors, grid.folds, grid.seed
+            )
+            assert list(res.score_table) == [
+                (sigma, lam) for sigma in scores for lam in grid.lambdas
+            ]
+            assert res.best_sigma == best
+            assert res.best_lambda == max(grid.lambdas)
+            got = np.array([res.score_table[(s, grid.lambdas[0])] for s in scores])
+            np.testing.assert_allclose(got, list(scores.values()), rtol=1e-10, atol=0)
+
+
+def test_kliep_grid_memory_peak():
+    # the (sigma, fold) stack of training kernels is the largest array
+    # (25 x 40 x 50 doubles, 0.4 MB); the ascent's temporaries stay small
+    num, den = _samples(seed=5, n=50, dim=10)
+    grid = CvGrid(seed=3)
+    cv_select(num, den, grid, "kliep")  # first-call allocations of numpy/scipy
+    tracemalloc.start()
+    try:
+        cv_select(num, den, grid, "kliep")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"peak {peak / 1024:.0f} KiB"
