@@ -19,7 +19,6 @@ from .estimators import (
     kl_estimate,
     kliep_fit,
     pe_alpha_estimate,
-    ratio_eval,
     rulsif_fit,
     ulsif_fit,
 )
@@ -59,7 +58,7 @@ __all__ = [
     "KernelConfig", "DesignMatrices", "gaussian_kernel", "median_distance",
     "design_matrices",
     "RatioModel", "FitDiagnostics", "ulsif_fit", "rulsif_fit", "kliep_fit",
-    "ratio_eval", "pe_alpha_estimate", "kl_estimate",
+    "pe_alpha_estimate", "kl_estimate",
     "ULSIF", "RULSIF", "KLIEP", "ESTIMATOR_KINDS",
     "CvGrid", "CvResult", "cv_select",
     "DetectorConfig", "ScoreSeries", "change_scores", "minimum_length",

@@ -9,14 +9,15 @@ reports.  Failed runs mark their whole cell as failed; other cells continue.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, replace
 
 from . import seeding
 from .detector import DetectorConfig, change_scores
-from .errors import ChangePointError
+from .errors import ChangePointError, ParameterError
 from .evaluation import MATCH_WINDOW, MIN_ALARM_SPACING
 from .evaluation import find_peaks, roc_curve, summarize_runs
-from .model_selection import CvGrid
 from .synthgen import SynthSpec, generate
 
 SCHEMA_VERSION = 1
@@ -35,14 +36,14 @@ _CONVENTIONS = {
 
 def run_one(
     dataset_id: int,
-    estimator: str,
     run_index: int,
     master_seed: int,
     length: int,
     segment_len: int,
-    detector_kwargs: dict,
+    config: DetectorConfig,
 ) -> float:
-    """AUC of one seeded pipeline run."""
+    """AUC of one seeded pipeline run; ``config`` is the run's own detector
+    setting, its grid seed included."""
     series = generate(
         SynthSpec(
             dataset_id=dataset_id,
@@ -51,12 +52,6 @@ def run_one(
             seed=seeding.mix_seed(master_seed, _SERIES_TAG, dataset_id, run_index),
         )
     )
-    detector_kwargs = dict(detector_kwargs)
-    grid = CvGrid(
-        seed=seeding.mix_seed(master_seed, _DETECT_TAG, dataset_id, run_index),
-        **detector_kwargs.pop("grid_kwargs", {}),
-    )
-    config = DetectorConfig(estimator_kind=estimator, grid=grid, **detector_kwargs)
     scores = change_scores(series, config)
     alarms = find_peaks(scores)
     curve = roc_curve(alarms, series.change_points, len(series.change_points))
@@ -64,14 +59,12 @@ def run_one(
 
 
 def _task(args: tuple) -> tuple:
-    dataset_id, estimator, run_index, master_seed, length, segment_len, det = args
+    dataset_id, run_index, _, _, _, config = args
     try:
-        auc = run_one(
-            dataset_id, estimator, run_index, master_seed, length, segment_len, det
-        )
-        return dataset_id, estimator, run_index, auc, None
+        auc, error = run_one(*args), None
     except ChangePointError as exc:
-        return dataset_id, estimator, run_index, None, f"{exc.category}: {exc}"
+        auc, error = None, f"{exc.category}: {exc}"
+    return dataset_id, config.estimator_kind, run_index, auc, error
 
 
 def run_bench(
@@ -81,19 +74,24 @@ def run_bench(
     seed: int,
     length: int = 5000,
     segment_len: int = 100,
-    detector_kwargs: dict | None = None,
+    config: DetectorConfig = DetectorConfig(),
     jobs: int = 1,
 ) -> dict:
-    """Run all cells and assemble the versioned report object."""
-    detector_kwargs = dict(detector_kwargs or {})
+    """Run all cells and assemble the versioned report object.
+
+    ``config`` is the template of every run: run r of (dataset d, estimator
+    e) uses it with estimator e and the grid seed mixed from (seed, d, r).
+    Every run's config is built, and so validated, before the first sweep.
+    """
+    if int(runs) < 1:
+        raise ParameterError(f"runs must be >= 1, got {runs}")
     datasets = [int(d) for d in datasets]
     estimators = list(estimators)
-    tasks = [
-        (d, e, r, int(seed), int(length), int(segment_len), detector_kwargs)
-        for d in datasets
-        for e in estimators
-        for r in range(int(runs))
-    ]
+    tasks = []
+    for d, e, r in itertools.product(datasets, estimators, range(int(runs))):
+        grid = replace(config.grid, seed=seeding.mix_seed(int(seed), _DETECT_TAG, d, r))
+        run_config = replace(config, estimator_kind=e, grid=grid)
+        tasks.append((d, r, int(seed), int(length), int(segment_len), run_config))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_task, tasks))
@@ -138,7 +136,10 @@ def run_bench(
                 }
             )
 
-    grid_kwargs = detector_kwargs.get("grid_kwargs", {})
+    detector = asdict(config)
+    del detector["estimator_kind"]
+    grid = detector.pop("grid")
+    del grid["seed"]
     return {
         "schema": SCHEMA_VERSION,
         "config": {
@@ -148,10 +149,8 @@ def run_bench(
             "seed": int(seed),
             "length": int(length),
             "segment_len": int(segment_len),
-            "detector": {
-                k: v for k, v in detector_kwargs.items() if k != "grid_kwargs"
-            },
-            "grid": dict(grid_kwargs),
+            "detector": detector,
+            "grid": grid,
             "conventions": _CONVENTIONS,
         },
         "cells": cells,

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``synth``   -- generate a benchmark series (CSV + .truth sidecar)
 * ``score``   -- compute change scores for a CSV series
-* ``detect``  -- scores plus alarms/ROC/report when ground truth exists
+* ``detect``  -- ``score`` plus alarms/ROC/report when ground truth exists
 * ``eval``    -- evaluate an existing scores CSV against a truth file
 * ``bench``   -- AUC benchmark over (dataset, estimator, run) cells
 
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bench, dataio
 from .detector import (
-    BACKWARD,
-    FORWARD,
+    SCORE_MODES,
     SYMMETRIC,
     DetectorConfig,
     ScoreSeries,
@@ -57,9 +57,7 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=10, help="window length")
     parser.add_argument("--alpha", type=float, default=0.1,
                         help="relative-ratio parameter (rulsif only)")
-    parser.add_argument("--estimator", choices=ESTIMATOR_KINDS, default=RULSIF)
-    parser.add_argument("--score-mode", choices=(SYMMETRIC, FORWARD, BACKWARD),
-                        default=SYMMETRIC)
+    parser.add_argument("--score-mode", choices=SCORE_MODES, default=SYMMETRIC)
     parser.add_argument("--stride", type=int, default=1)
     parser.add_argument("--cv-stride", type=int, default=1,
                         help="re-run CV every this many positions")
@@ -97,22 +95,12 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     )
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    return {
-        "n": args.n,
-        "k": args.k,
-        "alpha": args.alpha,
-        "estimator": args.estimator,
-        "score_mode": args.score_mode,
-        "stride": args.stride,
-        "cv_stride": args.cv_stride,
-        "clip_negative": not args.no_clip,
-        "standardize": args.standardize,
-        "sigma_factors": list(args.sigma_factors),
-        "lambdas": list(args.lambdas),
-        "folds": args.folds,
-        "seed": args.seed,
-    }
+def _config_echo(config: DetectorConfig) -> dict:
+    """The report's flat echo of the detector setting that ran."""
+    echo = asdict(config)
+    grid = echo.pop("grid")
+    echo["estimator"] = echo.pop("estimator_kind")
+    return echo | grid
 
 
 def _write_eval_outputs(out: Path, name: str, estimator: str,
@@ -163,27 +151,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    series = dataio.ingest_csv(args.input)
-    scores = change_scores(series, _detector_config(args))
-    out = Path(args.out)
-    dataio.write_scores_csv(out.with_suffix(".scores.csv"), scores.boundaries,
-                            scores.scores)
-    print(f"wrote {out.with_suffix('.scores.csv')}")
-    return 0
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
+    """``score`` and ``detect``: ``score`` stops after writing the scores."""
     series = dataio.ingest_csv(args.input)
-    scores = change_scores(series, _detector_config(args))
+    config = _detector_config(args)
+    scores = change_scores(series, config)
     out = Path(args.out)
     dataio.write_scores_csv(out.with_suffix(".scores.csv"), scores.boundaries,
                             scores.scores)
     print(f"wrote {out.with_suffix('.scores.csv')}")
+    if args.subcommand == "score":
+        return 0
     if series.change_points:
         alarms = find_peaks(scores)
-        _write_eval_outputs(out, series.name, args.estimator, alarms,
-                            series.change_points, _config_echo(args))
+        _write_eval_outputs(out, series.name, config.estimator_kind, alarms,
+                            series.change_points, _config_echo(config))
     else:
         print("no truth sidecar found; wrote scores only")
     return 0
@@ -203,21 +185,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    detector_kwargs = {
-        "n": args.n,
-        "k": args.k,
-        "alpha": args.alpha,
-        "score_mode": args.score_mode,
-        "stride": args.stride,
-        "cv_stride": args.cv_stride,
-        "clip_negative": not args.no_clip,
-        "standardize": args.standardize,
-        "grid_kwargs": {
-            "sigma_factors": args.sigma_factors,
-            "lambdas": args.lambdas,
-            "folds": args.folds,
-        },
-    }
     report = bench.run_bench(
         datasets=args.datasets,
         estimators=args.estimators.split(","),
@@ -225,7 +192,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         length=args.length,
         segment_len=args.segment_len,
-        detector_kwargs=detector_kwargs,
+        config=_detector_config(args),
         jobs=args.jobs,
     )
     table = bench.format_table(report)
@@ -254,17 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output stem")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_score = sub.add_parser("score", help="compute change scores")
-    p_score.add_argument("input", help="input CSV (rows=time, cols=dims)")
-    p_score.add_argument("--out", required=True, help="output stem")
-    _add_detector_flags(p_score)
-    p_score.set_defaults(func=cmd_score)
-
-    p_detect = sub.add_parser("detect", help="scores plus alarm evaluation")
-    p_detect.add_argument("input", help="input CSV (rows=time, cols=dims)")
-    p_detect.add_argument("--out", required=True, help="output stem")
-    _add_detector_flags(p_detect)
-    p_detect.set_defaults(func=cmd_detect)
+    for name, help_text in (("score", "compute change scores"),
+                            ("detect", "scores plus alarm evaluation")):
+        p_detect = sub.add_parser(name, help=help_text)
+        p_detect.add_argument("input", help="input CSV (rows=time, cols=dims)")
+        p_detect.add_argument("--out", required=True, help="output stem")
+        p_detect.add_argument("--estimator", choices=ESTIMATOR_KINDS, default=RULSIF)
+        _add_detector_flags(p_detect)
+        p_detect.set_defaults(func=cmd_detect)
 
     p_eval = sub.add_parser("eval", help="evaluate an existing scores CSV")
     p_eval.add_argument("scores", help="scores CSV (boundary,score)")
@@ -274,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="estimator label for the report")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_bench = sub.add_parser("bench", help="AUC benchmark over datasets")
+    # no abbreviations, so --estimator is not taken for --estimators
+    p_bench = sub.add_parser("bench", help="AUC benchmark over datasets",
+                             allow_abbrev=False)
     p_bench.add_argument("--datasets", type=_int_list, default=(1, 2, 3, 4))
     p_bench.add_argument("--estimators", default=f"{RULSIF},{ULSIF},{KLIEP}",
                          help="comma-separated estimator kinds")
@@ -285,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parallel worker processes")
     p_bench.add_argument("--out", required=True, help="output stem")
     _add_detector_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    # the config template's estimator; run_bench sets each cell's own
+    p_bench.set_defaults(func=cmd_bench, estimator=RULSIF)
 
     return parser
 

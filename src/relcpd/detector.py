@@ -108,7 +108,6 @@ class ScoreSeries:
 
     boundaries: tuple[int, ...]
     scores: np.ndarray
-    config_echo: DetectorConfig | None = None
 
 
 def minimum_length(config: DetectorConfig) -> int:
@@ -211,6 +210,4 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     if not np.all(np.isfinite(arr)):
         raise NumericError("non-finite change score produced")
     arr.setflags(write=False)
-    return ScoreSeries(
-        boundaries=tuple(boundaries), scores=arr, config_echo=config
-    )
+    return ScoreSeries(boundaries=tuple(boundaries), scores=arr)

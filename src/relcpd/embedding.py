@@ -68,12 +68,11 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Ordered window vectors; row i corresponds to time start_index + i."""
+    """Ordered window vectors; row i corresponds to time i + 1."""
 
     vectors: np.ndarray  # shape (count, d * k)
     k: int
     d: int
-    start_index: int = 1
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -109,7 +108,7 @@ def build_windows(series: TimeSeries, k: int) -> WindowSet:
     for j in range(k):
         out[:, j * d : (j + 1) * d] = series.values[:, j : j + count].T
     out.setflags(write=False)
-    return WindowSet(vectors=out, k=k, d=d, start_index=1)
+    return WindowSet(vectors=out, k=k, d=d)
 
 
 def segment_pair(windows: WindowSet, t: int, n: int) -> SegmentPair:
@@ -118,14 +117,12 @@ def segment_pair(windows: WindowSet, t: int, n: int) -> SegmentPair:
     n = int(n)
     if n < 1:
         raise SegmentRangeError(f"segment sample count must be >= 1, got {n}")
-    first = windows.start_index
-    last = windows.start_index + len(windows) - 1
-    if t < first or t + 2 * n - 1 > last:
+    if t < 1 or t + 2 * n - 1 > len(windows):
         raise SegmentRangeError(
             f"segment pair needs window indices {t}..{t + 2 * n - 1}, "
-            f"available {first}..{last}"
+            f"available 1..{len(windows)}"
         )
-    i = t - first
+    i = t - 1
     return SegmentPair(
         reference=windows.vectors[i : i + n],
         test=windows.vectors[i + n : i + 2 * n],

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatchError,
@@ -40,6 +39,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
+from .kernel import gaussian_kernels
 
 ULSIF = "ulsif"
 RULSIF = "rulsif"
@@ -74,10 +74,7 @@ class RatioModel:
                 f"sample dimension {arr.shape[1]} does not match "
                 f"center dimension {self.centers.shape[1]}"
             )
-        k = np.exp(
-            -cdist(arr, self.centers, "sqeuclidean") / (2.0 * self.sigma**2)
-        )
-        return k @ self.theta
+        return gaussian_kernels(arr, self.centers, (self.sigma,))[0] @ self.theta
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,6 @@ class FitDiagnostics:
     objective_value: float
     iterations: int = 0
     converged: bool = True
-
-
-def ratio_eval(model: RatioModel, y: np.ndarray) -> float:
-    """Evaluate the fitted ratio model at a single point."""
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"expected a vector, got ndim={arr.ndim}")
-    return float(model.evaluate(arr)[0])
 
 
 def _solve_spd(h_mat: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:

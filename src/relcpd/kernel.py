@@ -1,5 +1,6 @@
 """Gaussian kernel evaluation, design matrices, and the median-distance
-bandwidth heuristic."""
+bandwidth heuristic.  ``gaussian_kernels`` evaluates every kernel matrix of
+the fitters, the ratio model and CV; ``gaussian_kernel`` is a scalar reference."""
 
 from __future__ import annotations
 
@@ -51,6 +52,14 @@ def gaussian_kernel(y: np.ndarray, y2: np.ndarray, sigma: float) -> float:
     return float(np.exp(-(diff @ diff) / (2.0 * cfg.sigma**2)))
 
 
+def gaussian_kernels(samples: np.ndarray, centers: np.ndarray, sigmas) -> np.ndarray:
+    """exp(-||Y_i - C_l||^2 / (2 sigma^2)) for every sigma in ``sigmas``: a
+    (sigma, sample, center) stack from one ``cdist`` of the 2-D float arrays
+    ``samples`` and ``centers``."""
+    scales = np.array([2.0 * sigma**2 for sigma in sigmas])[:, None, None]
+    return np.exp(-cdist(samples, centers, "sqeuclidean") / scales)
+
+
 def median_distance(samples: np.ndarray) -> float:
     """Median of all pairwise Euclidean distances (exact, over all pairs).
 
@@ -87,7 +96,6 @@ def design_matrices(
             f"sample dimensions {num.shape[1]}/{den.shape[1]} do not match "
             f"center dimension {cen.shape[1]}"
         )
-    scale = 2.0 * cfg.sigma**2
-    k_num = np.exp(-cdist(num, cen, "sqeuclidean") / scale)
-    k_den = np.exp(-cdist(den, cen, "sqeuclidean") / scale)
+    k_num = gaussian_kernels(num, cen, (cfg.sigma,))[0]
+    k_den = gaussian_kernels(den, cen, (cfg.sigma,))[0]
     return DesignMatrices(k_num=k_num, k_den=k_den, centers=cen, sigma=cfg.sigma)

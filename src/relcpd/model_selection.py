@@ -54,8 +54,7 @@ from .estimators import (
     kliep_ascent,
     kliep_fit,  # noqa: F401 -- kept importable from here for tracing wrappers
 )
-from .kernel import median_distance
-from scipy.spatial.distance import cdist
+from .kernel import gaussian_kernels, median_distance
 
 DEFAULT_SIGMA_FACTORS = (0.6, 0.8, 1.0, 1.2, 1.4)
 DEFAULT_LAMBDAS = (1e-3, 1e-2, 1e-1, 1e0, 1e1)
@@ -154,9 +153,8 @@ def cv_select(
     folds = list(zip(num_folds, _fold_blocks(den.shape[0], grid.folds, rng)))
 
     centers = num
-    scales = np.array([2.0 * sigma**2 for sigma in sigmas])[:, None, None]
-    k_num = np.exp(-cdist(num, centers, "sqeuclidean") / scales)  # (sigma, sample, center)
-    k_den = np.exp(-cdist(den, centers, "sqeuclidean") / scales)
+    k_num = gaussian_kernels(num, centers, sigmas)  # (sigma, sample, center)
+    k_den = gaussian_kernels(den, centers, sigmas)
 
     scores = np.zeros((len(sigmas), len(grid.lambdas)))
     if estimator_kind == KLIEP:

@@ -1,5 +1,11 @@
+import os
 import sys
 from pathlib import Path
+
+# One OpenBLAS thread per process, set before numpy is imported: c07's two
+# worker processes and the rest of the suite share a 2-core machine, and
+# more BLAS threads than cores only add contention.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # make the shared oracle helpers importable from any test module
 sys.path.insert(0, str(Path(__file__).parent))

@@ -266,12 +266,12 @@ def test_c07_benchmark_table_reproduction():
     t0 = time.perf_counter()
     ds3_report = run_bench(
         datasets=(3,), estimators=estimators, runs=10, seed=20250809,
-        detector_kwargs=dict(BENCH_DETECTOR), jobs=2,
+        config=DetectorConfig(**BENCH_DETECTOR), jobs=2,
     )
     ds3_elapsed = time.perf_counter() - t0
     rest_report = run_bench(
         datasets=(1, 2, 4), estimators=estimators, runs=10, seed=20250809,
-        detector_kwargs=dict(BENCH_DETECTOR), jobs=2,
+        config=DetectorConfig(**BENCH_DETECTOR), jobs=2,
     )
     cells = {
         (c["dataset"], c["estimator"]): c

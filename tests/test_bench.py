@@ -1,17 +1,38 @@
-import copy
+from dataclasses import replace
 
-from relcpd.bench import run_one
+from relcpd import bench
+from relcpd.detector import DetectorConfig
+from relcpd.model_selection import CvGrid
+from relcpd.seeding import mix_seed
 
 
-def test_run_one_leaves_the_callers_kwargs_unchanged():
-    detector_kwargs = {
-        "n": 10,
-        "k": 3,
-        "stride": 5,
-        "cv_stride": 5,
-        "grid_kwargs": {"sigma_factors": (1.0,), "lambdas": (0.1,), "folds": 2},
+def test_run_bench_derives_every_run_config_from_the_template(monkeypatch):
+    template = DetectorConfig(
+        n=10, k=3, alpha=0.2, estimator_kind="kliep", stride=5, cv_stride=5,
+        clip_negative=False,
+        grid=CvGrid(sigma_factors=(1.0, 0.5), lambdas=(0.1,), folds=2, seed=77),
+    )
+    seen = []
+
+    def fake_run_one(dataset_id, run_index, master_seed, length, segment_len, config):
+        seen.append((dataset_id, run_index, config))
+        return 0.5
+
+    monkeypatch.setattr(bench, "run_one", fake_run_one)
+    report = bench.run_bench((1, 2), ("ulsif", "rulsif"), runs=2, seed=5,
+                             length=300, config=template)
+    assert seen == [
+        (d, r, replace(template, estimator_kind=e,
+                       grid=replace(template.grid, seed=mix_seed(5, 2, d, r))))
+        for d in (1, 2)
+        for e in ("ulsif", "rulsif")
+        for r in range(2)
+    ]
+    assert report["config"]["detector"] == {
+        "n": 10, "k": 3, "alpha": 0.2, "score_mode": "symmetric", "stride": 5,
+        "cv_stride": 5, "clip_negative": False, "standardize": False,
     }
-    before = copy.deepcopy(detector_kwargs)
-    first = run_one(1, "ulsif", 0, 5, 300, 100, detector_kwargs)
-    assert detector_kwargs == before
-    assert run_one(1, "ulsif", 0, 5, 300, 100, detector_kwargs) == first
+    assert report["config"]["grid"] == {
+        "sigma_factors": (0.5, 1.0), "lambdas": (0.1,), "folds": 2,
+    }
+    assert [c["auc_mean"] for c in report["cells"]] == [0.5] * 4

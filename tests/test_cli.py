@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from relcpd import dataio
+from relcpd import bench, dataio
 from relcpd.cli import main
 from relcpd.errors import EmptyInputError, InvalidDataError, ParseError
 
@@ -101,6 +101,7 @@ class TestScoreDetectEval:
         bounds, values = dataio.read_scores_csv(tmp_path / "out.scores.csv")
         assert len(bounds) == len(values) > 0
         assert bounds[0] == 21
+        assert not (tmp_path / "out.report.json").exists()  # truth is not used
 
     def test_detect_full_outputs(self, tmp_path, capsys):
         p = _make_input(tmp_path)
@@ -113,6 +114,19 @@ class TestScoreDetectEval:
         assert report["runs"] == 1
         assert 0.0 <= report["auc_mean"] <= 1.0
         assert report["per_run"][0]["n_cp"] == 1
+
+    def test_report_echoes_the_grid_that_ran(self, tmp_path):
+        p = _make_input(tmp_path)
+        main(["detect", str(p), "--out", str(tmp_path / "out"), "--sigma-factors",
+              "1.4,0.6,1.0,1.0", "--lambdas", "1,0.1"] + DETECT_FLAGS)
+        config = json.loads((tmp_path / "out.report.json").read_text())["config"]
+        assert config == {
+            "n": 20, "k": 5, "alpha": 0.1, "estimator": "rulsif",
+            "score_mode": "symmetric", "stride": 5, "cv_stride": 2,
+            "clip_negative": True, "standardize": False,
+            "sigma_factors": [0.6, 1.0, 1.4], "lambdas": [0.1, 1.0], "folds": 5,
+            "seed": 3,
+        }
 
     def test_detect_without_truth(self, tmp_path, capsys):
         p = _make_input(tmp_path)
@@ -207,3 +221,40 @@ class TestBenchCommand:
             assert cell["status"] == "ok"
             assert cell["runs"] == 1
         assert (tmp_path / "r.txt").exists()
+
+    def test_too_short_series_fails_every_cell_and_still_reports(self, tmp_path):
+        assert main(["bench", "--out", str(tmp_path / "f"), "--datasets", "1,2",
+                     "--estimators", "rulsif,kliep", "--runs", "2", "--length", "100",
+                     "--n", "50", "--k", "5"]) == 0
+        report = json.loads((tmp_path / "f.json").read_text())
+        assert len(report["cells"]) == 4
+        for cell in report["cells"]:
+            assert cell["status"] == "failed"
+            assert cell["failed_run"] == 0
+            assert cell["error"].startswith("insufficient-data:")
+        assert "failed" in (tmp_path / "f.txt").read_text()
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_rejected(self, tmp_path, capsys, runs):
+        code = main(["bench", "--out", str(tmp_path / "z"), "--runs", runs]
+                    + BENCH_FLAGS[:4])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: parameter:")
+        assert not (tmp_path / "z.json").exists()
+
+    def test_unknown_estimator_rejected_before_any_run(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench, "run_one", no_run)
+        code = main(["bench", "--out", str(tmp_path / "u"), "--estimators",
+                     "rulsif,bogus", "--runs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: parameter:")
+
+    def test_single_estimator_flag_not_accepted(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--out", str(tmp_path / "e"), "--estimator", "kliep"]
+                 + BENCH_FLAGS)
+        assert exc.value.code == 2

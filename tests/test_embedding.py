@@ -119,7 +119,7 @@ def test_segments_disjoint_and_contiguous():
     for t, n in [(1, 5), (3, 8), (10, 9)]:
         pair = segment_pair(ws, t, n)
         joined = np.vstack([pair.reference, pair.test])
-        i = t - ws.start_index
+        i = t - 1
         np.testing.assert_array_equal(joined, ws.vectors[i : i + 2 * n])
         assert pair.reference.shape[0] == pair.test.shape[0] == n
 

@@ -15,7 +15,6 @@ from relcpd.estimators import (
     kliep_gradient,
     kliep_objective,
     pe_alpha_estimate,
-    ratio_eval,
     rulsif_fit,
     ulsif_fit,
 )
@@ -39,23 +38,23 @@ def _unit_design(value=1.0):
 class TestRatioEval:
     def test_zero_weights(self):
         model = RatioModel(np.zeros((3, 2)), np.zeros(3), sigma=1.0, alpha=0.0)
-        assert ratio_eval(model, np.array([4.0, -1.0])) == 0.0
+        assert model.evaluate(np.array([4.0, -1.0]))[0] == 0.0
 
     def test_single_center_at_point(self):
         model = RatioModel(np.array([[1.0, 2.0]]), np.array([2.0]), 1.0, 0.0)
-        assert ratio_eval(model, np.array([1.0, 2.0])) == 2.0
+        assert model.evaluate(np.array([1.0, 2.0]))[0] == 2.0
 
     def test_two_centers_at_sigma_distance(self):
         sigma = 1.5
         centers = np.array([[sigma, 0.0], [-sigma, 0.0]])
         model = RatioModel(centers, np.ones(2), sigma, 0.0)
         expected = 2.0 * math.exp(-0.5)
-        assert ratio_eval(model, np.zeros(2)) == pytest.approx(expected, rel=1e-14)
+        assert model.evaluate(np.zeros(2))[0] == pytest.approx(expected, rel=1e-14)
 
     def test_dimension_mismatch(self):
         model = RatioModel(np.zeros((2, 3)), np.zeros(2), 1.0, 0.0)
         with pytest.raises(DimensionMismatchError):
-            ratio_eval(model, np.zeros(2))
+            model.evaluate(np.zeros(2))
 
 
 class TestUlsif:
