@@ -18,7 +18,7 @@ from .detector import DetectorConfig, change_scores
 from .errors import ChangePointError, ParameterError
 from .evaluation import MATCH_WINDOW, MIN_ALARM_SPACING
 from .evaluation import find_peaks, roc_curve, summarize_runs
-from .synthgen import SynthSpec, generate
+from .synthgen import DATASET_IDS, SynthSpec, generate
 
 SCHEMA_VERSION = 1
 
@@ -81,11 +81,14 @@ def run_bench(
 
     ``config`` is the template of every run: run r of (dataset d, estimator
     e) uses it with estimator e and the grid seed mixed from (seed, d, r).
-    Every run's config is built, and so validated, before the first sweep.
+    Every run's config, the dataset ids, ``runs`` and ``jobs`` are checked
+    before the first sweep.
     """
-    if int(runs) < 1:
-        raise ParameterError(f"runs must be >= 1, got {runs}")
+    if int(runs) < 1 or int(jobs) < 1:
+        raise ParameterError(f"runs and jobs must be >= 1, got {runs} and {jobs}")
     datasets = [int(d) for d in datasets]
+    if not set(datasets) <= set(DATASET_IDS):
+        raise ParameterError(f"dataset ids must be among {DATASET_IDS}, got {datasets}")
     estimators = list(estimators)
     tasks = []
     for d, e, r in itertools.product(datasets, estimators, range(int(runs))):

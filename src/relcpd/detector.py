@@ -15,10 +15,16 @@ the master seed via ``seeding.mix_seed(master, t, direction)``, so any
 evaluation order (serial or parallel over positions) yields identical
 output.
 
-KLIEP final fits are stacked: the positions and directions that share one
-CV selection are fitted by one ``kliep_ascent`` call, at most KLIEP_STACK
-problems at a time, and each term is the fit's final objective (the
-formula of ``kl_estimate``).  Least-squares fits stay one per position.
+Final fits run in chunks of at most CHUNK positions that share one CV
+selection.  One ``cdist`` over a chunk's span of windows and one ``exp`` per
+direction give the band kernel; each pair's (2n, 2n) kernel is a diagonal
+block of it, taken as a strided view.  uLSIF and RuLSIF fit a chunk with one
+``gram_system`` call, one stacked ``_solve_spd`` and one PE expression; KLIEP
+fits both directions as one ``kliep_ascent`` stack (at most 2 * CHUNK = 24
+problems), each term the fit's final objective.  The terms equal those of one
+fit per position.  A chunk holds at most 1 + 2n // stride positions, so its
+span is at most 4n windows and its distance and kernel matrices at most
+(4n)^2 doubles each (0.3 MB for n = 50) at any stride.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import seeding
 from .embedding import TimeSeries, build_windows, segment_pair
@@ -36,18 +43,13 @@ from .errors import (
     ParameterError,
 )
 from .estimators import (
-    ESTIMATOR_KINDS,
-    KLIEP,
-    RULSIF,
-    ULSIF,
-    kl_estimate,  # noqa: F401 -- kept importable from here for tracing wrappers
-    kliep_ascent,
-    kliep_fit,  # noqa: F401
-    pe_alpha_estimate,
-    rulsif_fit,
-    ulsif_fit,
+    ESTIMATOR_KINDS, KLIEP, RULSIF, _solve_spd, gram_system, kliep_ascent, pe_terms,
 )
-from .kernel import design_matrices
+# kept importable from here for tracing wrappers
+from .estimators import kl_estimate, kliep_fit, pe_alpha_estimate  # noqa: F401
+from .estimators import rulsif_fit, ulsif_fit  # noqa: F401
+from .kernel import design_matrices  # noqa: F401
+from .kernel import gaussian_kernels
 from .model_selection import CvGrid, cv_select
 
 SYMMETRIC = "symmetric"
@@ -55,12 +57,11 @@ FORWARD = "forward"
 BACKWARD = "backward"
 SCORE_MODES = (SYMMETRIC, FORWARD, BACKWARD)
 
-_FWD = 0
-_BWD = 1
-_MODE_DIRECTIONS = {SYMMETRIC: (_FWD, _BWD), FORWARD: (_FWD,), BACKWARD: (_BWD,)}
+# (numerator, denominator) segment of forward (0) and backward (1) fits
+_ROLES = ((0, 1), (1, 0))
+_MODE_DIRECTIONS = {SYMMETRIC: (0, 1), FORWARD: (0,), BACKWARD: (1,)}
 
-# most KLIEP final fits (positions x directions) fitted as one stack
-KLIEP_STACK = 25
+CHUNK = 12  # most positions per chunk of final fits
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,32 @@ def _standardized(series: TimeSeries) -> TimeSeries:
     )
 
 
-def _kliep_terms(designs: list) -> np.ndarray:
-    """KL terms of a block of designs from one ``kliep_ascent`` stack: each
-    fit's final objective mean_i log g(Y_i), the formula of ``kl_estimate``."""
-    _, objective, _, _ = kliep_ascent(
-        np.stack([d.k_num for d in designs]),
-        np.stack([d.k_den.mean(axis=0) for d in designs]),
-    )
-    return objective
+def _chunk_terms(windows, chunk: range, selections: dict, config, alpha) -> np.ndarray:
+    """(position, direction) divergence terms of the positions ``chunk``,
+    which share the (sigma, lambda) ``selections`` per direction."""
+    n = config.n
+    lo = chunk.start - 1
+    span = windows.vectors[lo : lo + (len(chunk) - 1) * chunk.step + 2 * n]
+    kernels = gaussian_kernels(span, span, [sigma for sigma, _ in selections.values()])
+    _, row, col = kernels.strides
+    views = []  # (k_num, k_den) stacks per direction; centers are the numerator
+    for kernel, direction in zip(kernels, selections):
+        pairs = as_strided(kernel, (len(chunk), 2 * n, 2 * n),
+                           (chunk.step * (row + col), row, col), writeable=False)
+        num, den = (slice(i * n, (i + 1) * n) for i in _ROLES[direction])
+        views.append((pairs[:, num, num], pairs[:, den, num]))
+    if config.estimator_kind == KLIEP:
+        _, objective, _, _ = kliep_ascent(
+            np.concatenate([k_num for k_num, _ in views]),
+            np.concatenate([k_den.mean(axis=1) for _, k_den in views]),
+        )
+        return objective.reshape(len(views), -1).T
+    terms = []
+    for (k_num, k_den), (_, lam) in zip(views, selections.values()):
+        h_mat, h_vec = gram_system(k_num, k_den, alpha)
+        theta = _solve_spd(h_mat, lam, h_vec)[..., None]
+        terms.append(pe_terms((k_num @ theta)[..., 0], (k_den @ theta)[..., 0], alpha))
+    return np.stack(terms, axis=1)
 
 
 def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
@@ -148,66 +167,37 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
         series = _standardized(series)
     windows = build_windows(series, config.k)
     n = config.n
-    master = config.grid.seed
     alpha = config.alpha if config.estimator_kind == RULSIF else 0.0
-    directions = _MODE_DIRECTIONS[config.score_mode]
-
-    selections: dict[int, tuple[float, float]] = {}
-    boundaries: list[int] = []
-    scores: list[float] = []
-    block: list = []  # KLIEP designs awaiting one stacked fit
     t_last = t_len - 2 * n - config.k + 2
     starts = range(1, t_last + 1, config.stride)
-    for idx, t in enumerate(starts):
+    per_chunk = min(CHUNK, 1 + 2 * n // config.stride)
+
+    scores: list[float] = []
+    for block in range(0, len(starts), config.cv_stride):
+        t = starts[block]
         pair = segment_pair(windows, t, n)
-        by_direction = {
-            _FWD: (pair.reference, pair.test),
-            _BWD: (pair.test, pair.reference),
-        }
-        if idx % config.cv_stride == 0:
-            for direction in directions:
-                num, den = by_direction[direction]
-                grid = replace(config.grid, seed=seeding.mix_seed(master, t, direction))
-                try:
-                    sel = cv_select(num, den, grid, config.estimator_kind, alpha)
-                except DegenerateBandwidthError as exc:
-                    raise DegenerateBandwidthError(
-                        f"{exc} (at position t={t}, boundary {pair.boundary})"
-                    ) from exc
-                selections[direction] = (sel.best_sigma, sel.best_lambda)
-        boundaries.append(pair.boundary)
-        if config.estimator_kind == KLIEP:
-            for direction in directions:
-                num, den = by_direction[direction]
-                block.append(design_matrices(num, den, num, selections[direction][0]))
-            if (
-                (idx + 1) % config.cv_stride == 0
-                or len(block) + len(directions) > KLIEP_STACK
-                or idx + 1 == len(starts)
-            ):
-                terms = _kliep_terms(block).reshape(-1, len(directions))
-                if config.clip_negative:
-                    terms = np.maximum(terms, 0.0)
-                scores.extend(sum(row, 0.0) for row in terms.tolist())
-                block = []
-            continue
-        score = 0.0
-        for direction in directions:
-            num, den = by_direction[direction]
-            sigma, lam = selections[direction]
-            design = design_matrices(num, den, num, sigma)
-            if config.estimator_kind == ULSIF:
-                model, _ = ulsif_fit(design, lam)
-            else:
-                model, _ = rulsif_fit(design, lam, alpha)
-            term = pe_alpha_estimate(model, num, den, design=design)
+        selections = {}
+        for direction in _MODE_DIRECTIONS[config.score_mode]:
+            num, den = ((pair.reference, pair.test)[i] for i in _ROLES[direction])
+            seed = seeding.mix_seed(config.grid.seed, t, direction)
+            grid = replace(config.grid, seed=seed)
+            try:
+                sel = cv_select(num, den, grid, config.estimator_kind, alpha)
+            except DegenerateBandwidthError as exc:
+                raise DegenerateBandwidthError(
+                    f"{exc} (at position t={t}, boundary {pair.boundary})"
+                ) from exc
+            selections[direction] = (sel.best_sigma, sel.best_lambda)
+        block_end = min(block + config.cv_stride, len(starts))
+        for first in range(block, block_end, per_chunk):
+            chunk = starts[first : min(first + per_chunk, block_end)]
+            terms = _chunk_terms(windows, chunk, selections, config, alpha)
             if config.clip_negative:
-                term = max(term, 0.0)
-            score += term
-        scores.append(score)
+                terms = np.maximum(terms, 0.0)
+            scores.extend(sum(row, 0.0) for row in terms.tolist())
 
     arr = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NumericError("non-finite change score produced")
     arr.setflags(write=False)
-    return ScoreSeries(boundaries=tuple(boundaries), scores=arr)
+    return ScoreSeries(boundaries=tuple(t + n for t in starts), scores=arr)

@@ -20,7 +20,7 @@ problem's iterates do not depend on the rest of the stack.  Finished
 problems leave the stack; the largest temporaries are a few (problems x
 _SPECULATIVE_HALVINGS x centers) arrays.  On one problem the engine is about
 twice as slow as a plain loop, so callers batch: CV sends its 25 (sigma,
-fold) problems (default grid), the detector up to 25 final fits at a time.
+fold) problems (default grid), the detector up to 24 final fits at a time.
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor  # noqa: F401 -- for tracing wrappers
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DimensionMismatchError,
@@ -85,23 +86,25 @@ class FitDiagnostics:
 
 
 def _solve_spd(h_mat: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve of (H + lam I) theta = rhs with a single jitter retry."""
-    n = h_mat.shape[0]
-    a = h_mat.copy()
-    idx = np.diag_indices(n)
-    a[idx] += lam
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        jitter = 1e-10 * float(np.trace(h_mat)) / n
-        a[idx] += jitter
-        try:
-            factor = cho_factor(a, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "H + lambda I is not positive definite; use lambda > 0"
-            ) from exc
-    return cho_solve(factor, rhs, check_finite=False)
+    """Cholesky solve (LAPACK potrf/potrs) of (H + lam I) theta = rhs for one
+    system or each of a stack, with a single jitter retry per system."""
+    width = h_mat.shape[-1]
+    stack = h_mat.reshape(-1, width, width)
+    systems = stack.copy()
+    diagonals = systems.reshape(len(systems), -1)[:, :: width + 1]
+    diagonals += lam
+    theta = np.empty((len(systems), width))
+    for i, (a, b) in enumerate(zip(systems, rhs.reshape(-1, width))):
+        factor, info = dpotrf(a, lower=1, clean=0)
+        if info:
+            diagonals[i] += 1e-10 * float(np.trace(stack[i])) / width
+            factor, info = dpotrf(a, lower=1, clean=0)
+            if info:
+                raise SingularSystemError(
+                    "H + lambda I is not positive definite; use lambda > 0"
+                )
+        theta[i] = dpotrs(factor, b, lower=1)[0]
+    return theta.reshape(rhs.shape)
 
 
 def gram_system(
@@ -370,11 +373,15 @@ def pe_alpha_estimate(
             )
         g_num = model.evaluate(num)
         g_den = model.evaluate(den)
-    alpha = model.alpha
-    return float(
-        -(alpha / 2.0) * np.mean(g_num**2)
-        - ((1.0 - alpha) / 2.0) * np.mean(g_den**2)
-        + np.mean(g_num)
+    return float(pe_terms(g_num, g_den, model.alpha))
+
+
+def pe_terms(g_num: np.ndarray, g_den: np.ndarray, alpha: float) -> np.ndarray:
+    """``pe_alpha_estimate``'s formula over the last axis of g(Y_i), g(Y'_j)."""
+    return (
+        -(alpha / 2.0) * np.mean(g_num**2, axis=-1)
+        - ((1.0 - alpha) / 2.0) * np.mean(g_den**2, axis=-1)
+        + np.mean(g_num, axis=-1)
         - 0.5
     )
 

@@ -10,6 +10,7 @@ through the distinct alarm scores.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +61,13 @@ def find_peaks(scores: ScoreSeries) -> AlarmList:
 
 def _credited(times: list[int], truths: tuple[int, ...]) -> int:
     """Greedy single-credit matching: alarms in time order claim the first
-    unclaimed truth within MATCH_WINDOW."""
+    unclaimed truth within MATCH_WINDOW, found by bisection in sorted ``truths``."""
     claimed = [False] * len(truths)
     hits = 0
     for t in times:
-        for j, truth in enumerate(truths):
-            if not claimed[j] and abs(t - truth) <= MATCH_WINDOW:
+        lo = bisect_left(truths, t - MATCH_WINDOW)
+        for j in range(lo, bisect_right(truths, t + MATCH_WINDOW)):
+            if not claimed[j]:
                 claimed[j] = True
                 hits += 1
                 break

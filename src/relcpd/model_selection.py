@@ -23,8 +23,8 @@ fold, one ``estimators.gram_system`` call builds H and h for every sigma, one
 matmul scores every theta on the held-out samples.  Folds are solved one at a
 time, so the largest temporary is sigmas x lambdas x centers^2 doubles (0.5 MB
 for the default grid and 50 centers).  A fold whose batched solve hits a
-singular system is re-solved system by system with ``estimators._solve_spd``
-(jitter retry, then ``SingularSystemError``).
+singular system is re-solved with ``estimators._solve_spd``, one Cholesky
+factorization per system (jitter retry, then ``SingularSystemError``).
 
 The KLIEP grid is fitted by ``estimators.kliep_ascent`` in lockstep: the
 training rows of every (sigma, fold) problem are gathered into one (problem,
@@ -173,10 +173,8 @@ def cv_select(
             try:
                 theta = np.linalg.solve(systems, rhs)[..., 0]
             except np.linalg.LinAlgError:
-                theta = np.array(
-                    [[_solve_spd(h, lam, v) for lam in grid.lambdas]
-                     for h, v in zip(h_mat, h_vec)]
-                )
+                theta = np.stack(
+                    [_solve_spd(h_mat, lam, h_vec) for lam in grid.lambdas], axis=1)
             held = np.concatenate([k_num[:, num_ho], k_den[:, den_ho]], axis=1)
             g = held @ theta.swapaxes(-1, -2)  # (sigma, held-out sample, lambda)
             g_num, g_den = g[:, : len(num_ho)], g[:, len(num_ho) :]

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import pdist
 
 
@@ -169,6 +170,30 @@ def least_squares_cv_loop(num, den, sigma_factors, lambdas, folds, seed, alpha):
         if best_key is None or table[key] <= table[best_key]:
             best_key = key
     return table, best_key
+
+
+def least_squares_term_loop(k_num, k_den, lam, alpha):
+    """One position's (R)uLSIF fit and PE term, the per-position reference
+    of the detector's chunked fits.
+
+    H = alpha K_num'K_num / b + (1 - alpha) K_den'K_den / b', symmetrized,
+    and h = mean of the K_num rows; theta = (H + lam I)^-1 h by a Cholesky
+    solve; the term is -(alpha/2) mean g_num^2 - ((1-alpha)/2) mean g_den^2
+    + mean g_num - 1/2 with g = K theta.
+    """
+    h_mat = ((1.0 - alpha) / len(k_den)) * (k_den.T @ k_den)
+    if alpha:
+        h_mat += (alpha / len(k_num)) * (k_num.T @ k_num)
+    h_mat = 0.5 * (h_mat + h_mat.T)
+    system = h_mat + lam * np.eye(len(h_mat))
+    theta = cho_solve(cho_factor(system, lower=True), k_num.mean(axis=0))
+    g_num, g_den = k_num @ theta, k_den @ theta
+    return float(
+        -(alpha / 2.0) * np.mean(g_num**2)
+        - ((1.0 - alpha) / 2.0) * np.mean(g_den**2)
+        + np.mean(g_num)
+        - 0.5
+    )
 
 
 def _kliep_objective_loop(k_num, theta, floor=1e-12):

@@ -253,6 +253,20 @@ class TestBenchCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: parameter:")
 
+    @pytest.mark.parametrize("flag, value", [("--datasets", "1,5"), ("--jobs", "0"),
+                                             ("--jobs", "-3")])
+    def test_bad_dataset_or_jobs_rejected_before_any_run(self, tmp_path, capsys,
+                                                         monkeypatch, flag, value):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench, "run_one", no_run)
+        code = main(["bench", "--out", str(tmp_path / "v"), "--estimators", "ulsif",
+                     "--runs", "1", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: parameter:")
+        assert not (tmp_path / "v.json").exists()
+
     def test_single_estimator_flag_not_accepted(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--out", str(tmp_path / "e"), "--estimator", "kliep"]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from relcpd import seeding
+from relcpd import detector, estimators, seeding
 from relcpd.detector import (
-    KLIEP_STACK,
+    CHUNK,
     DetectorConfig,
     change_scores,
     minimum_length,
@@ -13,11 +13,12 @@ from relcpd.errors import (
     DegenerateBandwidthError,
     InsufficientDataError,
     ParameterError,
+    SingularSystemError,
 )
 from relcpd.kernel import design_matrices
 from relcpd.model_selection import CvGrid, cv_select
 
-from oracles import kliep_fit_loop
+from oracles import kliep_fit_loop, least_squares_term_loop
 
 
 def _series(seed=0, t_len=140, step_at=None):
@@ -127,9 +128,12 @@ def test_kliep_mode_runs():
     assert np.all(np.isfinite(scores.scores))
 
 
-def _kliep_scores_loop(series, config):
-    """KLIEP scores with one ``kliep_fit_loop`` per position and direction."""
+def _scores_loop(series, config):
+    """Scores with one fit per position and direction: ``kliep_fit_loop``
+    for KLIEP, ``least_squares_term_loop`` for uLSIF and RuLSIF."""
     windows = build_windows(series, config.k)
+    kind = config.estimator_kind
+    alpha = config.alpha if kind == "rulsif" else 0.0
     directions = {"symmetric": (0, 1), "forward": (0,), "backward": (1,)}
     selections, scores = {}, []
     t_last = series.length - 2 * config.n - config.k + 2
@@ -141,9 +145,14 @@ def _kliep_scores_loop(series, config):
             if idx % config.cv_stride == 0:
                 seed = seeding.mix_seed(config.grid.seed, t, direction)
                 grid = CvGrid(seed=seed)
-                selections[direction] = cv_select(num, den, grid, "kliep").best_sigma
-            d = design_matrices(num, den, num, selections[direction])
-            term = kliep_fit_loop(d.k_num, d.k_den)[1]
+                res = cv_select(num, den, grid, kind, alpha)
+                selections[direction] = res.best_sigma, res.best_lambda
+            sigma, lam = selections[direction]
+            d = design_matrices(num, den, num, sigma)
+            if kind == "kliep":
+                term = kliep_fit_loop(d.k_num, d.k_den)[1]
+            else:
+                term = least_squares_term_loop(d.k_num, d.k_den, lam, alpha)
             score += max(term, 0.0) if config.clip_negative else term
         scores.append(score)
     return np.array(scores)
@@ -151,18 +160,98 @@ def _kliep_scores_loop(series, config):
 
 @pytest.mark.parametrize(
     "mode, stride, cv_stride",
-    [("symmetric", 5, 2), ("symmetric", 1, 2 * KLIEP_STACK), ("forward", 3, 1)],
+    [("symmetric", 5, 2), ("symmetric", 1, 50), ("forward", 3, 1)],
 )
 def test_kliep_block_fits_match_per_position_loop(mode, stride, cv_stride):
     # positions sharing a selection are fitted as one stack, split at the
-    # stack cap (the second case) and at every CV refresh
+    # chunk cap (the second case: blocks of 50 are chunks of 12, 12, 12, 12
+    # and 2) and at every CV refresh
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(
         estimator_kind="kliep", score_mode=mode, stride=stride, cv_stride=cv_stride,
         clip_negative=mode != "forward",
     )
     got = change_scores(series, cfg).scores
-    np.testing.assert_allclose(got, _kliep_scores_loop(series, cfg), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(got, _scores_loop(series, cfg), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "kind, mode, stride, cv_stride, clip",
+    [
+        # blocks of 29 positions: chunks of CHUNK, CHUNK and 5; the last
+        # block of the 117 positions is a single one
+        ("ulsif", "symmetric", 1, 2 * CHUNK + 5, True),
+        ("rulsif", "symmetric", 1, 2 * CHUNK + 5, False),
+        ("rulsif", "forward", 3, 7, True),
+        ("ulsif", "backward", 3, 7, False),
+        ("rulsif", "backward", 1, CHUNK, True),
+        ("ulsif", "forward", 3, 1, False),
+    ],
+)
+def test_least_squares_chunks_match_per_position_loop(kind, mode, stride, cv_stride, clip):
+    series = _series(seed=9, t_len=160, step_at=80)
+    cfg = _config(
+        estimator_kind=kind, score_mode=mode, stride=stride, cv_stride=cv_stride,
+        clip_negative=clip,
+    )
+    got = change_scores(series, cfg).scores
+    np.testing.assert_allclose(got, _scores_loop(series, cfg), rtol=1e-12, atol=1e-14)
+
+
+def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monkeypatch):
+    series = _series(seed=9, t_len=160, step_at=80)
+    cfg = _config(estimator_kind="rulsif", stride=1, cv_stride=2 * CHUNK)
+    expected = change_scores(series, cfg).scores
+    potrf = estimators.dpotrf
+    systems = []
+
+    def failing_third_potrf(a, **kwargs):
+        systems.append(a.copy())
+        factor, info = potrf(a, **kwargs)
+        return factor, 1 if len(systems) == 3 else info
+
+    monkeypatch.setattr(estimators, "dpotrf", failing_third_potrf)
+    got = change_scores(series, cfg).scores
+    # one factorization per position and direction, plus the one retry; the
+    # third system is the forward fit of position 2
+    assert len(systems) == 2 * len(got) + 1
+    jitter = systems[3] - systems[2]
+    np.testing.assert_array_equal(jitter, np.diag(np.diag(jitter)))
+    assert 0.0 < jitter[0, 0] < 1e-9
+    np.testing.assert_allclose(np.diag(jitter), jitter[0, 0], rtol=1e-3)
+    np.testing.assert_array_equal(np.delete(got, 2), np.delete(expected, 2))
+    assert got[2] == pytest.approx(expected[2], rel=1e-6)
+
+    monkeypatch.setattr(estimators, "dpotrf", lambda a, **kwargs: (a, 1))
+    with pytest.raises(SingularSystemError):
+        change_scores(series, cfg)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 30, 45])
+def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride):
+    # the band kernel spans at most 4n windows at any stride, and a KLIEP
+    # stack holds at most 2 * CHUNK problems
+    spans, stacks = [], []
+    kernels, ascent = detector.gaussian_kernels, detector.kliep_ascent
+
+    def recording_kernels(samples, centers, sigmas):
+        spans.append(len(samples))
+        return kernels(samples, centers, sigmas)
+
+    def recording_ascent(k_num, b_vec):
+        stacks.append(len(k_num))
+        return ascent(k_num, b_vec)
+
+    monkeypatch.setattr(detector, "gaussian_kernels", recording_kernels)
+    monkeypatch.setattr(detector, "kliep_ascent", recording_ascent)
+    series = _series(seed=9, t_len=160, step_at=80)
+    cfg = _config(estimator_kind="kliep", stride=stride, cv_stride=100)
+    positions = len(change_scores(series, cfg).scores)
+    per_chunk = min(CHUNK, 1 + 2 * cfg.n // stride)
+    blocks = [min(cfg.cv_stride, positions - b) for b in range(0, positions, cfg.cv_stride)]
+    assert len(spans) == sum(-(-size // per_chunk) for size in blocks)  # one per chunk
+    assert max(spans) == (per_chunk - 1) * stride + 2 * cfg.n <= 4 * cfg.n
+    assert max(stacks) == 2 * per_chunk <= 24
 
 
 def test_step_change_produces_peak_near_change():
