@@ -86,10 +86,10 @@ def run_bench(
     """
     if int(runs) < 1 or int(jobs) < 1:
         raise ParameterError(f"runs and jobs must be >= 1, got {runs} and {jobs}")
-    datasets = [int(d) for d in datasets]
+    datasets = list(dict.fromkeys(int(d) for d in datasets))  # each cell once
     if not set(datasets) <= set(DATASET_IDS):
         raise ParameterError(f"dataset ids must be among {DATASET_IDS}, got {datasets}")
-    estimators = list(estimators)
+    estimators = list(dict.fromkeys(estimators))
     tasks = []
     for d, e, r in itertools.product(datasets, estimators, range(int(runs))):
         grid = replace(config.grid, seed=seeding.mix_seed(int(seed), _DETECT_TAG, d, r))
@@ -106,8 +106,8 @@ def run_bench(
         by_cell.setdefault((dataset_id, estimator), {})[run_index] = (auc, error)
 
     cells = []
-    for dataset_id in sorted(set(datasets)):
-        for estimator in sorted(set(estimators)):
+    for dataset_id in sorted(datasets):
+        for estimator in sorted(estimators):
             cell_runs = by_cell[(dataset_id, estimator)]
             errors = [
                 (r, err) for r, (_, err) in sorted(cell_runs.items()) if err
@@ -146,8 +146,8 @@ def run_bench(
     return {
         "schema": SCHEMA_VERSION,
         "config": {
-            "datasets": sorted(set(datasets)),
-            "estimators": sorted(set(estimators)),
+            "datasets": sorted(datasets),
+            "estimators": sorted(estimators),
             "runs": int(runs),
             "seed": int(seed),
             "length": int(length),

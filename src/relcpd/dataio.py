@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import TimeSeries
+from .embedding import TimeSeries, checked_change_points
 from .errors import EmptyInputError, ParseError
 
 
@@ -86,7 +86,7 @@ def read_truth(path) -> tuple[int, ...]:
                 raise ParseError(
                     f"{path}: line {i}: not an integer: {text!r}"
                 ) from None
-    return tuple(out)
+    return checked_change_points(out)  # the rule TimeSeries applies
 
 
 def write_series_csv(path, series: TimeSeries) -> None:

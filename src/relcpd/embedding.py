@@ -19,6 +19,16 @@ from .errors import (
 )
 
 
+def checked_change_points(change_points, length: float = np.inf) -> tuple[int, ...]:
+    """Change points as ints, checked to increase strictly within [1, length]."""
+    cps = tuple(int(c) for c in change_points)
+    if any(b <= a for a, b in zip((0,) + cps, cps)) or max(cps, default=0) > length:
+        raise InvalidDataError(
+            f"change points must increase strictly within [1, {length}], got {cps}"
+        )
+    return cps
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A d x T real matrix with optional ground-truth change points."""
@@ -44,17 +54,7 @@ class TimeSeries:
         object.__setattr__(self, "values", arr)
 
         if self.change_points is not None:
-            cps = tuple(int(c) for c in self.change_points)
-            t_len = arr.shape[1]
-            for prev, cur in zip((0,) + cps, cps):
-                if cur <= prev:
-                    raise InvalidDataError(
-                        f"change points must be strictly increasing, got {cps}"
-                    )
-                if not 1 <= cur <= t_len:
-                    raise InvalidDataError(
-                        f"change point {cur} outside valid range [1, {t_len}]"
-                    )
+            cps = checked_change_points(self.change_points, arr.shape[1])
             object.__setattr__(self, "change_points", cps)
 
     @property

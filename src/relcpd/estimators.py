@@ -85,26 +85,34 @@ class FitDiagnostics:
     converged: bool = True
 
 
-def _solve_spd(h_mat: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
+def _solve_spd(h_mat: np.ndarray, lam, rhs: np.ndarray) -> np.ndarray:
     """Cholesky solve (LAPACK potrf/potrs) of (H + lam I) theta = rhs for one
-    system or each of a stack, with a single jitter retry per system."""
+    system or each of a stack: H (..., b, b), ``lam`` (...) and rhs (..., b)
+    broadcast to one stack shape, built in one copy.  A system that is not
+    positive definite is factored once more with its diagonal raised by
+    1e-10 trace(H) / b of its own H, then raises ``SingularSystemError``."""
     width = h_mat.shape[-1]
-    stack = h_mat.reshape(-1, width, width)
-    systems = stack.copy()
+    shape = np.broadcast_shapes(h_mat.shape[:-2], np.shape(lam), rhs.shape[:-1])
+    systems = np.empty(shape + (width, width))
+    systems[...] = h_mat
+    systems = systems.reshape(-1, width, width)
     diagonals = systems.reshape(len(systems), -1)[:, :: width + 1]
-    diagonals += lam
+    diagonals += np.broadcast_to(lam, shape).reshape(-1, 1)
+    h_mats = np.broadcast_to(h_mat, shape + (width, width))
+    rhs = np.broadcast_to(rhs, shape + (width,)).reshape(-1, width)
     theta = np.empty((len(systems), width))
-    for i, (a, b) in enumerate(zip(systems, rhs.reshape(-1, width))):
+    for i, (a, b) in enumerate(zip(systems, rhs)):
         factor, info = dpotrf(a, lower=1, clean=0)
         if info:
-            diagonals[i] += 1e-10 * float(np.trace(stack[i])) / width
+            h_own = h_mats[np.unravel_index(i, shape)]
+            diagonals[i] += 1e-10 * float(np.trace(h_own)) / width
             factor, info = dpotrf(a, lower=1, clean=0)
             if info:
                 raise SingularSystemError(
                     "H + lambda I is not positive definite; use lambda > 0"
                 )
         theta[i] = dpotrs(factor, b, lower=1)[0]
-    return theta.reshape(rhs.shape)
+    return theta.reshape(shape + (width,))
 
 
 def gram_system(

@@ -10,21 +10,19 @@ Held-out criteria:
 
 * uLSIF / RuLSIF: the squared-loss objective without the regularizer,
   J = 0.5 theta' H_hold theta - h_hold' theta, minimized.  With the
-  alpha-mixed H this expands to
-  0.5 [alpha mean(g_num_hold^2) + (1-alpha) mean(g_den_hold^2)]
-  - mean(g_num_hold).
+  alpha-mixed H this is J = -(PE + 1/2), where PE is the Pearson estimate
+  ``estimators.pe_terms`` of the held-out model values.
 * KLIEP: the held-out numerator log-likelihood, maximized.  The lambda axis
   is ignored (KLIEP has no ridge term); the score table repeats the
   per-sigma score across lambda so the table stays exhaustive.
 
-The least-squares grid runs on stacked (sigma, sample, center) kernels.  Per
-fold, one ``estimators.gram_system`` call builds H and h for every sigma, one
-``np.linalg.solve`` solves all (sigma, lambda) systems H + lambda I, and one
-matmul scores every theta on the held-out samples.  Folds are solved one at a
-time, so the largest temporary is sigmas x lambdas x centers^2 doubles (0.5 MB
-for the default grid and 50 centers).  A fold whose batched solve hits a
-singular system is re-solved with ``estimators._solve_spd``, one Cholesky
-factorization per system (jitter retry, then ``SingularSystemError``).
+The least-squares grid runs on stacked (sigma, sample, center) kernels and on
+the final fits' solve.  Per fold, one ``estimators.gram_system`` call builds H
+and h for every sigma, and one ``estimators._solve_spd`` call solves all
+(sigma, lambda) systems H + lambda I by Cholesky factorization, retrying a
+system that is not positive definite with jitter on its own.  Folds are
+solved one at a time, so the largest temporary is sigmas x lambdas x
+centers^2 doubles (0.5 MB for the default grid and 50 centers).
 
 The KLIEP grid is fitted by ``estimators.kliep_ascent`` in lockstep: the
 training rows of every (sigma, fold) problem are gathered into one (problem,
@@ -53,6 +51,7 @@ from .estimators import (
     gram_system,
     kliep_ascent,
     kliep_fit,  # noqa: F401 -- kept importable from here for tracing wrappers
+    pe_terms,
 )
 from .kernel import gaussian_kernels, median_distance
 
@@ -165,23 +164,11 @@ def cv_select(
     else:
         for (num_tr, num_ho), (den_tr, den_ho) in folds:
             h_mat, h_vec = gram_system(k_num[:, num_tr], k_den[:, den_tr], alpha)
-            systems = np.repeat(h_mat[:, None], len(grid.lambdas), axis=1)
-            flat = systems.reshape(*systems.shape[:2], -1)  # view: H + lambda I
-            flat[..., :: centers.shape[0] + 1] += np.asarray(grid.lambdas)[:, None]
-            # explicit column axis: numpy 1.x and 2.x read a (..., b) rhs differently
-            rhs = np.broadcast_to(h_vec[:, None, :, None], systems.shape[:-1] + (1,))
-            try:
-                theta = np.linalg.solve(systems, rhs)[..., 0]
-            except np.linalg.LinAlgError:
-                theta = np.stack(
-                    [_solve_spd(h_mat, lam, h_vec) for lam in grid.lambdas], axis=1)
-            held = np.concatenate([k_num[:, num_ho], k_den[:, den_ho]], axis=1)
-            g = held @ theta.swapaxes(-1, -2)  # (sigma, held-out sample, lambda)
-            g_num, g_den = g[:, : len(num_ho)], g[:, len(num_ho) :]
-            scores += 0.5 * (
-                alpha * np.mean(g_num**2, axis=1)
-                + (1.0 - alpha) * np.mean(g_den**2, axis=1)
-            ) - np.mean(g_num, axis=1)
+            # theta (sigma, lambda, center), g (sigma, lambda, held-out sample)
+            theta = _solve_spd(h_mat[:, None], grid.lambdas, h_vec[:, None])
+            g_num = theta @ k_num[:, num_ho].swapaxes(-1, -2)
+            g_den = theta @ k_den[:, den_ho].swapaxes(-1, -2)
+            scores -= pe_terms(g_num, g_den, alpha) + 0.5
         scores /= grid.folds
     table = {
         (sigma, lam): float(scores[s, l])

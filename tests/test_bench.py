@@ -36,3 +36,19 @@ def test_run_bench_derives_every_run_config_from_the_template(monkeypatch):
         "sigma_factors": (0.5, 1.0), "lambdas": (0.1,), "folds": 2,
     }
     assert [c["auc_mean"] for c in report["cells"]] == [0.5] * 4
+
+
+def test_duplicated_datasets_and_estimators_run_each_cell_once(monkeypatch):
+    calls = []
+
+    def fake_run_one(dataset_id, run_index, master_seed, length, segment_len, config):
+        calls.append((dataset_id, config.estimator_kind, run_index))
+        return 0.5
+
+    monkeypatch.setattr(bench, "run_one", fake_run_one)
+    report = bench.run_bench([1, 1, 2], ["ulsif", "ulsif"], runs=2, seed=0,
+                             length=300, config=DetectorConfig(n=10, k=3))
+    assert sorted(calls) == [(d, "ulsif", r) for d in (1, 2) for r in range(2)]
+    assert report["config"]["datasets"] == [1, 2]
+    assert report["config"]["estimators"] == ["ulsif"]
+    assert [(c["dataset"], c["runs"]) for c in report["cells"]] == [(1, 2), (2, 2)]

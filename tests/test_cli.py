@@ -169,6 +169,20 @@ class TestScoreDetectEval:
         assert (tmp_path / "e.roc.csv").exists()
         assert (tmp_path / "e.alarms.csv").exists()
 
+    @pytest.mark.parametrize("truth", ["100\n100\n", "0\n-5\n"])
+    def test_eval_rejects_truth_that_detect_rejects(self, tmp_path, capsys, truth):
+        p = _make_input(tmp_path)
+        main(["score", str(p), "--out", str(tmp_path / "s")] + DETECT_FLAGS)
+        (tmp_path / "bad.truth").write_text(truth)
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "s.scores.csv"), "--truth",
+                     str(tmp_path / "bad.truth"), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-data:")
+        assert not (tmp_path / "e.report.json").exists()
+        (tmp_path / "series.truth").write_text(truth)  # the same rule for detect
+        assert main(["detect", str(p), "--out", str(tmp_path / "d")] + DETECT_FLAGS) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-data:")
+
     def test_insufficient_data_error(self, tmp_path, capsys):
         p = tmp_path / "tiny.csv"
         p.write_text("1\n2\n3\n")

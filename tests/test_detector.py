@@ -202,14 +202,25 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="rulsif", stride=1, cv_stride=2 * CHUNK)
     expected = change_scores(series, cfg).scores
-    potrf = estimators.dpotrf
+    potrf, chunk_terms = estimators.dpotrf, detector._chunk_terms
     systems = []
+    in_chunk = [False]  # CV's factorizations are neither recorded nor failed
+
+    def flagged_chunk_terms(*args):
+        in_chunk[0] = True
+        try:
+            return chunk_terms(*args)
+        finally:
+            in_chunk[0] = False
 
     def failing_third_potrf(a, **kwargs):
-        systems.append(a.copy())
         factor, info = potrf(a, **kwargs)
+        if not in_chunk[0]:
+            return factor, info
+        systems.append(a.copy())
         return factor, 1 if len(systems) == 3 else info
 
+    monkeypatch.setattr(detector, "_chunk_terms", flagged_chunk_terms)
     monkeypatch.setattr(estimators, "dpotrf", failing_third_potrf)
     got = change_scores(series, cfg).scores
     # one factorization per position and direction, plus the one retry; the
@@ -222,7 +233,8 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
     np.testing.assert_array_equal(np.delete(got, 2), np.delete(expected, 2))
     assert got[2] == pytest.approx(expected[2], rel=1e-6)
 
-    monkeypatch.setattr(estimators, "dpotrf", lambda a, **kwargs: (a, 1))
+    monkeypatch.setattr(estimators, "dpotrf",
+                        lambda a, **kwargs: (a, 1) if in_chunk[0] else potrf(a, **kwargs))
     with pytest.raises(SingularSystemError):
         change_scores(series, cfg)
 

@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relcpd import seeding
+from relcpd import estimators, seeding
 from relcpd.embedding import build_windows, segment_pair
-from relcpd.errors import DegenerateBandwidthError, ParameterError
+from relcpd.errors import DegenerateBandwidthError, ParameterError, SingularSystemError
+from relcpd.estimators import _solve_spd
 from relcpd.kernel import median_distance
 from relcpd.model_selection import (
     DEFAULT_LAMBDAS,
@@ -165,6 +168,64 @@ def test_singular_fold_falls_back_to_jittered_solve():
     grid = CvGrid(lambdas=(1e-300, 1.0), seed=4)
     res = _assert_matches_loop_oracle(num, den, grid, 0.1)
     assert res.best_lambda == 1.0
+
+
+def test_failed_factorization_is_retried_with_jitter_for_that_cv_system_alone(monkeypatch):
+    num, den = _samples(seed=6)
+    grid = CvGrid(seed=11)
+    expected = cv_select(num, den, grid, "rulsif", 0.1).score_table
+    potrf = estimators.dpotrf
+    systems = []
+
+    def failing_eighth_potrf(a, **kwargs):
+        systems.append(a.copy())
+        factor, info = potrf(a, **kwargs)
+        return factor, 1 if len(systems) == 8 else info
+
+    monkeypatch.setattr(estimators, "dpotrf", failing_eighth_potrf)
+    got = cv_select(num, den, grid, "rulsif", 0.1).score_table
+    # one factorization per (fold, sigma, lambda), plus the one retry; the
+    # eighth system is (sigma 1, lambda 2) of the first fold
+    assert len(systems) == grid.folds * len(expected) + 1
+    jitter = systems[8] - systems[7]
+    np.testing.assert_array_equal(jitter, np.diag(np.diag(jitter)))
+    width = len(num)
+    own_trace = np.trace(systems[7]) - width * grid.lambdas[2]  # trace of its H
+    np.testing.assert_allclose(np.diag(jitter), 1e-10 * own_trace / width, rtol=1e-3)
+    moved = list(expected)[7]
+    assert moved == (sorted({s for s, _ in expected})[1], grid.lambdas[2])
+    assert got[moved] != expected[moved]
+    assert got[moved] == pytest.approx(expected[moved], rel=1e-6)
+    assert {k: v for k, v in got.items() if k != moved} == {
+        k: v for k, v in expected.items() if k != moved
+    }
+
+    monkeypatch.setattr(estimators, "dpotrf", lambda a, **kwargs: (a, 1))
+    with pytest.raises(SingularSystemError):
+        cv_select(num, den, grid, "rulsif", 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigmas=st.integers(1, 3),
+    lambdas=st.lists(st.floats(1e-4, 10.0), min_size=1, max_size=4),
+    width=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_broadcast_solve_equals_one_system_solves(sigmas, lambdas, width, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(sigmas, width + 2, width))
+    h_mat = a.swapaxes(-1, -2) @ a / (width + 2)
+    h_vec = rng.normal(size=(sigmas, width))
+    theta = _solve_spd(h_mat[:, None], lambdas, h_vec[:, None])
+    assert theta.shape == (sigmas, len(lambdas), width)
+    for s in range(sigmas):
+        for l, lam in enumerate(lambdas):
+            one = _solve_spd(h_mat[s], lam, h_vec[s])
+            np.testing.assert_array_equal(theta[s, l], one)
+            system = h_mat[s] + lam * np.eye(width)
+            residual = np.linalg.norm(system @ one - h_vec[s])
+            assert residual <= 1e-12 * np.linalg.norm(system) * np.linalg.norm(one)
 
 
 @pytest.mark.parametrize("n", [50, 52, 53])
