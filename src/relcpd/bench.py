@@ -82,7 +82,10 @@ def run_bench(
     ``config`` is the template of every run: run r of (dataset d, estimator
     e) uses it with estimator e and the grid seed mixed from (seed, d, r).
     Every run's config, the dataset ids, ``runs`` and ``jobs`` are checked
-    before the first sweep.
+    before the first sweep.  With ``jobs`` > 1 the cells run on that many
+    worker processes and each sweep runs inside its worker; with ``jobs`` = 1
+    they run here, one after another, and each sweep spreads its CV blocks
+    over the CPUs (see ``detector``).
     """
     if int(runs) < 1 or int(jobs) < 1:
         raise ParameterError(f"runs and jobs must be >= 1, got {runs} and {jobs}")

@@ -151,9 +151,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_truths(truths, path) -> None:
+    """An empty truth file is an error, not a series without truth."""
+    if not truths:
+        raise ParameterError(f"{path}: no change points listed")
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     """``score`` and ``detect``: ``score`` stops after writing the scores."""
     series = dataio.ingest_csv(args.input)
+    if args.subcommand == "detect" and series.change_points is not None:
+        _require_truths(series.change_points, dataio.truth_path_for(args.input))
     config = _detector_config(args)
     scores = change_scores(series, config)
     out = Path(args.out)
@@ -174,8 +182,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     boundaries, values = dataio.read_scores_csv(args.scores)
     truths = dataio.read_truth(args.truth)
-    if not truths:
-        raise ParameterError(f"{args.truth}: no change points listed")
+    _require_truths(truths, args.truth)
     scores = ScoreSeries(boundaries=boundaries, scores=values)
     alarms = find_peaks(scores)
     out = Path(args.out)

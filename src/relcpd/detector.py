@@ -10,10 +10,26 @@ the later one; the backward mode swaps the roles.  The symmetric score is
 invariant to the naming.
 
 Hyper-parameters are re-selected by cross-validation every ``cv_stride``
-positions; in between, the last selection is reused.  CV seeds derive from
-the master seed via ``seeding.mix_seed(master, t, direction)``, so any
-evaluation order (serial or parallel over positions) yields identical
-output.
+positions; in between, the last selection is reused.  The positions that
+share one selection form a CV block.  CV seeds derive from the master seed
+via ``seeding.mix_seed(master, t, direction)``, so blocks are independent
+and the unit of parallel work: any evaluation order gives the same scores,
+bit for bit.
+
+A sweep runs on ``min(available CPUs, blocks)`` worker processes, where the
+available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count`` where
+that is missing; ``taskset`` limits them).  Inside any multiprocessing
+child, a ``bench --jobs`` worker for instance, the count is 1, so pools
+never nest.  With one worker the sweep runs in this process and starts no
+pool.  Otherwise the blocks are cut into at most RANGES_PER_WORKER contiguous
+runs per worker, which a ``ProcessPoolExecutor`` scores with the same function
+as the in-process path; the parent joins the runs in series order, shuts the
+pool down before returning and checks that every score is finite.  The
+first failing block in series order raises, with the serial sweep's error.
+Each worker gets the window vectors and the config once, when it starts,
+and each task only its positions; it holds them and one block's CV and
+chunk arrays on top of the interpreter it starts from (a copy of this
+process where workers fork).
 
 Final fits run in chunks of at most CHUNK positions that share one CV
 selection.  One ``cdist`` over a chunk's span of windows and one ``exp`` per
@@ -29,6 +45,9 @@ span is at most 4n windows and its distance and kernel matrices at most
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,6 +81,7 @@ _ROLES = ((0, 1), (1, 0))
 _MODE_DIRECTIONS = {SYMMETRIC: (0, 1), FORWARD: (0,), BACKWARD: (1,)}
 
 CHUNK = 12  # most positions per chunk of final fits
+RANGES_PER_WORKER = 4  # contiguous runs of blocks per worker, for balance
 
 
 @dataclass(frozen=True)
@@ -154,27 +174,28 @@ def _chunk_terms(windows, chunk: range, selections: dict, config, alpha) -> np.n
     return np.stack(terms, axis=1)
 
 
-def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
-    """Slide the segment pair over the series and score every boundary."""
-    t_len = series.length
-    need = minimum_length(config)
-    if t_len < need:
-        raise InsufficientDataError(
-            f"series length {t_len} is below the minimum {need} "
-            f"(2n + k - 1 with n={config.n}, k={config.k})"
-        )
-    if config.standardize:
-        series = _standardized(series)
-    windows = build_windows(series, config.k)
+def _worker_count(blocks: int) -> int:
+    """Worker processes for a sweep of ``blocks`` CV blocks: one per CPU
+    this process may run on, at most one per block, and 1 inside any
+    multiprocessing child, so that pools never nest."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
+def _score_blocks(windows, positions: range, config) -> list[float]:
+    """Scores of ``positions``, a run of whole CV blocks: for each block the
+    CV refresh at its first position, then its chunks of final fits."""
     n = config.n
     alpha = config.alpha if config.estimator_kind == RULSIF else 0.0
-    t_last = t_len - 2 * n - config.k + 2
-    starts = range(1, t_last + 1, config.stride)
     per_chunk = min(CHUNK, 1 + 2 * n // config.stride)
-
     scores: list[float] = []
-    for block in range(0, len(starts), config.cv_stride):
-        t = starts[block]
+    for block in range(0, len(positions), config.cv_stride):
+        t = positions[block]
         pair = segment_pair(windows, t, n)
         selections = {}
         for direction in _MODE_DIRECTIONS[config.score_mode]:
@@ -188,16 +209,62 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
                     f"{exc} (at position t={t}, boundary {pair.boundary})"
                 ) from exc
             selections[direction] = (sel.best_sigma, sel.best_lambda)
-        block_end = min(block + config.cv_stride, len(starts))
+        block_end = min(block + config.cv_stride, len(positions))
         for first in range(block, block_end, per_chunk):
-            chunk = starts[first : min(first + per_chunk, block_end)]
+            chunk = positions[first : min(first + per_chunk, block_end)]
             terms = _chunk_terms(windows, chunk, selections, config, alpha)
             if config.clip_negative:
                 terms = np.maximum(terms, 0.0)
             scores.extend(sum(row, 0.0) for row in terms.tolist())
+    return scores
+
+
+# The sweep a worker process serves, set once per worker by _serve_sweep, so
+# that tasks carry only their positions and the caller does not pickle the
+# windows for every task (where workers fork, they are not pickled at all).
+# Never set in the calling process.
+_SWEEP: tuple = ()
+
+
+def _serve_sweep(windows, config) -> None:
+    global _SWEEP
+    _SWEEP = (windows, config)
+
+
+def _score_range(positions: range) -> list[float]:
+    windows, config = _SWEEP
+    return _score_blocks(windows, positions, config)
+
+
+def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
+    """Slide the segment pair over the series and score every boundary."""
+    t_len = series.length
+    need = minimum_length(config)
+    if t_len < need:
+        raise InsufficientDataError(
+            f"series length {t_len} is below the minimum {need} "
+            f"(2n + k - 1 with n={config.n}, k={config.k})"
+        )
+    if config.standardize:
+        series = _standardized(series)
+    windows = build_windows(series, config.k)
+    t_last = t_len - 2 * config.n - config.k + 2
+    starts = range(1, t_last + 1, config.stride)
+    blocks = range(0, len(starts), config.cv_stride)  # each block's first index
+    workers = _worker_count(len(blocks))
+    if workers == 1:
+        scores = _score_blocks(windows, starts, config)
+    else:  # contiguous runs of whole blocks, put back in series order
+        pieces = min(len(blocks), workers * RANGES_PER_WORKER)
+        cuts = [blocks[len(blocks) * i // pieces] for i in range(pieces)] + [len(starts)]
+        ranges = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_serve_sweep,
+                                 initargs=(windows, config)) as pool:
+            parts = pool.map(_score_range, ranges)
+            scores = [score for part in parts for score in part]
 
     arr = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NumericError("non-finite change score produced")
     arr.setflags(write=False)
-    return ScoreSeries(boundaries=tuple(t + n for t in starts), scores=arr)
+    return ScoreSeries(boundaries=tuple(t + config.n for t in starts), scores=arr)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -135,6 +136,35 @@ class TestScoreDetectEval:
                     + DETECT_FLAGS) == 0
         assert (tmp_path / "out.scores.csv").exists()
         assert not (tmp_path / "out.report.json").exists()
+
+    def test_detect_rejects_an_empty_truth_sidecar_as_eval_does(self, tmp_path, capsys):
+        p = _make_input(tmp_path)
+        (tmp_path / "series.truth").write_text("")
+        main(["score", str(p), "--out", str(tmp_path / "s")] + DETECT_FLAGS)
+        capsys.readouterr()
+        expected = f"error: parameter: {tmp_path / 'series.truth'}: no change points listed\n"
+        assert main(["eval", str(tmp_path / "s.scores.csv"), "--truth",
+                     str(tmp_path / "series.truth"), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == expected
+        assert main(["detect", str(p), "--out", str(tmp_path / "d")] + DETECT_FLAGS) == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "d.scores.csv").exists()  # rejected before the sweep
+
+    def test_flat_stretch_error_line_is_the_same_at_any_worker_count(self, tmp_path,
+                                                                      capsys, monkeypatch):
+        y = np.random.default_rng(0).normal(size=600)
+        y[250:420] = 0.0
+        p = tmp_path / "flat.csv"
+        p.write_text("\n".join(repr(float(v)) for v in y) + "\n")
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert main(["detect", str(p), "--out", str(tmp_path / "o")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: degenerate-bandwidth:")
+        assert errors[0].endswith("(at position t=222, boundary 272)\n")
 
     def test_alpha_zero_reduction_via_cli(self, tmp_path):
         p = _make_input(tmp_path)

@@ -1,9 +1,16 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcpd import detector, estimators, seeding
 from relcpd.detector import (
     CHUNK,
+    SCORE_MODES,
     DetectorConfig,
     change_scores,
     minimum_length,
@@ -15,6 +22,7 @@ from relcpd.errors import (
     ParameterError,
     SingularSystemError,
 )
+from relcpd.estimators import ESTIMATOR_KINDS
 from relcpd.kernel import design_matrices
 from relcpd.model_selection import CvGrid, cv_select
 
@@ -199,6 +207,7 @@ def test_least_squares_chunks_match_per_position_loop(kind, mode, stride, cv_str
 
 
 def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monkeypatch):
+    monkeypatch.setattr(detector, "_worker_count", lambda blocks: 1)  # calls counted here
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="rulsif", stride=1, cv_stride=2 * CHUNK)
     expected = change_scores(series, cfg).scores
@@ -243,6 +252,7 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
 def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride):
     # the band kernel spans at most 4n windows at any stride, and a KLIEP
     # stack holds at most 2 * CHUNK problems
+    monkeypatch.setattr(detector, "_worker_count", lambda blocks: 1)  # calls counted here
     spans, stacks = [], []
     kernels, ascent = detector.gaussian_kernels, detector.kliep_ascent
 
@@ -305,3 +315,99 @@ def test_standardize_flag_changes_scale_not_shape():
     standardized = change_scores(series, _config(standardize=True))
     assert plain.boundaries == standardized.boundaries
     assert np.all(np.isfinite(standardized.scores))
+
+
+def _with_cpus(monkeypatch, cpus):
+    """Let the sweep see ``cpus`` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def test_worker_count_is_capped_by_cpus_and_blocks(monkeypatch):
+    _with_cpus(monkeypatch, 3)
+    assert [detector._worker_count(b) for b in (1, 2, 3, 4, 500)] == [1, 2, 3, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # where it is missing
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert [detector._worker_count(b) for b in (1, 4, 500)] == [1, 4, 5]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert detector._worker_count(500) == 1
+
+
+def test_worker_count_is_one_inside_a_multiprocessing_child(monkeypatch):
+    _with_cpus(monkeypatch, 4)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(detector._worker_count, 500).result(timeout=60) == 1
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    assert detector._worker_count(500) == 1
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    started: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        super().__init__(max_workers=max_workers, **kwargs)
+        self.started.append(max_workers)
+
+
+def test_one_worker_starts_no_pool_and_more_shut_theirs_down(monkeypatch):
+    series = _series(seed=9, t_len=160, step_at=80)
+    cfg = _config(stride=3, cv_stride=4)  # 31 positions in 8 blocks
+    monkeypatch.setattr(detector, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    _with_cpus(monkeypatch, 1)
+    serial = change_scores(series, cfg)
+    _with_cpus(monkeypatch, 2)
+    single_block = change_scores(series, _config(stride=3, cv_stride=100))
+    assert _RecordingPool.started == []
+    parallel = change_scores(series, cfg)
+    assert _RecordingPool.started == [2]
+    assert multiprocessing.active_children() == []  # workers joined on return
+    assert parallel.boundaries == serial.boundaries == single_block.boundaries
+    np.testing.assert_array_equal(parallel.scores, serial.scores)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(ESTIMATOR_KINDS),
+    mode=st.sampled_from(SCORE_MODES),
+    stride=st.integers(1, 12),
+    cv_stride=st.integers(1, 30),
+    clip=st.booleans(),
+    cpus=st.integers(1, 3),
+    t_len=st.integers(27, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parallel_sweep_is_bit_identical_to_serial(kind, mode, stride, cv_stride, clip,
+                                                   cpus, t_len, seed):
+    # short series and long blocks give fewer blocks than workers
+    series = _series(seed=seed, t_len=t_len, step_at=t_len // 2)
+    cfg = DetectorConfig(n=10, k=3, estimator_kind=kind, score_mode=mode, stride=stride,
+                         cv_stride=cv_stride, clip_negative=clip, grid=CvGrid(seed=seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "_worker_count", lambda blocks: 1)
+        serial = change_scores(series, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _with_cpus(mp, cpus)
+        parallel = change_scores(series, cfg)
+    assert parallel.boundaries == serial.boundaries
+    np.testing.assert_array_equal(parallel.scores, serial.scores)
+
+
+def _flat_stretch_series():
+    y = np.random.default_rng(0).normal(size=600)
+    y[250:420] = 0.0
+    return TimeSeries(y)
+
+
+def test_flat_stretch_fails_at_the_same_position_at_any_worker_count(monkeypatch):
+    # the first failing block in series order raises, as in the serial sweep
+    cfg = DetectorConfig(stride=1, cv_stride=1)
+    messages = []
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(DegenerateBandwidthError) as info:
+            change_scores(_flat_stretch_series(), cfg)
+        assert type(info.value) is DegenerateBandwidthError
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("(at position t=222, boundary 272)")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcpd.detector import ScoreSeries
 from relcpd.errors import ParameterError, UndefinedRateError
@@ -189,3 +191,25 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             summarize_runs([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alarms=st.lists(
+        st.tuples(st.integers(1, 400),
+                  st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                            st.floats(0.0, 5.0, allow_nan=False))),
+        max_size=25, unique_by=lambda a: a[0]),
+    truths=st.lists(st.integers(1, 420), min_size=1, max_size=12),
+)
+def test_roc_curve_matches_brute_force_oracle(alarms, truths):
+    # random alarms in time order (tied scores included) and truths,
+    # duplicates included
+    alarms.sort()
+    alarm_list = AlarmList(tuple(t for t, _ in alarms), tuple(s for _, s in alarms))
+    curve = roc_curve(alarm_list, truths, len(truths))
+    points, thresholds, auc = brute_force_roc(
+        alarm_list.times, alarm_list.scores, truths, len(truths))
+    assert curve.points == tuple(points)
+    assert curve.thresholds == tuple(thresholds)
+    assert curve.auc == pytest.approx(auc, abs=1e-12)
