@@ -18,18 +18,21 @@ bit for bit.
 
 A sweep runs on ``min(available CPUs, blocks)`` worker processes, where the
 available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count`` where
-that is missing; ``taskset`` limits them).  Inside any multiprocessing
-child, a ``bench --jobs`` worker for instance, the count is 1, so pools
-never nest.  With one worker the sweep runs in this process and starts no
-pool.  Otherwise the blocks are cut into at most RANGES_PER_WORKER contiguous
-runs per worker, which a ``ProcessPoolExecutor`` scores with the same function
-as the in-process path; the parent joins the runs in series order, shuts the
-pool down before returning and checks that every score is finite.  The
-first failing block in series order raises, with the serial sweep's error.
-Each worker gets the window vectors and the config once, when it starts,
-and each task only its positions; it holds them and one block's CV and
-chunk arrays on top of the interpreter it starts from (a copy of this
-process where workers fork).
+that is missing; ``taskset`` limits them).  The count follows the affinity
+mask, not a container's CPU quota, and memory grows with it.  Workers fork
+from this process; where the start method is not ``fork`` (spawn on macOS
+and Windows, forkserver on Linux from Python 3.14), or inside any
+multiprocessing child (a ``bench --jobs`` worker for instance), the count is
+1, so pools never nest and no worker re-imports the caller's ``__main__``.
+With one worker the sweep runs in this process and starts no pool.
+Otherwise a ``ProcessPoolExecutor`` scores one block per task, with the same
+function as the in-process path; the parent joins the blocks in series
+order, shuts the pool down before returning and checks that every score is
+finite.  The first failing block in series order raises, with the serial
+sweep's error.  Each worker gets the window vectors and the config once,
+when it starts, and each task only its positions; it holds them and one
+block's CV and chunk arrays on top of the copy of this process it forks
+from.
 
 Final fits run in chunks of at most CHUNK positions that share one CV
 selection.  One ``cdist`` over a chunk's span of windows and one ``exp`` per
@@ -81,7 +84,6 @@ _ROLES = ((0, 1), (1, 0))
 _MODE_DIRECTIONS = {SYMMETRIC: (0, 1), FORWARD: (0,), BACKWARD: (1,)}
 
 CHUNK = 12  # most positions per chunk of final fits
-RANGES_PER_WORKER = 4  # contiguous runs of blocks per worker, for balance
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,16 @@ def _chunk_terms(windows, chunk: range, selections: dict, config, alpha) -> np.n
 
 def _worker_count(blocks: int) -> int:
     """Worker processes for a sweep of ``blocks`` CV blocks: one per CPU
-    this process may run on, at most one per block, and 1 inside any
-    multiprocessing child, so that pools never nest."""
+    this process may run on, at most one per block, and 1 where workers
+    would not fork or inside any multiprocessing child, so that pools never
+    nest."""
     if multiprocessing.parent_process() is not None:
+        return 1
+    # the default start method is the first one listed; asked this way, the
+    # default context is not fixed as a side effect
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    if method != "fork":
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -221,7 +230,7 @@ def _score_blocks(windows, positions: range, config) -> list[float]:
 
 # The sweep a worker process serves, set once per worker by _serve_sweep, so
 # that tasks carry only their positions and the caller does not pickle the
-# windows for every task (where workers fork, they are not pickled at all).
+# windows for every task (workers fork, so they are not pickled at all).
 # Never set in the calling process.
 _SWEEP: tuple = ()
 
@@ -231,7 +240,7 @@ def _serve_sweep(windows, config) -> None:
     _SWEEP = (windows, config)
 
 
-def _score_range(positions: range) -> list[float]:
+def _score_block(positions: range) -> list[float]:
     windows, config = _SWEEP
     return _score_blocks(windows, positions, config)
 
@@ -254,13 +263,13 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     workers = _worker_count(len(blocks))
     if workers == 1:
         scores = _score_blocks(windows, starts, config)
-    else:  # contiguous runs of whole blocks, put back in series order
-        pieces = min(len(blocks), workers * RANGES_PER_WORKER)
-        cuts = [blocks[len(blocks) * i // pieces] for i in range(pieces)] + [len(starts)]
-        ranges = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_serve_sweep,
+    else:  # one task per block, put back in series order
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_serve_sweep,
                                  initargs=(windows, config)) as pool:
-            parts = pool.map(_score_range, ranges)
+            parts = pool.map(_score_block, [starts[b : b + config.cv_stride]
+                                            for b in blocks])
             scores = [score for part in parts for score in part]
 
     arr = np.asarray(scores, dtype=np.float64)

@@ -341,6 +341,22 @@ def test_worker_count_is_one_inside_a_multiprocessing_child(monkeypatch):
     assert detector._worker_count(500) == 1
 
 
+def test_worker_count_is_one_unless_workers_fork(monkeypatch):
+    _with_cpus(monkeypatch, 4)
+    for method in ("spawn", "forkserver"):  # set by the caller
+        monkeypatch.setattr(multiprocessing, "get_start_method",
+                            lambda allow_none=False, method=method: method)
+        assert detector._worker_count(500) == 1
+    monkeypatch.setattr(multiprocessing, "get_start_method",
+                        lambda allow_none=False: None)  # left to the default
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "fork", "forkserver"])
+    assert detector._worker_count(500) == 1
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["fork", "spawn", "forkserver"])
+    assert detector._worker_count(500) == 4
+
+
 class _RecordingPool(ProcessPoolExecutor):
     started: list = []
 
