@@ -12,26 +12,37 @@ invariant to the naming.
 Hyper-parameters are re-selected by cross-validation every ``cv_stride``
 positions; in between, the last selection is reused.  The positions that
 share one selection form a CV block.  CV seeds derive from the master seed
-via ``seeding.mix_seed(master, t, direction)``, so blocks are independent
-and the unit of parallel work: any evaluation order gives the same scores,
-bit for bit.
+via ``seeding.mix_seed(master, t, direction)``, so blocks are independent:
+any grouping or evaluation order gives the same scores, bit for bit.
 
-A sweep runs on ``min(available CPUs, blocks)`` worker processes, where the
-available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count`` where
-that is missing; ``taskset`` limits them).  The count follows the affinity
-mask, not a container's CPU quota, and memory grows with it.  Workers fork
-from this process; where the start method is not ``fork`` (spawn on macOS
-and Windows, forkserver on Linux from Python 3.14), or inside any
-multiprocessing child (a ``bench --jobs`` worker for instance), the count is
-1, so pools never nest and no worker re-imports the caller's ``__main__``.
-With one worker the sweep runs in this process and starts no pool.
-Otherwise a ``ProcessPoolExecutor`` scores one block per task, with the same
-function as the in-process path; the parent joins the blocks in series
-order, shuts the pool down before returning and checks that every score is
-finite.  The first failing block in series order raises, with the serial
-sweep's error.  Each worker gets the window vectors and the config once,
-when it starts, and each task only its positions; it holds them and one
-block's CV and chunk arrays on top of the copy of this process it forks
+The unit of work is a run of consecutive CV blocks, scored in two phases:
+first the CV refresh of every block, in one ``cv_select_many`` call that
+fits the KLIEP CV problems of all blocks and both directions in one
+``kliep_ascent`` stack per training size, then the final fits of all the
+blocks.  A run holds as many whole blocks as fill one STACK with KLIEP CV
+problems, one per (direction, fold, sigma): 8 blocks for the default grid in
+symmetric mode.  The same runs serve uLSIF and RuLSIF, which compute each
+block as on their own.  With more than one worker, runs are shortened so
+that each worker gets RUNS_PER_WORKER runs, down to one block per run.  A run
+of several blocks that fails is scored again one block at a time, so the
+first failing block in series order raises, with the serial sweep's error.
+
+A sweep runs on ``min(available CPUs, CPU quota, runs)`` worker processes.
+The available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count``
+where that is missing; ``taskset`` limits them); the quota is that of the
+cgroup v2 file CPU_MAX, ``<quota> <period>`` rounded up to whole CPUs, and a
+file that reads ``max`` or is missing sets none.  Memory grows with the
+count.  Workers fork from this process; where the start method is not
+``fork`` (spawn on macOS and Windows, forkserver on Linux from Python 3.14),
+or inside any multiprocessing child (a ``bench --jobs`` worker for
+instance), the count is 1, so pools never nest and no worker re-imports the
+caller's ``__main__``.  With one worker the sweep runs in this process and
+starts no pool.  Otherwise a ``ProcessPoolExecutor`` scores one run per
+task, with the same function as the in-process path; the parent joins the
+runs in series order, shuts the pool down before returning and checks that
+every score is finite.  Each worker gets the window vectors and the config
+once, when it starts, and each task only its blocks; it holds them and one
+run's CV and final-fit arrays on top of the copy of this process it forks
 from.
 
 Final fits run in chunks of at most CHUNK positions that share one CV
@@ -39,11 +50,12 @@ selection.  One ``cdist`` over a chunk's span of windows and one ``exp`` per
 direction give the band kernel; each pair's (2n, 2n) kernel is a diagonal
 block of it, taken as a strided view.  uLSIF and RuLSIF fit a chunk with one
 ``gram_system`` call, one stacked ``_solve_spd`` and one PE expression; KLIEP
-fits both directions as one ``kliep_ascent`` stack (at most 2 * CHUNK = 24
-problems), each term the fit's final objective.  The terms equal those of one
+fits the whole chunks of a run in ``kliep_ascent`` stacks of at most STACK
+problems, each term the fit's final objective.  The terms equal those of one
 fit per position.  A chunk holds at most 1 + 2n // stride positions, so its
 span is at most 4n windows and its distance and kernel matrices at most
-(4n)^2 doubles each (0.3 MB for n = 50) at any stride.
+(4n)^2 doubles each (0.3 MB for n = 50) at any stride.  A KLIEP stack holds
+at most STACK n^2 doubles (8 MB for n = 50).
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -59,20 +71,22 @@ from numpy.lib.stride_tricks import as_strided
 from . import seeding
 from .embedding import TimeSeries, build_windows, segment_pair
 from .errors import (
+    ChangePointError,
     DegenerateBandwidthError,
     InsufficientDataError,
     NumericError,
     ParameterError,
 )
 from .estimators import (
-    ESTIMATOR_KINDS, KLIEP, RULSIF, _solve_spd, gram_system, kliep_ascent, pe_terms,
+    ESTIMATOR_KINDS, KLIEP, RULSIF, STACK, _solve_spd, gram_system, kliep_ascent, pe_terms,
 )
 # kept importable from here for tracing wrappers
 from .estimators import kl_estimate, kliep_fit, pe_alpha_estimate  # noqa: F401
 from .estimators import rulsif_fit, ulsif_fit  # noqa: F401
 from .kernel import design_matrices  # noqa: F401
 from .kernel import gaussian_kernels
-from .model_selection import CvGrid, cv_select
+from .model_selection import CvGrid, _integer, cv_select_many
+from .model_selection import cv_select  # noqa: F401 -- for tracing wrappers
 
 SYMMETRIC = "symmetric"
 FORWARD = "forward"
@@ -84,6 +98,8 @@ _ROLES = ((0, 1), (1, 0))
 _MODE_DIRECTIONS = {SYMMETRIC: (0, 1), FORWARD: (0,), BACKWARD: (1,)}
 
 CHUNK = 12  # most positions per chunk of final fits
+RUNS_PER_WORKER = 4  # fewest runs per worker of a parallel sweep
+CPU_MAX = "/sys/fs/cgroup/cpu.max"  # the cgroup v2 CPU quota, read only
 
 
 @dataclass(frozen=True)
@@ -100,9 +116,11 @@ class DetectorConfig:
     grid: CvGrid = field(default_factory=CvGrid)
 
     def __post_init__(self) -> None:
-        if int(self.n) < 2:
+        for name in ("n", "k", "stride", "cv_stride"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.n < 2:
             raise ParameterError(f"segment sample count must be >= 2, got {self.n}")
-        if int(self.k) < 1:
+        if self.k < 1:
             raise ParameterError(f"window length must be >= 1, got {self.k}")
         if not 0.0 <= float(self.alpha) < 1.0:
             raise ParameterError(f"alpha must lie in [0, 1), got {self.alpha}")
@@ -110,18 +128,14 @@ class DetectorConfig:
             raise ParameterError(f"unknown estimator kind {self.estimator_kind!r}")
         if self.score_mode not in SCORE_MODES:
             raise ParameterError(f"unknown score mode {self.score_mode!r}")
-        if int(self.stride) < 1 or int(self.cv_stride) < 1:
+        if self.stride < 1 or self.cv_stride < 1:
             raise ParameterError("stride and cv_stride must be >= 1")
-        if int(self.n) < self.grid.folds:
+        if self.n < self.grid.folds:
             raise ParameterError(
                 f"segment sample count n={self.n} is smaller than the CV fold "
                 f"count {self.grid.folds}"
             )
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "stride", int(self.stride))
-        object.__setattr__(self, "cv_stride", int(self.cv_stride))
 
 
 @dataclass(frozen=True)
@@ -148,39 +162,88 @@ def _standardized(series: TimeSeries) -> TimeSeries:
     )
 
 
-def _chunk_terms(windows, chunk: range, selections: dict, config, alpha) -> np.ndarray:
-    """(position, direction) divergence terms of the positions ``chunk``,
-    which share the (sigma, lambda) ``selections`` per direction."""
-    n = config.n
+def _chunk_kernels(windows, chunk: range, selections: dict, n: int) -> list[tuple]:
+    """(k_num, k_den) stacks of the positions ``chunk`` for each direction of
+    ``selections``: strided views into one band kernel per direction, with
+    the numerator samples as centers."""
     lo = chunk.start - 1
     span = windows.vectors[lo : lo + (len(chunk) - 1) * chunk.step + 2 * n]
     kernels = gaussian_kernels(span, span, [sigma for sigma, _ in selections.values()])
     _, row, col = kernels.strides
-    views = []  # (k_num, k_den) stacks per direction; centers are the numerator
+    views = []
     for kernel, direction in zip(kernels, selections):
         pairs = as_strided(kernel, (len(chunk), 2 * n, 2 * n),
                            (chunk.step * (row + col), row, col), writeable=False)
         num, den = (slice(i * n, (i + 1) * n) for i in _ROLES[direction])
         views.append((pairs[:, num, num], pairs[:, den, num]))
-    if config.estimator_kind == KLIEP:
-        _, objective, _, _ = kliep_ascent(
-            np.concatenate([k_num for k_num, _ in views]),
-            np.concatenate([k_den.mean(axis=1) for _, k_den in views]),
-        )
-        return objective.reshape(len(views), -1).T
+    return views
+
+
+def _kliep_terms(windows, chunks: list, n: int) -> list[np.ndarray]:
+    """``_chunk_terms`` for KLIEP: every final fit of ``chunks`` in one
+    ``kliep_ascent`` stack, each term the fit's final objective."""
+    counts = [len(chunk) * len(selections) for chunk, selections in chunks]
+    k_num, b_vec = np.empty((sum(counts), n, n)), np.empty((sum(counts), n))
+    at = 0
+    for chunk, selections in chunks:
+        for k_chunk, k_den in _chunk_kernels(windows, chunk, selections, n):
+            k_num[at : at + len(chunk)] = k_chunk
+            b_vec[at : at + len(chunk)] = k_den.mean(axis=1)
+            at += len(chunk)
+    _, objective, _, _ = kliep_ascent(k_num, b_vec)
+    parts = np.split(objective, np.cumsum(counts)[:-1])
+    return [part.reshape(len(selections), -1).T
+            for part, (_, selections) in zip(parts, chunks)]
+
+
+def _chunk_terms(windows, chunks: list, config, alpha) -> list[np.ndarray]:
+    """(position, direction) divergence terms of each chunk of ``chunks``,
+    (positions, selections) pairs whose positions share the (sigma, lambda)
+    ``selections`` per direction.  KLIEP fits consecutive whole chunks as
+    stacks of at most STACK problems; least squares fits one chunk at a
+    time."""
+    n = config.n
     terms = []
-    for (k_num, k_den), (_, lam) in zip(views, selections.values()):
-        h_mat, h_vec = gram_system(k_num, k_den, alpha)
-        theta = _solve_spd(h_mat, lam, h_vec)[..., None]
-        terms.append(pe_terms((k_num @ theta)[..., 0], (k_den @ theta)[..., 0], alpha))
-    return np.stack(terms, axis=1)
+    if config.estimator_kind == KLIEP:
+        stack, size = [], 0
+        for chunk, selections in chunks:
+            count = len(chunk) * len(selections)
+            if stack and size + count > STACK:
+                terms += _kliep_terms(windows, stack, n)
+                stack, size = [], 0
+            stack.append((chunk, selections))
+            size += count
+        return terms + _kliep_terms(windows, stack, n)
+    for chunk, selections in chunks:
+        chunk_terms = []
+        for (k_num, k_den), (_, lam) in zip(
+            _chunk_kernels(windows, chunk, selections, n), selections.values()
+        ):
+            h_mat, h_vec = gram_system(k_num, k_den, alpha)
+            theta = _solve_spd(h_mat, lam, h_vec)[..., None]
+            chunk_terms.append(
+                pe_terms((k_num @ theta)[..., 0], (k_den @ theta)[..., 0], alpha))
+        terms.append(np.stack(chunk_terms, axis=1))
+    return terms
 
 
-def _worker_count(blocks: int) -> int:
-    """Worker processes for a sweep of ``blocks`` CV blocks: one per CPU
-    this process may run on, at most one per block, and 1 where workers
-    would not fork or inside any multiprocessing child, so that pools never
-    nest."""
+def _cpu_quota() -> int | None:
+    """CPUs the cgroup v2 quota in CPU_MAX grants (``<quota> <period>``,
+    rounded up, at least 1); None where the file is missing or reads
+    ``max``."""
+    try:
+        with open(CPU_MAX) as file:
+            quota, period = file.read().split()
+        return max(1, -(-int(quota) // int(period)))
+    except (OSError, ValueError):  # no file, or "max": no quota
+        return None
+
+
+def _worker_count(tasks: int) -> int:
+    """Worker processes for a sweep of ``tasks`` runs: one per CPU this
+    process may run on, at most the cgroup CPU quota and one per task, and 1
+    where workers would not fork or inside any multiprocessing child, so
+    that pools never nest."""
     if multiprocessing.parent_process() is not None:
         return 1
     # the default start method is the first one listed; asked this way, the
@@ -193,43 +256,73 @@ def _worker_count(blocks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform
         cpus = os.cpu_count() or 1
-    return min(cpus, blocks)
+    return min(cpus, _cpu_quota() or cpus, tasks)
 
 
-def _score_blocks(windows, positions: range, config) -> list[float]:
-    """Scores of ``positions``, a run of whole CV blocks: for each block the
-    CV refresh at its first position, then its chunks of final fits."""
+def _run_length(blocks: int, workers: int, config) -> int:
+    """CV blocks per run: as many as fill one STACK with their KLIEP CV
+    problems, one per (direction, fold, sigma), and with more than one
+    worker few enough that each worker gets RUNS_PER_WORKER runs."""
+    grid = config.grid
+    per_block = (len(_MODE_DIRECTIONS[config.score_mode]) * grid.folds
+                 * len(grid.sigma_factors))
+    length = max(1, STACK // per_block)
+    if workers > 1:
+        length = max(1, min(length, blocks // (RUNS_PER_WORKER * workers)))
+    return length
+
+
+def _score_run(windows, blocks: list, config) -> list[float]:
+    """Scores of ``blocks``, consecutive CV blocks: first the CV refresh at
+    every block's first position, all in one ``cv_select_many`` call, then
+    the blocks' chunks of final fits."""
     n = config.n
     alpha = config.alpha if config.estimator_kind == RULSIF else 0.0
-    per_chunk = min(CHUNK, 1 + 2 * n // config.stride)
-    scores: list[float] = []
-    for block in range(0, len(positions), config.cv_stride):
-        t = positions[block]
+    directions = _MODE_DIRECTIONS[config.score_mode]
+    problems = []
+    for block in blocks:
+        t = block[0]
         pair = segment_pair(windows, t, n)
-        selections = {}
-        for direction in _MODE_DIRECTIONS[config.score_mode]:
+        for direction in directions:
             num, den = ((pair.reference, pair.test)[i] for i in _ROLES[direction])
-            seed = seeding.mix_seed(config.grid.seed, t, direction)
-            grid = replace(config.grid, seed=seed)
-            try:
-                sel = cv_select(num, den, grid, config.estimator_kind, alpha)
-            except DegenerateBandwidthError as exc:
-                raise DegenerateBandwidthError(
-                    f"{exc} (at position t={t}, boundary {pair.boundary})"
-                ) from exc
-            selections[direction] = (sel.best_sigma, sel.best_lambda)
-        block_end = min(block + config.cv_stride, len(positions))
-        for first in range(block, block_end, per_chunk):
-            chunk = positions[first : min(first + per_chunk, block_end)]
-            terms = _chunk_terms(windows, chunk, selections, config, alpha)
-            if config.clip_negative:
-                terms = np.maximum(terms, 0.0)
-            scores.extend(sum(row, 0.0) for row in terms.tolist())
+            problems.append((num, den, seeding.mix_seed(config.grid.seed, t, direction)))
+    results = cv_select_many(problems, config.grid, config.estimator_kind, alpha)
+    per_chunk = min(CHUNK, 1 + 2 * n // config.stride)
+    chunks = []
+    for b, block in enumerate(blocks):
+        block_results = results[b * len(directions) : (b + 1) * len(directions)]
+        selections = {direction: (sel.best_sigma, sel.best_lambda)
+                      for direction, sel in zip(directions, block_results)}
+        chunks += [(block[first : first + per_chunk], selections)
+                   for first in range(0, len(block), per_chunk)]
+    scores: list[float] = []
+    for terms in _chunk_terms(windows, chunks, config, alpha):
+        if config.clip_negative:
+            terms = np.maximum(terms, 0.0)
+        scores.extend(sum(row, 0.0) for row in terms.tolist())
     return scores
 
 
+def _score_blocks(windows, blocks: list, config) -> list[float]:
+    """Scores of ``blocks`` as one run.  A run of several blocks that fails
+    is scored again one block at a time, so that the first failing block in
+    series order raises, with the serial sweep's error."""
+    try:
+        return _score_run(windows, blocks, config)
+    except DegenerateBandwidthError as exc:  # from one block's CV
+        if len(blocks) == 1:
+            t = blocks[0][0]
+            raise DegenerateBandwidthError(
+                f"{exc} (at position t={t}, boundary {t + config.n})"
+            ) from exc
+    except ChangePointError:
+        if len(blocks) == 1:
+            raise
+    return [score for block in blocks for score in _score_blocks(windows, [block], config)]
+
+
 # The sweep a worker process serves, set once per worker by _serve_sweep, so
-# that tasks carry only their positions and the caller does not pickle the
+# that tasks carry only their blocks and the caller does not pickle the
 # windows for every task (workers fork, so they are not pickled at all).
 # Never set in the calling process.
 _SWEEP: tuple = ()
@@ -240,9 +333,9 @@ def _serve_sweep(windows, config) -> None:
     _SWEEP = (windows, config)
 
 
-def _score_block(positions: range) -> list[float]:
+def _score_task(blocks: list) -> list[float]:
     windows, config = _SWEEP
-    return _score_blocks(windows, positions, config)
+    return _score_blocks(windows, blocks, config)
 
 
 def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
@@ -259,18 +352,18 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     windows = build_windows(series, config.k)
     t_last = t_len - 2 * config.n - config.k + 2
     starts = range(1, t_last + 1, config.stride)
-    blocks = range(0, len(starts), config.cv_stride)  # each block's first index
+    blocks = [starts[b : b + config.cv_stride] for b in range(0, len(starts), config.cv_stride)]
     workers = _worker_count(len(blocks))
+    length = _run_length(len(blocks), workers, config)
+    runs = [blocks[r : r + length] for r in range(0, len(blocks), length)]
     if workers == 1:
-        scores = _score_blocks(windows, starts, config)
-    else:  # one task per block, put back in series order
+        scores = [score for run in runs for score in _score_blocks(windows, run, config)]
+    else:  # one task per run, put back in series order
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork"),
                                  initializer=_serve_sweep,
                                  initargs=(windows, config)) as pool:
-            parts = pool.map(_score_block, [starts[b : b + config.cv_stride]
-                                            for b in blocks])
-            scores = [score for part in parts for score in part]
+            scores = [score for part in pool.map(_score_task, runs) for score in part]
 
     arr = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(arr)):

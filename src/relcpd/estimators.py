@@ -19,8 +19,10 @@ accepts.  Products are matrix-vector or dot products per candidate, so a
 problem's iterates do not depend on the rest of the stack.  Finished
 problems leave the stack; the largest temporaries are a few (problems x
 _SPECULATIVE_HALVINGS x centers) arrays.  On one problem the engine is about
-twice as slow as a plain loop, so callers batch: CV sends its 25 (sigma,
-fold) problems (default grid), the detector up to 24 final fits at a time.
+twice as slow as a plain loop, so callers batch, up to STACK problems a
+stack: CV sends the (sigma, fold) problems of all its problems (400 for a
+detector run of 8 blocks, default grid), the detector the final fits of a
+run's whole chunks.
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
@@ -55,6 +57,9 @@ _MAX_HALVINGS = 60
 # halvings tried at once per problem in the first backtracking round; later
 # rounds split the same number of candidates among the problems still pending
 _SPECULATIVE_HALVINGS = 3
+# most problems per kliep_ascent stack that CV and the detector send; with
+# 50 samples and centers, a stack of STACK problems holds 8 MB
+STACK = 400
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcpd import detector, estimators, seeding
+from relcpd import detector, estimators, model_selection, seeding
 from relcpd.detector import (
     CHUNK,
     SCORE_MODES,
@@ -19,10 +19,11 @@ from relcpd.embedding import TimeSeries, build_windows, segment_pair
 from relcpd.errors import (
     DegenerateBandwidthError,
     InsufficientDataError,
+    NumericError,
     ParameterError,
     SingularSystemError,
 )
-from relcpd.estimators import ESTIMATOR_KINDS
+from relcpd.estimators import ESTIMATOR_KINDS, STACK
 from relcpd.kernel import design_matrices
 from relcpd.model_selection import CvGrid, cv_select
 
@@ -72,6 +73,17 @@ def test_config_validation():
         DetectorConfig(score_mode="sideways")
     with pytest.raises(ParameterError):
         DetectorConfig(stride=0)
+
+
+def test_non_integral_sizes_rejected_at_config_time():
+    # these used to run truncated, as (n, k, stride, cv_stride) = (30, 5, 2, 1)
+    for name, value in (("n", 30.7), ("k", 5.9), ("stride", 2.5), ("cv_stride", 1.2),
+                        ("n", 30.0), ("k", np.float64(5.0))):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            DetectorConfig(**{name: value})
+    cfg = DetectorConfig(n=np.int64(30), k=np.int32(5), stride=np.uint8(2), cv_stride=1)
+    assert (cfg.n, cfg.k, cfg.stride, cfg.cv_stride) == (30, 5, 2, 1)
+    assert {type(v) for v in (cfg.n, cfg.k, cfg.stride, cfg.cv_stride)} == {int}
 
 
 def test_fold_count_above_sample_count_rejected_at_config_time():
@@ -167,16 +179,32 @@ def _scores_loop(series, config):
 
 
 @pytest.mark.parametrize(
-    "mode, stride, cv_stride",
-    [("symmetric", 5, 2), ("symmetric", 1, 50), ("forward", 3, 1)],
+    "mode, stride, cv_stride, n, stack",
+    [
+        # 12 blocks: runs of 8 and 4
+        pytest.param("symmetric", 5, 2, 20, STACK, id="symmetric-5-2"),
+        # 3 blocks in one run, its 234 final fits in one stack
+        pytest.param("symmetric", 1, 50, 20, STACK, id="symmetric-1-50"),
+        # runs of 2 blocks and 1, final fits in stacks of up to 96
+        pytest.param("symmetric", 1, 50, 20, 100, id="symmetric-1-50-stack100"),
+        # 39 blocks: runs of 16, 16 and 7
+        pytest.param("forward", 3, 1, 20, STACK, id="forward-3-1"),
+        # unequal folds; 19 blocks: runs of 16 and 3
+        pytest.param("backward", 2, 3, 22, STACK, id="backward-2-3-n22"),
+        # unequal folds; 10 blocks: runs of 3, 3, 3 and 1
+        pytest.param("symmetric", 4, 3, 22, 150, id="symmetric-4-3-n22-stack150"),
+    ],
 )
-def test_kliep_block_fits_match_per_position_loop(mode, stride, cv_stride):
-    # positions sharing a selection are fitted as one stack, split at the
-    # chunk cap (the second case: blocks of 50 are chunks of 12, 12, 12, 12
-    # and 2) and at every CV refresh
+def test_kliep_block_fits_match_per_position_loop(monkeypatch, mode, stride, cv_stride, n,
+                                                  stack):
+    # a run's CV problems are fitted as stacks, one per training size, and
+    # its final fits as stacks of whole chunks, split at the cap (chunks of
+    # 12, 12, 12, 12 and 2 in the blocks of 50) and at every CV refresh
+    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # runs of many blocks
+    monkeypatch.setattr(detector, "STACK", stack)
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(
-        estimator_kind="kliep", score_mode=mode, stride=stride, cv_stride=cv_stride,
+        n=n, estimator_kind="kliep", score_mode=mode, stride=stride, cv_stride=cv_stride,
         clip_negative=mode != "forward",
     )
     got = change_scores(series, cfg).scores
@@ -248,24 +276,32 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
         change_scores(series, cfg)
 
 
-@pytest.mark.parametrize("stride", [1, 7, 30, 45])
-def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride):
+@pytest.mark.parametrize("stride, stack", [
+    pytest.param(stride, STACK, id=str(stride)) for stride in (1, 7, 30, 45)
+] + [pytest.param(1, 60, id="1-stack60"), pytest.param(7, 30, id="7-stack30")])
+def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
     # the band kernel spans at most 4n windows at any stride, and a KLIEP
-    # stack holds at most 2 * CHUNK problems
-    monkeypatch.setattr(detector, "_worker_count", lambda blocks: 1)  # calls counted here
-    spans, stacks = [], []
-    kernels, ascent = detector.gaussian_kernels, detector.kliep_ascent
+    # stack, of CV problems or of final fits, holds at most STACK problems
+    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # calls counted here
+    monkeypatch.setattr(detector, "STACK", stack)
+    monkeypatch.setattr(model_selection, "STACK", stack)
+    spans, stacks, cv_stacks = [], [], []
+    kernels = detector.gaussian_kernels
 
     def recording_kernels(samples, centers, sigmas):
         spans.append(len(samples))
         return kernels(samples, centers, sigmas)
 
-    def recording_ascent(k_num, b_vec):
-        stacks.append(len(k_num))
-        return ascent(k_num, b_vec)
+    def recording(ascent, sizes):
+        def recording_ascent(k_num, b_vec):
+            sizes.append(len(k_num))
+            return ascent(k_num, b_vec)
+        return recording_ascent
 
     monkeypatch.setattr(detector, "gaussian_kernels", recording_kernels)
-    monkeypatch.setattr(detector, "kliep_ascent", recording_ascent)
+    monkeypatch.setattr(detector, "kliep_ascent", recording(detector.kliep_ascent, stacks))
+    monkeypatch.setattr(model_selection, "kliep_ascent",
+                        recording(model_selection.kliep_ascent, cv_stacks))
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="kliep", stride=stride, cv_stride=100)
     positions = len(change_scores(series, cfg).scores)
@@ -273,7 +309,11 @@ def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride):
     blocks = [min(cfg.cv_stride, positions - b) for b in range(0, positions, cfg.cv_stride)]
     assert len(spans) == sum(-(-size // per_chunk) for size in blocks)  # one per chunk
     assert max(spans) == (per_chunk - 1) * stride + 2 * cfg.n <= 4 * cfg.n
-    assert max(stacks) == 2 * per_chunk <= 24
+    assert sum(stacks) == 2 * positions  # each final fit once
+    assert sum(cv_stacks) == 2 * len(blocks) * cfg.grid.folds * len(cfg.grid.sigma_factors)
+    assert max(stacks + cv_stacks) <= stack
+    if stack == STACK:  # every fit of the sweep's one run in one stack
+        assert len(stacks) == len(cv_stacks) == 1
 
 
 def test_step_change_produces_peak_near_change():
@@ -318,9 +358,10 @@ def test_standardize_flag_changes_scale_not_shape():
 
 
 def _with_cpus(monkeypatch, cpus):
-    """Let the sweep see ``cpus`` available CPUs."""
+    """Let the sweep see ``cpus`` available CPUs and no CPU quota."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+    monkeypatch.setattr(detector, "CPU_MAX", os.devnull)
 
 
 def test_worker_count_is_capped_by_cpus_and_blocks(monkeypatch):
@@ -331,6 +372,20 @@ def test_worker_count_is_capped_by_cpus_and_blocks(monkeypatch):
     assert [detector._worker_count(b) for b in (1, 4, 500)] == [1, 4, 5]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert detector._worker_count(500) == 1
+
+
+def test_worker_count_is_capped_by_the_cgroup_cpu_quota(monkeypatch, tmp_path):
+    _with_cpus(monkeypatch, 4)
+    cpu_max = tmp_path / "cpu.max"
+    monkeypatch.setattr(detector, "CPU_MAX", str(cpu_max))
+    assert detector._worker_count(500) == 4  # no file: no quota
+    for text, workers in (("150000 100000\n", 2), ("50000 100000\n", 1),
+                          ("200000 100000\n", 2), ("800000 100000\n", 4),
+                          ("max 100000\n", 4)):
+        cpu_max.write_text(text)
+        assert detector._worker_count(500) == workers, text
+    cpu_max.write_text("150000 100000\n")
+    assert detector._worker_count(1) == 1
 
 
 def test_worker_count_is_one_inside_a_multiprocessing_child(monkeypatch):
@@ -390,14 +445,16 @@ def test_one_worker_starts_no_pool_and_more_shut_theirs_down(monkeypatch):
     cv_stride=st.integers(1, 30),
     clip=st.booleans(),
     cpus=st.integers(1, 3),
+    n=st.integers(10, 12),  # 11 and 12 give folds of unequal size
     t_len=st.integers(27, 120),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_parallel_sweep_is_bit_identical_to_serial(kind, mode, stride, cv_stride, clip,
-                                                   cpus, t_len, seed):
-    # short series and long blocks give fewer blocks than workers
+                                                   cpus, n, t_len, seed):
+    # short series and long blocks give fewer blocks than workers; the serial
+    # sweep scores runs of up to 8 or 16 blocks, the workers mostly one block each
     series = _series(seed=seed, t_len=t_len, step_at=t_len // 2)
-    cfg = DetectorConfig(n=10, k=3, estimator_kind=kind, score_mode=mode, stride=stride,
+    cfg = DetectorConfig(n=n, k=3, estimator_kind=kind, score_mode=mode, stride=stride,
                          cv_stride=cv_stride, clip_negative=clip, grid=CvGrid(seed=seed))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detector, "_worker_count", lambda blocks: 1)
@@ -427,3 +484,21 @@ def test_flat_stretch_fails_at_the_same_position_at_any_worker_count(monkeypatch
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].endswith("(at position t=222, boundary 272)")
+
+
+def test_earlier_final_fit_error_wins_over_a_later_cv_error_in_one_run(monkeypatch):
+    # the serial sweep's run of blocks t=217..224 holds t=222, whose CV fails
+    # on the flat stretch, and t=219, whose final fits are made to fail; a
+    # sweep one block at a time reaches t=219's final fits first
+    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)
+    chunk_terms = detector._chunk_terms
+
+    def failing_at_219(windows, chunks, config, alpha):
+        if any(chunk.start == 219 for chunk, _ in chunks):
+            raise NumericError("final fit failed at t=219")
+        return chunk_terms(windows, chunks, config, alpha)
+
+    monkeypatch.setattr(detector, "_chunk_terms", failing_at_219)
+    with pytest.raises(NumericError, match="t=219"):
+        change_scores(_flat_stretch_series(), DetectorConfig(stride=1, cv_stride=1))
+

@@ -41,6 +41,16 @@ def test_grid_defaults_and_validation():
         CvGrid(folds=1)
 
 
+def test_non_integral_folds_and_seed_rejected():
+    # these used to run truncated, as (folds, seed) = (3, 1)
+    for name, value in (("folds", 3.9), ("seed", 1.7), ("folds", 3.0)):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            CvGrid(**{name: value})
+    grid = CvGrid(folds=np.int64(3), seed=np.uint64(2**63))
+    assert (grid.folds, grid.seed) == (3, 2**63)
+    assert type(grid.folds) is type(grid.seed) is int
+
+
 def test_singleton_grid_returns_the_pair():
     num, den = _samples()
     grid = CvGrid(sigma_factors=(0.8,), lambdas=(0.01,), seed=5)
