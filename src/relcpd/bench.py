@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 
 from . import seeding
 from .detector import DetectorConfig, change_scores
-from .errors import ChangePointError, ParameterError
+from .errors import ChangePointError, ParameterError, integer
 from .evaluation import MATCH_WINDOW, MIN_ALARM_SPACING
 from .evaluation import find_peaks, roc_curve, summarize_runs
 from .synthgen import DATASET_IDS, SynthSpec, generate
@@ -81,23 +81,27 @@ def run_bench(
 
     ``config`` is the template of every run: run r of (dataset d, estimator
     e) uses it with estimator e and the grid seed mixed from (seed, d, r).
-    Every run's config, the dataset ids, ``runs`` and ``jobs`` are checked
-    before the first sweep.  With ``jobs`` > 1 the cells run on that many
+    Every run's config, the dataset ids, ``runs``, ``jobs``, ``seed``,
+    ``length`` and ``segment_len`` are checked before the first sweep; each
+    of these must be an integer.  With ``jobs`` > 1 the cells run on that many
     worker processes and each sweep runs inside its worker; with ``jobs`` = 1
     they run here, one after another, and each sweep spreads its CV blocks
     over the CPUs (see ``detector``).
     """
-    if int(runs) < 1 or int(jobs) < 1:
+    runs, jobs, seed = integer("runs", runs), integer("jobs", jobs), integer("seed", seed)
+    length, segment_len = integer("length", length), integer("segment_len", segment_len)
+    if runs < 1 or jobs < 1:
         raise ParameterError(f"runs and jobs must be >= 1, got {runs} and {jobs}")
-    datasets = list(dict.fromkeys(int(d) for d in datasets))  # each cell once
+    # each cell once
+    datasets = list(dict.fromkeys(integer("dataset id", d) for d in datasets))
     if not set(datasets) <= set(DATASET_IDS):
         raise ParameterError(f"dataset ids must be among {DATASET_IDS}, got {datasets}")
     estimators = list(dict.fromkeys(estimators))
     tasks = []
-    for d, e, r in itertools.product(datasets, estimators, range(int(runs))):
-        grid = replace(config.grid, seed=seeding.mix_seed(int(seed), _DETECT_TAG, d, r))
+    for d, e, r in itertools.product(datasets, estimators, range(runs)):
+        grid = replace(config.grid, seed=seeding.mix_seed(seed, _DETECT_TAG, d, r))
         run_config = replace(config, estimator_kind=e, grid=grid)
-        tasks.append((d, r, int(seed), int(length), int(segment_len), run_config))
+        tasks.append((d, r, seed, length, segment_len, run_config))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_task, tasks))
@@ -151,10 +155,10 @@ def run_bench(
         "config": {
             "datasets": sorted(datasets),
             "estimators": sorted(estimators),
-            "runs": int(runs),
-            "seed": int(seed),
-            "length": int(length),
-            "segment_len": int(segment_len),
+            "runs": runs,
+            "seed": seed,
+            "length": length,
+            "segment_len": segment_len,
             "detector": detector,
             "grid": grid,
             "conventions": _CONVENTIONS,

@@ -20,22 +20,15 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import bench, dataio
-from .detector import (
-    SCORE_MODES,
-    SYMMETRIC,
-    DetectorConfig,
-    ScoreSeries,
-    change_scores,
-)
+from .detector import SCORE_MODES, DetectorConfig, ScoreSeries, change_scores
 from .errors import ChangePointError, ParameterError
-from .estimators import ESTIMATOR_KINDS, KLIEP, RULSIF, ULSIF
+from .estimators import ESTIMATOR_KINDS
 from .evaluation import find_peaks, roc_curve
-from .model_selection import (
-    DEFAULT_LAMBDAS,
-    DEFAULT_SIGMA_FACTORS,
-    CvGrid,
-)
+from .model_selection import CvGrid
 from .synthgen import SynthSpec, generate
+
+# the library's defaults are the flags' defaults
+_DEFAULTS = DetectorConfig()
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -53,25 +46,26 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=50, help="segment sample count")
-    parser.add_argument("--k", type=int, default=10, help="window length")
-    parser.add_argument("--alpha", type=float, default=0.1,
+    config, grid = _DEFAULTS, _DEFAULTS.grid
+    parser.add_argument("--n", type=int, default=config.n, help="segment sample count")
+    parser.add_argument("--k", type=int, default=config.k, help="window length")
+    parser.add_argument("--alpha", type=float, default=config.alpha,
                         help="relative-ratio parameter (rulsif only)")
-    parser.add_argument("--score-mode", choices=SCORE_MODES, default=SYMMETRIC)
-    parser.add_argument("--stride", type=int, default=1)
-    parser.add_argument("--cv-stride", type=int, default=1,
+    parser.add_argument("--score-mode", choices=SCORE_MODES, default=config.score_mode)
+    parser.add_argument("--stride", type=int, default=config.stride)
+    parser.add_argument("--cv-stride", type=int, default=config.cv_stride,
                         help="re-run CV every this many positions")
     parser.add_argument("--no-clip", action="store_true",
                         help="keep raw (possibly negative) divergence terms")
     parser.add_argument("--standardize", action="store_true",
                         help="z-score each dimension over the whole series")
     parser.add_argument("--sigma-factors", type=_float_list,
-                        default=DEFAULT_SIGMA_FACTORS,
+                        default=grid.sigma_factors,
                         help="comma-separated multiples of the median distance")
-    parser.add_argument("--lambdas", type=_float_list, default=DEFAULT_LAMBDAS,
+    parser.add_argument("--lambdas", type=_float_list, default=grid.lambdas,
                         help="comma-separated ridge candidates")
-    parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--folds", type=int, default=grid.folds)
+    parser.add_argument("--seed", type=int, default=grid.seed)
 
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
@@ -222,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a benchmark series")
     p_synth.add_argument("--dataset", type=int, required=True, choices=(1, 2, 3, 4))
-    p_synth.add_argument("--length", type=int, default=5000)
-    p_synth.add_argument("--segment-len", type=int, default=100)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--length", type=int, default=SynthSpec.length)
+    p_synth.add_argument("--segment-len", type=int, default=SynthSpec.segment_len)
+    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed)
     p_synth.add_argument("--out", required=True, help="output stem")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -233,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_detect = sub.add_parser(name, help=help_text)
         p_detect.add_argument("input", help="input CSV (rows=time, cols=dims)")
         p_detect.add_argument("--out", required=True, help="output stem")
-        p_detect.add_argument("--estimator", choices=ESTIMATOR_KINDS, default=RULSIF)
+        p_detect.add_argument("--estimator", choices=ESTIMATOR_KINDS,
+                              default=_DEFAULTS.estimator_kind)
         _add_detector_flags(p_detect)
         p_detect.set_defaults(func=cmd_detect)
 
@@ -249,17 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="AUC benchmark over datasets",
                              allow_abbrev=False)
     p_bench.add_argument("--datasets", type=_int_list, default=(1, 2, 3, 4))
-    p_bench.add_argument("--estimators", default=f"{RULSIF},{ULSIF},{KLIEP}",
+    p_bench.add_argument("--estimators", default=",".join(ESTIMATOR_KINDS),
                          help="comma-separated estimator kinds")
     p_bench.add_argument("--runs", type=int, default=10)
-    p_bench.add_argument("--length", type=int, default=5000)
-    p_bench.add_argument("--segment-len", type=int, default=100)
+    p_bench.add_argument("--length", type=int, default=SynthSpec.length)
+    p_bench.add_argument("--segment-len", type=int, default=SynthSpec.segment_len)
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes")
     p_bench.add_argument("--out", required=True, help="output stem")
     _add_detector_flags(p_bench)
     # the config template's estimator; run_bench sets each cell's own
-    p_bench.set_defaults(func=cmd_bench, estimator=RULSIF)
+    p_bench.set_defaults(func=cmd_bench, estimator=_DEFAULTS.estimator_kind)
 
     return parser
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -110,22 +111,29 @@ def write_scores_csv(path, boundaries, scores) -> None:
 
 
 def read_scores_csv(path) -> tuple[tuple[int, ...], np.ndarray]:
+    """(boundaries, scores) of a ``boundary,score`` CSV, optionally headed;
+    boundaries must be integers that increase strictly, scores finite."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    if any(_parse_cell(cell) is None for cell in rows[0]):
-        rows = rows[1:]
+    start = 1 if any(_parse_cell(cell) is None for cell in rows[0]) else 0  # header
     boundaries = []
     scores = []
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(rows[start:], start=start + 1):  # rows as ingest_csv counts
         if len(row) != 2:
             raise ParseError(f"{path}: row {i}: expected 2 columns, got {len(row)}")
         b = _parse_cell(row[0])
         s = _parse_cell(row[1])
         if b is None or s is None:
             raise ParseError(f"{path}: row {i}: not numeric: {row!r}")
+        if not b.is_integer():
+            raise ParseError(f"{path}: row {i}: boundary is not an integer: {row[0]!r}")
+        if boundaries and b <= boundaries[-1]:
+            raise ParseError(f"{path}: row {i}: boundaries must increase strictly: {row!r}")
+        if not math.isfinite(s):
+            raise ParseError(f"{path}: row {i}: score is not finite: {row[1]!r}")
         boundaries.append(int(b))
         scores.append(s)
     return tuple(boundaries), np.asarray(scores)

@@ -45,17 +45,19 @@ once, when it starts, and each task only its blocks; it holds them and one
 run's CV and final-fit arrays on top of the copy of this process it forks
 from.
 
-Final fits run in chunks of at most CHUNK positions that share one CV
-selection.  One ``cdist`` over a chunk's span of windows and one ``exp`` per
-direction give the band kernel; each pair's (2n, 2n) kernel is a diagonal
-block of it, taken as a strided view.  uLSIF and RuLSIF fit a chunk with one
-``gram_system`` call, one stacked ``_solve_spd`` and one PE expression; KLIEP
-fits the whole chunks of a run in ``kliep_ascent`` stacks of at most STACK
-problems, each term the fit's final objective.  The terms equal those of one
-fit per position.  A chunk holds at most 1 + 2n // stride positions, so its
-span is at most 4n windows and its distance and kernel matrices at most
-(4n)^2 doubles each (0.3 MB for n = 50) at any stride.  A KLIEP stack holds
-at most STACK n^2 doubles (8 MB for n = 50).
+STACK problems is the one cap on every stack of fits: CV or final, least
+squares or KLIEP.  Final fits run in chunks, the positions of one CV block
+whose pairs share one span of at most 4n windows: at most
+min(1 + 2n // stride, STACK // directions) positions.  One ``cdist`` over a
+chunk's span and one ``exp`` per direction give the band kernel; each pair's
+(2n, 2n) kernel is a diagonal block of it, taken as a strided view.  The
+distance and kernel matrices hold at most (4n)^2 doubles each (0.3 MB for
+n = 50) at any stride.  uLSIF and RuLSIF fit a chunk with one
+``gram_system`` call, one stacked ``_solve_spd`` and one PE expression.
+KLIEP copies a run's final fits, one chunk's kernels at a time, into
+``kliep_ascent`` stacks of STACK problems that cut across chunks, each term
+the fit's final objective.  The terms equal those of one fit per position.
+A stack's arrays hold at most STACK n^2 doubles each (8 MB for n = 50).
 """
 
 from __future__ import annotations
@@ -76,17 +78,19 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     ParameterError,
+    integer,
 )
 from .estimators import (
     ESTIMATOR_KINDS, KLIEP, RULSIF, STACK, _solve_spd, gram_system, kliep_ascent, pe_terms,
 )
-# kept importable from here for tracing wrappers
+# Imported only for perfbench/perftrace.py, which wraps these names here by
+# getattr; they stay until that tracer reads per-layer counters instead.
 from .estimators import kl_estimate, kliep_fit, pe_alpha_estimate  # noqa: F401
 from .estimators import rulsif_fit, ulsif_fit  # noqa: F401
 from .kernel import design_matrices  # noqa: F401
 from .kernel import gaussian_kernels
-from .model_selection import CvGrid, _integer, cv_select_many
-from .model_selection import cv_select  # noqa: F401 -- for tracing wrappers
+from .model_selection import CvGrid, cv_select_many
+from .model_selection import cv_select  # noqa: F401 -- for perfbench/perftrace.py
 
 SYMMETRIC = "symmetric"
 FORWARD = "forward"
@@ -97,7 +101,6 @@ SCORE_MODES = (SYMMETRIC, FORWARD, BACKWARD)
 _ROLES = ((0, 1), (1, 0))
 _MODE_DIRECTIONS = {SYMMETRIC: (0, 1), FORWARD: (0,), BACKWARD: (1,)}
 
-CHUNK = 12  # most positions per chunk of final fits
 RUNS_PER_WORKER = 4  # fewest runs per worker of a parallel sweep
 CPU_MAX = "/sys/fs/cgroup/cpu.max"  # the cgroup v2 CPU quota, read only
 
@@ -117,7 +120,7 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "stride", "cv_stride"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.n < 2:
             raise ParameterError(f"segment sample count must be >= 2, got {self.n}")
         if self.k < 1:
@@ -180,18 +183,28 @@ def _chunk_kernels(windows, chunk: range, selections: dict, n: int) -> list[tupl
 
 
 def _kliep_terms(windows, chunks: list, n: int) -> list[np.ndarray]:
-    """``_chunk_terms`` for KLIEP: every final fit of ``chunks`` in one
-    ``kliep_ascent`` stack, each term the fit's final objective."""
+    """``_chunk_terms`` for KLIEP: the final fits of ``chunks``, copied one
+    chunk's kernels at a time into one stack of at most STACK problems, which
+    ``kliep_ascent`` fits each time it is full and once more for the rest;
+    each term is the fit's final objective.  Copying frees each chunk's band
+    kernel at once: it holds up to 8 times the doubles of the chunk's
+    problems (at stride 2n)."""
     counts = [len(chunk) * len(selections) for chunk, selections in chunks]
-    k_num, b_vec = np.empty((sum(counts), n, n)), np.empty((sum(counts), n))
-    at = 0
-    for chunk, selections in chunks:
-        for k_chunk, k_den in _chunk_kernels(windows, chunk, selections, n):
-            k_num[at : at + len(chunk)] = k_chunk
-            b_vec[at : at + len(chunk)] = k_den.mean(axis=1)
-            at += len(chunk)
-    _, objective, _, _ = kliep_ascent(k_num, b_vec)
-    parts = np.split(objective, np.cumsum(counts)[:-1])
+    k_num = np.empty((min(STACK, sum(counts)), n, n))
+    b_vec = np.empty((len(k_num), n))
+    problems = (problem for chunk, selections in chunks
+                for k_chunk, k_den in _chunk_kernels(windows, chunk, selections, n)
+                for problem in zip(k_chunk, k_den.mean(axis=1)))
+    objectives, size = [], 0
+    for k_row, b_row in problems:
+        k_num[size], b_vec[size] = k_row, b_row
+        size += 1
+        if size == len(k_num):  # the ascent overwrites k_num, filled again next
+            objectives.append(kliep_ascent(k_num, b_vec)[1])
+            size = 0
+    if size:
+        objectives.append(kliep_ascent(k_num[:size], b_vec[:size])[1])
+    parts = np.split(np.concatenate(objectives), np.cumsum(counts)[:-1])
     return [part.reshape(len(selections), -1).T
             for part, (_, selections) in zip(parts, chunks)]
 
@@ -199,21 +212,12 @@ def _kliep_terms(windows, chunks: list, n: int) -> list[np.ndarray]:
 def _chunk_terms(windows, chunks: list, config, alpha) -> list[np.ndarray]:
     """(position, direction) divergence terms of each chunk of ``chunks``,
     (positions, selections) pairs whose positions share the (sigma, lambda)
-    ``selections`` per direction.  KLIEP fits consecutive whole chunks as
-    stacks of at most STACK problems; least squares fits one chunk at a
-    time."""
+    ``selections`` per direction.  KLIEP stacks cut across chunks (see
+    ``_kliep_terms``); least squares fits one chunk at a time."""
     n = config.n
-    terms = []
     if config.estimator_kind == KLIEP:
-        stack, size = [], 0
-        for chunk, selections in chunks:
-            count = len(chunk) * len(selections)
-            if stack and size + count > STACK:
-                terms += _kliep_terms(windows, stack, n)
-                stack, size = [], 0
-            stack.append((chunk, selections))
-            size += count
-        return terms + _kliep_terms(windows, stack, n)
+        return _kliep_terms(windows, chunks, n)
+    terms = []
     for chunk, selections in chunks:
         chunk_terms = []
         for (k_num, k_den), (_, lam) in zip(
@@ -287,7 +291,7 @@ def _score_run(windows, blocks: list, config) -> list[float]:
             num, den = ((pair.reference, pair.test)[i] for i in _ROLES[direction])
             problems.append((num, den, seeding.mix_seed(config.grid.seed, t, direction)))
     results = cv_select_many(problems, config.grid, config.estimator_kind, alpha)
-    per_chunk = min(CHUNK, 1 + 2 * n // config.stride)
+    per_chunk = min(1 + 2 * n // config.stride, STACK // len(directions))
     chunks = []
     for b, block in enumerate(blocks):
         block_results = results[b * len(directions) : (b + 1) * len(directions)]

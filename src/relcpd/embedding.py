@@ -16,12 +16,13 @@ from .errors import (
     InvalidDataError,
     InvalidWindowLengthError,
     SegmentRangeError,
+    integer,
 )
 
 
 def checked_change_points(change_points, length: float = np.inf) -> tuple[int, ...]:
     """Change points as ints, checked to increase strictly within [1, length]."""
-    cps = tuple(int(c) for c in change_points)
+    cps = tuple(integer("change point", c, InvalidDataError) for c in change_points)
     if any(b <= a for a, b in zip((0,) + cps, cps)) or max(cps, default=0) > length:
         raise InvalidDataError(
             f"change points must increase strictly within [1, {length}], got {cps}"
@@ -94,7 +95,7 @@ def build_windows(series: TimeSeries, k: int) -> WindowSet:
     [y(t); y(t+1); ...; y(t+k-1)] with each y(.) the full d-dimensional
     column of the series.
     """
-    k = int(k)
+    k = integer("window length", k, InvalidWindowLengthError)
     t_len = series.length
     if k < 1:
         raise InvalidWindowLengthError(f"window length must be >= 1, got {k}")
@@ -113,8 +114,8 @@ def build_windows(series: TimeSeries, k: int) -> WindowSet:
 
 def segment_pair(windows: WindowSet, t: int, n: int) -> SegmentPair:
     """Split windows t..t+2n-1 into reference (t..t+n-1) and test segments."""
-    t = int(t)
-    n = int(n)
+    t = integer("position t", t, SegmentRangeError)
+    n = integer("segment sample count", n, SegmentRangeError)
     if n < 1:
         raise SegmentRangeError(f"segment sample count must be >= 1, got {n}")
     if t < 1 or t + 2 * n - 1 > len(windows):

@@ -1,8 +1,11 @@
-"""Exception types with stable machine-readable categories.
+"""Exception types with stable machine-readable categories, and the one
+integer check every input applies.
 
 The CLI prints ``error: <category>: <message>`` on failure; the category
 strings below are part of the external interface and must not change.
 """
+
+import operator
 
 
 class ChangePointError(Exception):
@@ -57,3 +60,12 @@ class ParseError(ChangePointError):
 
 class UndefinedRateError(ChangePointError):
     category = "undefined-tpr"
+
+
+def integer(name: str, value, error: type = ParameterError) -> int:
+    """``value`` as an int; Python and numpy integers pass, anything else
+    (a float, even an integral one) raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

@@ -17,12 +17,12 @@ _SPECULATIVE_HALVINGS halvings of every pending problem at once and keeps
 the first that passes the Armijo test, the step a one-at-a-time search
 accepts.  Products are matrix-vector or dot products per candidate, so a
 problem's iterates do not depend on the rest of the stack.  Finished
-problems leave the stack; the largest temporaries are a few (problems x
-_SPECULATIVE_HALVINGS x centers) arrays.  On one problem the engine is about
+problems leave the stack; a later backtracking round gathers the kernel rows
+of the problems still pending, and the other temporaries are a few
+(problems x _SPECULATIVE_HALVINGS x centers) arrays.  On one problem the engine is about
 twice as slow as a plain loop, so callers batch, up to STACK problems a
 stack: CV sends the (sigma, fold) problems of all its problems (400 for a
-detector run of 8 blocks, default grid), the detector the final fits of a
-run's whole chunks.
+detector run of 8 blocks, default grid), the detector a run's final fits.
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
@@ -33,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor  # noqa: F401 -- for tracing wrappers
+# imported only for perfbench/perftrace.py, which counts its calls here by
+# getattr, until that tracer reads per-layer counters instead
+from scipy.linalg import cho_factor  # noqa: F401
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
@@ -235,11 +237,8 @@ def _try_steps(stack, theta, grad, objective, b_vec, steps, pending):
     # products per candidate (matrix-vector and dot, not matrix-matrix), so
     # each value is computed as in a one-problem fit
     gain = ((cand - base)[..., None, :] @ direction[..., None])[..., 0, 0]
-    if pending.size == len(stack):
-        cand_g = stack[:, None] @ cand[..., None]
-    else:  # problem by problem, so the pending rows of the stack are not copied
-        cand_g = np.stack([stack[p] @ c[..., None] for p, c in zip(pending, cand)])
-    cand_g = cand_g[..., 0]  # (pending, tried, samples)
+    rows = stack if pending.size == len(stack) else stack[pending]
+    cand_g = (rows[:, None] @ cand[..., None])[..., 0]  # (pending, tried, samples)
     cand_objective = _mean_log(cand_g)
     passed = (gain > 0.0) & (cand_objective >= objective[pending, None] + _ARMIJO * gain)
     hit = passed.any(axis=1)

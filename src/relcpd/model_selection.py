@@ -40,13 +40,12 @@ Ties are broken toward the larger sigma, then the larger lambda.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import seeding
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .estimators import (
     ESTIMATOR_KINDS,
     KLIEP,
@@ -55,22 +54,13 @@ from .estimators import (
     _solve_spd,
     gram_system,
     kliep_ascent,
-    kliep_fit,  # noqa: F401 -- kept importable from here for tracing wrappers
+    kliep_fit,  # noqa: F401 -- only for perfbench/perftrace.py, which wraps it here
     pe_terms,
 )
 from .kernel import gaussian_kernels, median_distance
 
 DEFAULT_SIGMA_FACTORS = (0.6, 0.8, 1.0, 1.2, 1.4)
 DEFAULT_LAMBDAS = (1e-3, 1e-2, 1e-1, 1e0, 1e1)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else
-    (a float, even an integral one) raises ``ParameterError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -83,8 +73,8 @@ class CvGrid:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "folds", _integer("folds", self.folds))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "folds", integer("folds", self.folds))
+        object.__setattr__(self, "seed", integer("seed", self.seed))
         factors = tuple(sorted({float(f) for f in self.sigma_factors}))
         lambdas = tuple(sorted({float(v) for v in self.lambdas}))
         if not factors or not lambdas:

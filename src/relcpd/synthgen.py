@@ -19,7 +19,7 @@ import numpy as np
 
 from . import seeding
 from .embedding import TimeSeries
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 DATASET_IDS = (1, 2, 3, 4)
 
@@ -32,6 +32,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("dataset_id", "length", "segment_len", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.dataset_id not in DATASET_IDS:
             raise ParameterError(f"dataset id must be one of {DATASET_IDS}")
         if self.segment_len < 1 or self.length < 1:
@@ -41,10 +43,6 @@ class SynthSpec:
                 f"length {self.length} is not a multiple of "
                 f"segment_len {self.segment_len}"
             )
-        object.__setattr__(self, "dataset_id", int(self.dataset_id))
-        object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "segment_len", int(self.segment_len))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def box_muller_normals(rng: np.random.Generator, count: int) -> np.ndarray:

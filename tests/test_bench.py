@@ -1,7 +1,10 @@
 from dataclasses import replace
 
+import pytest
+
 from relcpd import bench
 from relcpd.detector import DetectorConfig
+from relcpd.errors import ParameterError
 from relcpd.model_selection import CvGrid
 from relcpd.seeding import mix_seed
 
@@ -52,3 +55,16 @@ def test_duplicated_datasets_and_estimators_run_each_cell_once(monkeypatch):
     assert report["config"]["datasets"] == [1, 2]
     assert report["config"]["estimators"] == ["ulsif"]
     assert [(c["dataset"], c["runs"]) for c in report["cells"]] == [(1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("runs", 1.5), ("seed", 2.7), ("jobs", 1.0), ("length", 300.0), ("segment_len", 100.5),
+    ("datasets", (1, 2.0)),
+])
+def test_non_integral_counts_and_seeds_rejected_before_any_run(monkeypatch, name, value):
+    # these used to run truncated: runs 1.5 and seed 2.7 as runs 1 and seed 2
+    monkeypatch.setattr(bench, "run_one", lambda *args: pytest.fail("a run started"))
+    kwargs = dict(datasets=(1,), estimators=("ulsif",), runs=1, seed=2, length=300,
+                  segment_len=100, config=DetectorConfig(n=10, k=3), jobs=1)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        bench.run_bench(**{**kwargs, name: value})

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from relcpd import bench, dataio
-from relcpd.cli import main
+from relcpd.cli import _detector_config, build_parser, main
+from relcpd.detector import DetectorConfig
+from relcpd.synthgen import SynthSpec
 from relcpd.errors import EmptyInputError, InvalidDataError, ParseError
 
 
@@ -56,6 +58,15 @@ class TestIngest:
         (tmp_path / "g.truth").write_text("3\n2\n")
         with pytest.raises(InvalidDataError):
             dataio.ingest_csv(p)
+
+
+def test_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["detect", "series.csv", "--out", "out"])
+    assert _detector_config(args) == DetectorConfig()
+    args = build_parser().parse_args(["synth", "--dataset", "1", "--out", "out"])
+    spec = SynthSpec(args.dataset)
+    assert (args.length, args.segment_len, args.seed) == (spec.length, spec.segment_len,
+                                                          spec.seed)
 
 
 class TestSynthCommand:
@@ -198,6 +209,31 @@ class TestScoreDetectEval:
         assert report["schema"] == 1
         assert (tmp_path / "e.roc.csv").exists()
         assert (tmp_path / "e.alarms.csv").exists()
+
+    @pytest.mark.parametrize("scores, row, message", [
+        # rows are counted as in the file, header included
+        pytest.param("boundary,score\n1,0.5\n2,nan\n5,inf\n", 3,
+                     "score is not finite: 'nan'", id="nan-score"),
+        pytest.param("1,0.5\n2,0.1\n5,inf\n", 3, "score is not finite: 'inf'",
+                     id="inf-score"),
+        pytest.param("1,0.5\n2.5,0.1\n", 2, "boundary is not an integer: '2.5'",
+                     id="non-integral-boundary"),
+        pytest.param("1,0.5\n3,0.1\n3,0.2\n", 3, "boundaries must increase strictly",
+                     id="repeated-boundary"),
+        pytest.param("4,0.5\n3,0.1\n", 2, "boundaries must increase strictly",
+                     id="decreasing-boundary"),
+    ])
+    def test_eval_rejects_a_bad_scores_file_and_writes_nothing(self, tmp_path, capsys,
+                                                               scores, row, message):
+        (tmp_path / "s.csv").write_text(scores)
+        (tmp_path / "t.truth").write_text("2\n")
+        assert main(["eval", str(tmp_path / "s.csv"), "--truth", str(tmp_path / "t.truth"),
+                     "--out", str(tmp_path / "e")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: parse: {tmp_path / 's.csv'}: row {row}: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.csv", "t.truth"]
 
     @pytest.mark.parametrize("truth", ["100\n100\n", "0\n-5\n"])
     def test_eval_rejects_truth_that_detect_rejects(self, tmp_path, capsys, truth):

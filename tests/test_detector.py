@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from relcpd import detector, estimators, model_selection, seeding
 from relcpd.detector import (
-    CHUNK,
     SCORE_MODES,
     DetectorConfig,
     change_scores,
@@ -185,7 +184,7 @@ def _scores_loop(series, config):
         pytest.param("symmetric", 5, 2, 20, STACK, id="symmetric-5-2"),
         # 3 blocks in one run, its 234 final fits in one stack
         pytest.param("symmetric", 1, 50, 20, STACK, id="symmetric-1-50"),
-        # runs of 2 blocks and 1, final fits in stacks of up to 96
+        # runs of 2 blocks and 1, final fits in stacks of 100 across chunks
         pytest.param("symmetric", 1, 50, 20, 100, id="symmetric-1-50-stack100"),
         # 39 blocks: runs of 16, 16 and 7
         pytest.param("forward", 3, 1, 20, STACK, id="forward-3-1"),
@@ -198,8 +197,8 @@ def _scores_loop(series, config):
 def test_kliep_block_fits_match_per_position_loop(monkeypatch, mode, stride, cv_stride, n,
                                                   stack):
     # a run's CV problems are fitted as stacks, one per training size, and
-    # its final fits as stacks of whole chunks, split at the cap (chunks of
-    # 12, 12, 12, 12 and 2 in the blocks of 50) and at every CV refresh
+    # its final fits as stacks of up to the cap that cut across chunks and
+    # CV refreshes
     monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # runs of many blocks
     monkeypatch.setattr(detector, "STACK", stack)
     series = _series(seed=9, t_len=160, step_at=80)
@@ -214,14 +213,20 @@ def test_kliep_block_fits_match_per_position_loop(monkeypatch, mode, stride, cv_
 @pytest.mark.parametrize(
     "kind, mode, stride, cv_stride, clip",
     [
-        # blocks of 29 positions: chunks of CHUNK, CHUNK and 5; the last
-        # block of the 117 positions is a single one
-        ("ulsif", "symmetric", 1, 2 * CHUNK + 5, True),
-        ("rulsif", "symmetric", 1, 2 * CHUNK + 5, False),
+        # blocks of 29 positions, one chunk each; the last block of the 117
+        # positions is a single one
+        ("ulsif", "symmetric", 1, 29, True),
+        ("rulsif", "symmetric", 1, 29, False),
         ("rulsif", "forward", 3, 7, True),
         ("ulsif", "backward", 3, 7, False),
-        ("rulsif", "backward", 1, CHUNK, True),
+        ("rulsif", "backward", 1, 12, True),
         ("ulsif", "forward", 3, 1, False),
+        # a chunk holds at most 1 + 2n // stride = 41 positions: a block of
+        # 87 positions runs in chunks of 41, 41 and 5, then one of 30
+        ("ulsif", "symmetric", 1, 2 * 41 + 5, True),
+        ("rulsif", "symmetric", 1, 2 * 41 + 5, False),
+        # blocks of exactly one full chunk
+        ("rulsif", "backward", 1, 41, True),
     ],
 )
 def test_least_squares_chunks_match_per_position_loop(kind, mode, stride, cv_stride, clip):
@@ -237,7 +242,7 @@ def test_least_squares_chunks_match_per_position_loop(kind, mode, stride, cv_str
 def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monkeypatch):
     monkeypatch.setattr(detector, "_worker_count", lambda blocks: 1)  # calls counted here
     series = _series(seed=9, t_len=160, step_at=80)
-    cfg = _config(estimator_kind="rulsif", stride=1, cv_stride=2 * CHUNK)
+    cfg = _config(estimator_kind="rulsif", stride=1, cv_stride=24)
     expected = change_scores(series, cfg).scores
     potrf, chunk_terms = estimators.dpotrf, detector._chunk_terms
     systems = []
@@ -280,13 +285,14 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
     pytest.param(stride, STACK, id=str(stride)) for stride in (1, 7, 30, 45)
 ] + [pytest.param(1, 60, id="1-stack60"), pytest.param(7, 30, id="7-stack30")])
 def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
-    # the band kernel spans at most 4n windows at any stride, and a KLIEP
-    # stack, of CV problems or of final fits, holds at most STACK problems
+    # the band kernel spans at most 4n windows at any stride, and every stack
+    # of fits, CV or final, KLIEP or least squares, holds at most STACK
+    # problems
     monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # calls counted here
     monkeypatch.setattr(detector, "STACK", stack)
     monkeypatch.setattr(model_selection, "STACK", stack)
-    spans, stacks, cv_stacks = [], [], []
-    kernels = detector.gaussian_kernels
+    spans, stacks, cv_stacks, solves = [], [], [], []
+    kernels, solve = detector.gaussian_kernels, detector._solve_spd
 
     def recording_kernels(samples, centers, sigmas):
         spans.append(len(samples))
@@ -298,22 +304,36 @@ def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
             return ascent(k_num, b_vec)
         return recording_ascent
 
+    def recording_solve(h_mat, lam, rhs):
+        solves.append(len(h_mat))
+        return solve(h_mat, lam, rhs)
+
     monkeypatch.setattr(detector, "gaussian_kernels", recording_kernels)
     monkeypatch.setattr(detector, "kliep_ascent", recording(detector.kliep_ascent, stacks))
     monkeypatch.setattr(model_selection, "kliep_ascent",
                         recording(model_selection.kliep_ascent, cv_stacks))
+    monkeypatch.setattr(detector, "_solve_spd", recording_solve)
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="kliep", stride=stride, cv_stride=100)
     positions = len(change_scores(series, cfg).scores)
-    per_chunk = min(CHUNK, 1 + 2 * cfg.n // stride)
+    per_chunk = min(1 + 2 * cfg.n // stride, stack // 2)
     blocks = [min(cfg.cv_stride, positions - b) for b in range(0, positions, cfg.cv_stride)]
-    assert len(spans) == sum(-(-size // per_chunk) for size in blocks)  # one per chunk
+    chunks = sum(-(-size // per_chunk) for size in blocks)
+    assert len(spans) == chunks  # one band kernel per chunk
     assert max(spans) == (per_chunk - 1) * stride + 2 * cfg.n <= 4 * cfg.n
     assert sum(stacks) == 2 * positions  # each final fit once
     assert sum(cv_stacks) == 2 * len(blocks) * cfg.grid.folds * len(cfg.grid.sigma_factors)
     assert max(stacks + cv_stacks) <= stack
     if stack == STACK:  # every fit of the sweep's one run in one stack
         assert len(stacks) == len(cv_stacks) == 1
+
+    # least squares solves each chunk's fits as one stack per direction
+    spans.clear()
+    change_scores(series, _config(estimator_kind="ulsif", stride=stride, cv_stride=100))
+    assert len(spans) == chunks and len(solves) == 2 * chunks
+    chunk_stacks = [fwd + bwd for fwd, bwd in zip(solves[::2], solves[1::2])]
+    assert sum(chunk_stacks) == 2 * positions  # each final fit once
+    assert max(chunk_stacks) <= stack
 
 
 def test_step_change_produces_peak_near_change():

@@ -113,6 +113,20 @@ def test_segment_pair_out_of_range():
         segment_pair(_windows6(), t=0, n=2)
 
 
+def test_non_integral_indices_and_sizes_rejected():
+    # each used to be truncated: (10.7, 20.2) as (10, 20), k = 2.9 as 2
+    values = np.arange(30.0)
+    with pytest.raises(InvalidDataError, match="change point must be an integer"):
+        TimeSeries(values, change_points=(10.7, 20.2))
+    assert TimeSeries(values, change_points=np.array([10, 20])).change_points == (10, 20)
+    with pytest.raises(InvalidWindowLengthError, match="must be an integer, got 2.9"):
+        build_windows(TimeSeries(values), 2.9)
+    with pytest.raises(SegmentRangeError, match="must be an integer, got 1.5"):
+        segment_pair(_windows6(), t=1.5, n=2)
+    with pytest.raises(SegmentRangeError, match="must be an integer, got 2.0"):
+        segment_pair(_windows6(), t=1, n=2.0)
+
+
 def test_segments_disjoint_and_contiguous():
     rng = np.random.default_rng(2)
     ws = build_windows(TimeSeries(rng.normal(size=30)), k=3)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcpd.embedding import build_windows, segment_pair
 from relcpd.errors import DimensionMismatchError, ParameterError
@@ -232,6 +234,32 @@ def _assert_ascent_matches_loop(k_nums, k_dens, max_iters=500):
         np.testing.assert_allclose(traces[p], trace, rtol=0, atol=1e-12)
         wants.append(want)
     return wants
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 9),
+       max_iters=st.sampled_from((4, 30, 500)), flat=st.booleans(), data=st.data())
+def test_ascent_result_does_not_depend_on_the_stack(seed, count, max_iters, flat, data):
+    # a problem's (theta, objective, iterations, converged) is bit-identical
+    # whether it is fitted alone, in a stack of other problems or in a
+    # permuted stack, so callers may pack problems into stacks as they like
+    k_nums, k_dens = _kliep_problems(seed, count, samples=20, centers=25, dim=3)
+    if flat:  # no step ascends from the start of this problem
+        k_nums.append(np.ones((20, 25)))
+        k_dens.append(np.ones((20, 25)))
+    k_num = np.stack(k_nums)
+    b_vec = np.stack([k.mean(axis=0) for k in k_dens])
+    order = np.array(data.draw(st.permutations(range(len(k_num)))))
+
+    def ascent(rows):  # indexing copies k_num, which the ascent overwrites
+        return kliep_ascent(k_num[rows], b_vec[rows], max_iters=max_iters)
+
+    stacked, permuted = ascent(np.arange(len(k_num))), ascent(order)
+    for p in range(len(k_num)):
+        at = int(np.flatnonzero(order == p)[0])
+        for in_stack, in_permuted, alone in zip(stacked, permuted, ascent([p])):
+            np.testing.assert_array_equal(in_stack[p], alone[0])
+            np.testing.assert_array_equal(in_permuted[at], alone[0])
 
 
 class TestKliepAscent:

@@ -33,6 +33,18 @@ def test_spec_validation():
         SynthSpec(1, length=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dataset_id", 1.0), ("length", 600.0), ("segment_len", 100.5), ("seed", 1.9),
+])
+def test_non_integral_spec_fields_rejected(field, value):
+    # these used to run truncated: seed 1.9 as seed 1
+    fields = dict(dataset_id=1, length=600, segment_len=100, seed=1)
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        SynthSpec(**{**fields, field: value})
+    spec = SynthSpec(**{**fields, field: np.int64(fields[field])})
+    assert type(getattr(spec, field)) is int
+
+
 def test_jumping_mean_prefix():
     mu = jumping_mean_schedule(50)
     assert mu[0] == 0.0
