@@ -10,12 +10,13 @@ Three fitters share the kernel model g(Y; theta) = sum_l theta_l K(Y, C_l):
                      normalization constraint; projected gradient ascent.
 
 KLIEP fits run on ``kliep_ascent``, which runs a stack of problems in
-lockstep: per iteration one gradient, one batch of candidate steps and one
-row-wise exact projection for every problem still running, each with its
-own step size.  The backtracking is speculative: a round tries the next
-_SPECULATIVE_HALVINGS halvings of every pending problem at once and keeps
-the first that passes the Armijo test, the step a one-at-a-time search
-accepts.  Products are matrix-vector or dot products per candidate, so a
+lockstep in the mixture weights w = b * theta (b the mean denominator kernel
+row), whose feasible set is the unit simplex: per iteration one gradient, one
+batch of candidate steps and one sort-based projection onto the simplex for
+every problem still running, each with its own step size.  The backtracking
+is speculative: a round tries the next _SPECULATIVE_HALVINGS halvings of
+every pending problem at once and keeps the first that passes the Armijo
+test, the step a one-at-a-time search accepts.  Products are matrix-vector or dot products per candidate, so a
 problem's iterates do not depend on the rest of the stack.  Finished
 problems leave the stack; a later backtracking round gathers the kernel rows
 of the problems still pending, and the other temporaries are a few
@@ -90,6 +91,7 @@ class FitDiagnostics:
     objective_value: float
     iterations: int = 0
     converged: bool = True
+    gap: float = 0.0  # KLIEP: certified bound on the distance to the maximum
 
 
 def _solve_spd(h_mat: np.ndarray, lam, rhs: np.ndarray) -> np.ndarray:
@@ -186,54 +188,36 @@ def kliep_gradient(design, theta: np.ndarray) -> np.ndarray:
     return design.k_num.T @ w / design.k_num.shape[0]
 
 
-def _kliep_project(theta: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection of every row of ``theta`` (..., centers)
-    onto {x >= 0, b.x = 1}, with b > 0 broadcast against the rows.
-
-    Solves min ||x - theta||^2 by thresholding x = max(theta - mu b, 0) with
-    mu chosen from the sorted breakpoints theta_i / b_i.  Cheaper heuristics
-    (clamp then rescale) have stationary points that are not KKT points of
-    the KLIEP problem and stall the ascent far from the optimum.  Ties among
-    the breakpoints may be sorted either way; the threshold does not change.
-    Many rows are projected at once, so temporaries are reused in place.
+def _simplex_project(v: np.ndarray) -> np.ndarray:
+    """Exact Euclidean projection of every row of ``v`` (..., m) onto the unit
+    simplex {x >= 0, sum x = 1} (Duchi et al., ICML 2008): x = max(v - tau,
+    0), where, with the row sorted in descending order u, tau = (u_1 + ... +
+    u_r - 1) / r at the last r with u_r above it.  Cheaper heuristics (clamp
+    then rescale) stall the ascent at points that are not KKT points.  The
+    rescaling pins sum x = 1; a degenerate all-zero candidate stays unscaled
+    and the line search rejects it.
     """
-    width = theta.shape[-1]
-    ratios = theta / b_vec
-    np.negative(ratios, out=ratios)
-    order = ratios.argsort(axis=-1)  # descending breakpoints
-    np.negative(ratios, out=ratios)
-    # flat positions, so one gather sorts every row
-    rows = np.arange(0, theta.size, width).reshape(theta.shape[:-1] + (1,))
-    order += rows
-    ratios = ratios.reshape(-1)[order]
-    work = b_vec * theta
-    mu = work.reshape(-1)[order]
-    np.cumsum(mu, axis=-1, out=mu)
-    mu -= 1.0
-    np.multiply(b_vec, b_vec, out=work)
-    work = work.reshape(-1)[order]
-    np.cumsum(work, axis=-1, out=work)
-    mu /= work
-    # the level is mu at the last breakpoint above it, else mu at the end
-    last = rows[..., 0] + (width - 1) - np.argmax((ratios > mu)[..., ::-1], axis=-1)
-    out = np.multiply(mu.reshape(-1)[last][..., None], b_vec, out=work)
-    np.subtract(theta, out, out=out)
+    width = v.shape[-1]
+    desc = np.sort(v, axis=-1)[..., ::-1]
+    level = np.cumsum(desc, axis=-1)
+    level -= 1.0
+    level /= np.arange(1, width + 1)
+    last = (width - 1) - np.argmax((desc > level)[..., ::-1], axis=-1)
+    out = v - np.take_along_axis(level, last[..., None], axis=-1)
     np.maximum(out, 0.0, out=out)
-    s = (b_vec[..., None, :] @ out[..., None])[..., 0]  # b.x by dot, row by row
-    # a numerically degenerate candidate (s <= 0) stays unscaled and the line
-    # search rejects it; otherwise pin the equality constraint
+    s = np.ones(width) @ out[..., None]  # sum by dot product, row by row
     out /= np.where(s > 0.0, s, 1.0)
     return out
 
 
-def _try_steps(stack, theta, grad, objective, b_vec, steps, pending):
+def _try_steps(stack, w, grad, objective, steps, pending):
     """One backtracking round: for each problem in ``pending``, project
-    theta + step * grad for each of its ``steps`` (pending, tried) and find
-    the first candidate that passes the Armijo test.  Returns the mask of
+    w + step * grad for each of its ``steps`` (pending, tried) and find the
+    first candidate that passes the Armijo test.  Returns the mask of
     problems with a passing step, the index of that step, and the candidate
     with its objective and model values g, for the masked problems."""
-    base, direction = theta[pending, None], grad[pending, None]
-    cand = _kliep_project(base + steps[..., None] * direction, b_vec[pending, None])
+    base, direction = w[pending, None], grad[pending, None]
+    cand = _simplex_project(base + steps[..., None] * direction)
     # products per candidate (matrix-vector and dot, not matrix-matrix), so
     # each value is computed as in a one-problem fit
     gain = ((cand - base)[..., None, :] @ direction[..., None])[..., 0, 0]
@@ -258,23 +242,27 @@ def kliep_ascent(
     Problem p maximizes mean_i log (k_num[p] @ theta)_i subject to
     b_vec[p] . theta = 1 and theta >= 0; ``k_num`` is (problems, samples,
     centers) and ``b_vec`` (problems, centers) holds the mean denominator
-    kernel rows.  Each step starts at twice the last accepted one (1.0 at
-    first) and is halved up to _MAX_HALVINGS times until a projected
-    candidate passes the Armijo test (factor 1e-4); later backtracking rounds
-    share the first round's candidate count among the problems still
-    pending.  A problem is done when no step passes or the gain is below
-    ``tolerance`` (both converged) or after ``max_iters`` iterations (not
-    converged).  Finished problems' rows of ``k_num`` are overwritten, as
-    the stack is compacted in place.  ``traces``, when given, holds one list
-    per problem for its start objective and the objective after every
-    accepted step.  Returns (theta, objective, iterations, converged).
+    kernel rows, all positive.  The ascent runs in w = b * theta over the
+    unit simplex: ``k_num`` is divided by b in place, and w starts at
+    b / sum(b), the uniform theta.  Each step starts at twice the last
+    accepted one (1.0 at first) and is halved up to _MAX_HALVINGS times until
+    a candidate projected by ``_simplex_project`` passes the Armijo test
+    (factor 1e-4); later backtracking rounds share the first round's
+    candidate count among the problems still pending.  A problem is done
+    when no step passes or the gain is below ``tolerance`` (both converged)
+    or after ``max_iters`` iterations (not converged).  Finished problems'
+    rows of ``k_num`` are overwritten, as the stack is compacted in place.
+    ``traces``, when given, holds one list per problem for its start
+    objective and the objective after every accepted step.  Returns (theta,
+    objective, iterations, converged), with theta = w / b.
     """
     count, samples, centers = k_num.shape
-    theta = np.repeat(1.0 / b_vec.sum(axis=1, keepdims=True), centers, axis=1)
-    g = (k_num @ theta[..., None])[..., 0]
+    k_num /= b_vec[:, None, :]
+    w = b_vec / b_vec.sum(axis=1, keepdims=True)
+    g = (k_num @ w[..., None])[..., 0]
     objective = _mean_log(g)
     step = np.ones(count)
-    out_theta = np.empty((count, centers))
+    out_w = np.empty((count, centers))
     out_objective = np.empty(count)
     iterations = np.full(count, max_iters)
     converged = np.zeros(count, dtype=bool)
@@ -284,8 +272,8 @@ def kliep_ascent(
             traces[p].append(float(objective[p]))
     for it in range(1, max_iters + 1):
         stack = k_num[: live.size]
-        w = np.where(g > LOG_FLOOR, 1.0 / np.maximum(g, LOG_FLOOR), 0.0)
-        grad = (stack.swapaxes(1, 2) @ w[..., None])[..., 0] / samples
+        inv_g = np.where(g > LOG_FLOOR, 1.0 / np.maximum(g, LOG_FLOOR), 0.0)
+        grad = (stack.swapaxes(1, 2) @ inv_g[..., None])[..., 0] / samples
         moved = np.zeros(live.size, dtype=bool)
         delta = np.zeros(live.size)
         pending = np.arange(live.size)
@@ -293,11 +281,11 @@ def kliep_ascent(
         while pending.size and first < _MAX_HALVINGS:
             tried = 0.5 ** np.arange(first, min(first + width, _MAX_HALVINGS))
             hit, pick, cand, cand_objective, cand_g = _try_steps(
-                stack, theta, grad, objective, b_vec, step[pending, None] * tried, pending
+                stack, w, grad, objective, step[pending, None] * tried, pending
             )
             accept = pending[hit]
             delta[accept] = cand_objective - objective[accept]
-            theta[accept], objective[accept], g[accept] = cand, cand_objective, cand_g
+            w[accept], objective[accept], g[accept] = cand, cand_objective, cand_g
             step[accept] *= 2.0 * tried[pick]
             moved[accept] = True
             pending = pending[~hit]
@@ -312,19 +300,17 @@ def kliep_ascent(
         if not done.any():
             continue
         idx = live[done]
-        out_theta[idx], out_objective[idx] = theta[done], objective[done]
+        out_w[idx], out_objective[idx] = w[done], objective[done]
         iterations[idx], converged[idx] = it, True
         keep = np.flatnonzero(~done)
         for dst, src in enumerate(keep):  # ascending: no row is read after
             if dst != src:  # it has been overwritten
                 k_num[dst] = k_num[src]
-        live, theta, objective, g, step, b_vec = (
-            a[keep] for a in (live, theta, objective, g, step, b_vec)
-        )
+        live, w, objective, g, step = (a[keep] for a in (live, w, objective, g, step))
         if not live.size:
             break
-    out_theta[live], out_objective[live] = theta, objective
-    return out_theta, out_objective, iterations, converged
+    out_w[live], out_objective[live] = w, objective
+    return out_w / b_vec, out_objective, iterations, converged
 
 
 def kliep_fit(
@@ -336,13 +322,16 @@ def kliep_fit(
     """Constrained maximum-likelihood ratio fit by projected gradient ascent.
 
     Maximizes mean_i log g(Y_i) subject to mean_j g(Y'_j) = 1 and theta >= 0
-    with ``kliep_ascent`` on a one-problem stack; the objective trace is
-    monotone non-decreasing.  ``trace``, when given, receives the start
-    objective and the objective after every accepted step.
+    with ``kliep_ascent`` on a copy of ``design.k_num``; the objective trace
+    is monotone non-decreasing.  ``trace``, when given, receives the start
+    objective and the objective after every accepted step.  The diagnostics'
+    ``gap``, log max_l grad_l / b_l at theta, bounds how far the objective is
+    below its maximum.
     """
+    b_vec = design.k_den.mean(axis=0)
     theta, objective, iterations, converged = kliep_ascent(
-        design.k_num[None],
-        design.k_den.mean(axis=0)[None],
+        design.k_num[None].copy(),
+        b_vec[None],
         tolerance,
         max_iters,
         None if trace is None else [trace],
@@ -354,6 +343,7 @@ def kliep_fit(
         objective_value=float(objective[0]),
         iterations=int(iterations[0]),
         converged=bool(converged[0]),
+        gap=float(np.log(np.max(kliep_gradient(design, theta[0]) / b_vec))),
     )
 
 

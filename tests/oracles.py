@@ -201,9 +201,27 @@ def _kliep_objective_loop(k_num, theta, floor=1e-12):
     return float(np.mean(np.log(np.maximum(g, floor))))
 
 
-def _kliep_project_loop(theta, b_vec):
+def _simplex_project_loop(v):
+    """Exact Euclidean projection onto the unit simplex {x >= 0, sum x = 1}:
+    x = max(v - tau, 0), where tau = (u_1 + ... + u_r - 1) / r over the
+    entries u in descending order, at the last r with u_r above it."""
+    total, tau = 0.0, None
+    for r, value in enumerate(sorted(v, reverse=True), start=1):
+        total += value
+        level = (total - 1.0) / r
+        if value > level:
+            tau = level
+    out = np.maximum(v - tau, 0.0)
+    s = float(np.dot(out, np.ones_like(out)))
+    if s <= 0.0:
+        return out
+    return out / s
+
+
+def breakpoint_project_loop(theta, b_vec):
     """Exact Euclidean projection onto {theta >= 0, b.theta = 1} (b > 0) by
-    thresholding at the level read off the sorted breakpoints theta_i / b_i."""
+    thresholding at the level read off the sorted breakpoints theta_i / b_i;
+    with b = 1 this is the projection onto the unit simplex."""
     order = np.argsort(-(theta / b_vec), kind="stable")
     b_sorted = b_vec[order]
     ratios = theta[order] / b_sorted
@@ -219,22 +237,41 @@ def _kliep_project_loop(theta, b_vec):
     return out / s
 
 
+def kliep_em_objective(k_num, k_den, iterations):
+    """KLIEP objective reached by ``iterations`` multiplicative EM updates of
+    the mixture weights w = b * theta from w = b / sum(b): w_l <- w_l
+    mean_i c_il / (c_i . w) with c = k_num / b.  Every iterate is feasible,
+    so the value is at most the maximum."""
+    b_vec = k_den.mean(axis=0)
+    comp = k_num / b_vec
+    w = b_vec / b_vec.sum()
+    for _ in range(iterations):
+        w = w * (comp.T @ (1.0 / (comp @ w))) / len(comp)
+        w /= w.sum()
+    return _kliep_objective_loop(comp, w)
+
+
 def kliep_fit_loop(k_num, k_den, tolerance=1e-6, max_iters=500, trace=None):
-    """KLIEP by projected gradient ascent, one problem at a time.
+    """KLIEP by projected gradient ascent in mixture weights, one problem at
+    a time.
 
     Maximizes mean_i log g(Y_i) (g floored at 1e-12) over theta >= 0 with
-    mean_j g(Y'_j) = 1.  Each iteration tries the step 1, 1/2, 1/4, ... (at
-    most 60 halvings, starting from twice the last accepted step) and takes
-    the first projected candidate that passes the Armijo test with factor
-    1e-4.  It stops when no step passes (converged), when the gain falls
-    below ``tolerance`` (converged) or after ``max_iters`` iterations.
-    ``trace`` receives the start objective and the objective after every
-    accepted step.  Returns (theta, objective, iterations, converged).
+    mean_j g(Y'_j) = 1.  With b the mean denominator kernel row, the weights
+    w = b * theta range over the unit simplex and g = (k_num / b) @ w; the
+    ascent starts at w = b / sum(b).  Each iteration tries the step 1, 1/2,
+    1/4, ... (at most 60 halvings, starting from twice the last accepted
+    step) and takes the first candidate, projected onto the simplex, that
+    passes the Armijo test with factor 1e-4.  It stops when no step passes
+    (converged), when the gain falls below ``tolerance`` (converged) or after
+    ``max_iters`` iterations.  ``trace`` receives the start objective and the
+    objective after every accepted step.  Returns (theta, objective,
+    iterations, converged), with theta = w / b.
     """
     floor = 1e-12
     b_vec = k_den.mean(axis=0)
-    theta = np.full(k_num.shape[1], 1.0 / float(b_vec.sum()))
-    objective = _kliep_objective_loop(k_num, theta)
+    comp = k_num / b_vec
+    w = b_vec / b_vec.sum()
+    objective = _kliep_objective_loop(comp, w)
     if trace is not None:
         trace.append(objective)
     iterations = 0
@@ -242,16 +279,16 @@ def kliep_fit_loop(k_num, k_den, tolerance=1e-6, max_iters=500, trace=None):
     step_init = 1.0
     for it in range(1, max_iters + 1):
         iterations = it
-        g = k_num @ theta
-        w = np.where(g > floor, 1.0 / np.maximum(g, floor), 0.0)
-        grad = k_num.T @ w / k_num.shape[0]
+        g = comp @ w
+        inv_g = np.where(g > floor, 1.0 / np.maximum(g, floor), 0.0)
+        grad = comp.T @ inv_g / comp.shape[0]
         step = step_init
         accepted = False
         for _ in range(60):
-            candidate = _kliep_project_loop(theta + step * grad, b_vec)
-            gain = float(grad @ (candidate - theta))
+            candidate = _simplex_project_loop(w + step * grad)
+            gain = float(grad @ (candidate - w))
             if gain > 0.0:
-                cand_objective = _kliep_objective_loop(k_num, candidate)
+                cand_objective = _kliep_objective_loop(comp, candidate)
                 if cand_objective >= objective + 1e-4 * gain:
                     accepted = True
                     break
@@ -261,14 +298,14 @@ def kliep_fit_loop(k_num, k_den, tolerance=1e-6, max_iters=500, trace=None):
             break
         step_init = 2.0 * step
         delta = cand_objective - objective
-        theta = candidate
+        w = candidate
         objective = cand_objective
         if trace is not None:
             trace.append(objective)
         if delta < tolerance:
             converged = True
             break
-    return theta, objective, iterations, converged
+    return w / b_vec, objective, iterations, converged
 
 
 def kliep_cv_loop(num, den, sigma_factors, folds, seed):

@@ -14,6 +14,7 @@ from relcpd.synthgen import SynthSpec, generate
 from relcpd.estimators import (
     LOG_FLOOR,
     RatioModel,
+    _simplex_project,
     kl_estimate,
     kliep_ascent,
     kliep_fit,
@@ -24,7 +25,14 @@ from relcpd.estimators import (
     ulsif_fit,
 )
 
-from oracles import gaussian_pdf, gaussian_kl, kliep_fit_loop, true_pe_alpha
+from oracles import (
+    breakpoint_project_loop,
+    gaussian_kl,
+    gaussian_pdf,
+    kliep_em_objective,
+    kliep_fit_loop,
+    true_pe_alpha,
+)
 
 
 def _design(rng, n=20, dim=3, shift=0.5, sigma=None):
@@ -295,22 +303,78 @@ class TestKliepAscent:
         assert len(trace) == len(want_trace)
         np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="the ascent stalls far below the optimum "
-                       "on this narrow-bandwidth problem")
     def test_narrow_bandwidth_fit_reaches_the_optimum(self):
-        # kliep-cv benchmark seed 4206, series 2 (generator 2, copy 0): the
-        # backward final fit at t=1821, with sigma = 0.6 x the median distance
-        # of the t=1801 pair, the point its CV block selected.  An EM ascent in
-        # mixture weights reaches 1.32266; this ascent stops at its
-        # 500-iteration cap at 1.03499.
-        series = generate(SynthSpec(dataset_id=2, length=2000, seed=mix_seed(4206, 1, 2, 0)))
-        windows = build_windows(series, 10)
-        cv_pair = segment_pair(windows, 1801, 50)
-        sigma = 0.6 * median_distance(np.vstack([cv_pair.reference, cv_pair.test]))
-        pair = segment_pair(windows, 1821, 50)
-        design = design_matrices(pair.test, pair.reference, pair.test, sigma)
-        _, diag = kliep_fit(design)
+        # an ascent in theta with the projection onto {theta >= 0,
+        # b.theta = 1} stalls on this problem: 1.03499 after 500 iterations
+        _, diag = kliep_fit(_narrow_bandwidth_design())
         assert diag.objective_value == pytest.approx(1.32266, abs=0.01)
+
+    def test_fit_leaves_the_design_unchanged(self):
+        # the ascent scales its stack in place; kliep_fit hands it a copy
+        d, _, _ = _design(np.random.default_rng(7), n=30, dim=4)
+        k_num, k_den = d.k_num.copy(), d.k_den.copy()
+        kliep_fit(d)
+        assert np.array_equal(d.k_num, k_num) and np.array_equal(d.k_den, k_den)
+
+    def test_gap_bounds_the_distance_to_the_em_optimum_on_the_narrow_problem(self):
+        design = _narrow_bandwidth_design()
+        _, diag = kliep_fit(design)
+        f_em = kliep_em_objective(design.k_num, design.k_den, iterations=20000)
+        assert f_em == pytest.approx(1.32266, abs=1e-4)
+        assert diag.gap >= -1e-12  # both up to rounding
+        assert diag.gap >= f_em - diag.objective_value - 1e-12
+
+    def test_least_squares_fits_report_no_gap(self):
+        d, _, _ = _design(np.random.default_rng(8))
+        assert rulsif_fit(d, 0.1, 0.1)[1].gap == 0.0
+        assert ulsif_fit(d, 0.1)[1].gap == 0.0
+
+
+def _narrow_bandwidth_design():
+    """kliep-cv benchmark seed 4206, series 2 (generator 2, copy 0): the
+    backward final fit at t=1821, with sigma = 0.6 x the median distance of
+    the t=1801 pair, the point its CV block selected.  An EM ascent in
+    mixture weights reaches 1.32266."""
+    series = generate(SynthSpec(dataset_id=2, length=2000, seed=mix_seed(4206, 1, 2, 0)))
+    windows = build_windows(series, 10)
+    cv_pair = segment_pair(windows, 1801, 50)
+    sigma = 0.6 * median_distance(np.vstack([cv_pair.reference, cv_pair.test]))
+    pair = segment_pair(windows, 1821, 50)
+    return design_matrices(pair.test, pair.reference, pair.test, sigma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_iters=st.sampled_from((4, 30, 500)))
+def test_gap_bounds_the_distance_to_the_em_optimum(seed, max_iters):
+    # the certificate holds at any feasible point, so also for fits cut
+    # short by the iteration cap
+    (k_num,), (k_den,) = _kliep_problems(seed, 1, samples=20, centers=25, dim=3)
+    design = DesignMatrices(k_num=k_num, k_den=k_den, centers=np.zeros((25, 3)), sigma=1.0)
+    _, diag = kliep_fit(design, max_iters=max_iters)
+    f_em = kliep_em_objective(k_num, k_den, iterations=2000)
+    assert diag.gap >= -1e-12  # both up to rounding
+    assert diag.gap >= f_em - diag.objective_value - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=60),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)))
+def test_simplex_projection_is_the_kkt_point_on_the_simplex(values, scale):
+    v = np.array(values) * scale
+    x = _simplex_project(v[None])[0]
+    # a row's projection does not depend on the other rows of a stack
+    np.testing.assert_array_equal(_simplex_project(np.stack([-v, v]))[1], x)
+    assert abs(x.sum() - 1.0) <= 1e-12
+    assert np.all(x >= 0.0)
+    # KKT: x = v - tau where x > 0, and v <= tau where x = 0
+    tol = 1e-12 * max(1.0, float(np.abs(v).max()))
+    positive = x > 0.0
+    tau = float(np.mean(v[positive] - x[positive]))
+    np.testing.assert_allclose(x[positive], v[positive] - tau, rtol=0, atol=tol)
+    assert np.all(v[~positive] <= tau + tol)
+    # the projection onto {x >= 0, b.x = 1} with b = 1
+    np.testing.assert_allclose(x, breakpoint_project_loop(v, np.ones_like(v)),
+                               rtol=0, atol=1e-12)
 
 
 class TestDivergenceEstimates:
