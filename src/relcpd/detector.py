@@ -313,7 +313,7 @@ def _score_blocks(windows, blocks: list, config) -> list[float]:
     series order raises, with the serial sweep's error."""
     try:
         return _score_run(windows, blocks, config)
-    except DegenerateBandwidthError as exc:  # from one block's CV
+    except DegenerateBandwidthError as exc:  # from one block's CV or KLIEP fits
         if len(blocks) == 1:
             t = blocks[0][0]
             raise DegenerateBandwidthError(

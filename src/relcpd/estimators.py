@@ -13,17 +13,24 @@ KLIEP fits run on ``kliep_ascent``, which runs a stack of problems in
 lockstep in the mixture weights w = b * theta (b the mean denominator kernel
 row), whose feasible set is the unit simplex: per iteration one gradient, one
 batch of candidate steps and one sort-based projection onto the simplex for
-every problem still running, each with its own step size.  The backtracking
-is speculative: a round tries the next _SPECULATIVE_HALVINGS halvings of
-every pending problem at once and keeps the first that passes the Armijo
-test, the step a one-at-a-time search accepts.  Products are matrix-vector or dot products per candidate, so a
-problem's iterates do not depend on the rest of the stack.  Finished
-problems leave the stack; a later backtracking round gathers the kernel rows
-of the problems still pending, and the other temporaries are a few
-(problems x _SPECULATIVE_HALVINGS x centers) arrays.  On one problem the engine is about
-twice as slow as a plain loop, so callers batch, up to STACK problems a
-stack: CV sends the (sigma, fold) problems of all its problems (400 for a
-detector run of 8 blocks, default grid), the detector a run's final fits.
+every problem still running, each with its own step size.  A problem stops as
+soon as its certified gap log max_l grad_l, an upper bound on its distance to
+the maximum in nats, is at most ``tolerance`` (1e-3 by default).  Trial steps
+are spectral (Barzilai-Borwein) steps, 1 / max_l grad_l at first.  The
+backtracking is speculative: a round tries the next few halvings of every
+pending problem at once, _SPECULATIVE_HALVINGS candidates per problem that
+entered the search, shared among those still pending, and keeps the first
+that passes the Armijo test, the step a one-at-a-time search accepts.
+Products are matrix-vector or dot products per candidate, so a problem's
+iterates do not depend on the rest of the stack.  Finished problems leave the
+stack; a later backtracking round gathers the kernel rows of the problems
+still pending, and the other temporaries are a few (problems x
+_SPECULATIVE_HALVINGS x centers) arrays and two (problems x centers) arrays,
+the last move and gradient, for the spectral step.  On one problem the engine
+is about twice as slow as a plain loop, so callers batch, up to STACK
+problems a stack: CV sends the (sigma, fold) problems of all its problems
+(400 for a detector run of 8 blocks, default grid), the detector a run's
+final fits.
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
@@ -40,6 +47,7 @@ from scipy.linalg import cho_factor  # noqa: F401
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
+    DegenerateBandwidthError,
     DimensionMismatchError,
     NumericError,
     ParameterError,
@@ -58,8 +66,10 @@ LOG_FLOOR = 1e-12
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 # halvings tried at once per problem in the first backtracking round; later
-# rounds split the same number of candidates among the problems still pending
-_SPECULATIVE_HALVINGS = 3
+# rounds split the same number of candidates among the problems still pending.
+# Spectral trial steps mostly pass at once (1.75 candidates per iteration), so
+# trying more at once wastes candidates: 1 measured faster than 2 and 3.
+_SPECULATIVE_HALVINGS = 1
 # most problems per kliep_ascent stack that CV and the detector send; with
 # 50 samples and centers, a stack of STACK problems holds 8 MB
 STACK = 400
@@ -230,10 +240,15 @@ def _try_steps(stack, w, grad, objective, steps, pending):
     return hit, pick, cand[hit, pick], cand_objective[hit, pick], cand_g[hit, pick]
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_p . b_p for every row p, one dot product per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def kliep_ascent(
     k_num: np.ndarray,
     b_vec: np.ndarray,
-    tolerance: float = 1e-6,
+    tolerance: float = 1e-3,
     max_iters: int = 500,
     traces: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -242,26 +257,43 @@ def kliep_ascent(
     Problem p maximizes mean_i log (k_num[p] @ theta)_i subject to
     b_vec[p] . theta = 1 and theta >= 0; ``k_num`` is (problems, samples,
     centers) and ``b_vec`` (problems, centers) holds the mean denominator
-    kernel rows, all positive.  The ascent runs in w = b * theta over the
-    unit simplex: ``k_num`` is divided by b in place, and w starts at
-    b / sum(b), the uniform theta.  Each step starts at twice the last
-    accepted one (1.0 at first) and is halved up to _MAX_HALVINGS times until
-    a candidate projected by ``_simplex_project`` passes the Armijo test
-    (factor 1e-4); later backtracking rounds share the first round's
-    candidate count among the problems still pending.  A problem is done
-    when no step passes or the gain is below ``tolerance`` (both converged)
-    or after ``max_iters`` iterations (not converged).  Finished problems'
-    rows of ``k_num`` are overwritten, as the stack is compacted in place.
-    ``traces``, when given, holds one list per problem for its start
-    objective and the objective after every accepted step.  Returns (theta,
-    objective, iterations, converged), with theta = w / b.
+    kernel rows.  An entry that underflows to 0 or below the smallest normal
+    double raises ``DegenerateBandwidthError``: with b_l = 0, theta_l is
+    unbounded under b . theta = 1, and so is the objective.
+    The ascent runs in w = b * theta over the unit simplex: ``k_num`` is
+    divided by b in place, and w starts at b / sum(b), the uniform theta.
+
+    Each iteration starts with the gradient in w and its certified gap, log
+    max_l grad_l: no feasible point is better by more than that, so a
+    problem whose gap is at most ``tolerance`` (nats) stops as converged.
+    Otherwise it tries a step from a trial value, halved up to _MAX_HALVINGS
+    times until a candidate projected by ``_simplex_project`` passes the
+    Armijo test (factor 1e-4).  The first trial is 1 / max_l grad_l, scale
+    free; later ones are the spectral step s.s / (-s.y) of the last move s
+    and gradient change y (Barzilai & Borwein 1988, as in SPG: Birgin,
+    Martinez & Raydan 2000), or twice the last accepted step where -s.y <= 0
+    or the quotient is not finite.  Later backtracking rounds share the first
+    round's candidate count among the problems still pending.  A problem
+    where no step passes, or that reaches ``max_iters`` iterations, ends not
+    converged.  Finished problems' rows of ``k_num`` are overwritten, as the
+    stack is compacted in place.  ``traces``, when given, holds one list per
+    problem for its start objective and the objective after every accepted
+    step.  Returns (theta, objective, iterations, converged), with theta = w
+    / b; a problem's iterations count the gradients taken.
     """
     count, samples, centers = k_num.shape
+    if not np.all(b_vec >= np.finfo(np.float64).tiny):
+        raise DegenerateBandwidthError(
+            "a center's mean denominator kernel value underflows to 0 at this "
+            "bandwidth, so the KLIEP objective has no finite maximum"
+        )
     k_num /= b_vec[:, None, :]
     w = b_vec / b_vec.sum(axis=1, keepdims=True)
     g = (k_num @ w[..., None])[..., 0]
     objective = _mean_log(g)
-    step = np.ones(count)
+    step = np.empty(count)  # last accepted step
+    move = np.empty((count, centers))  # last accepted w_k - w_{k-1}
+    last_grad = np.empty((count, centers))
     out_w = np.empty((count, centers))
     out_objective = np.empty(count)
     iterations = np.full(count, max_iters)
@@ -274,39 +306,49 @@ def kliep_ascent(
         stack = k_num[: live.size]
         inv_g = np.where(g > LOG_FLOOR, 1.0 / np.maximum(g, LOG_FLOOR), 0.0)
         grad = (stack.swapaxes(1, 2) @ inv_g[..., None])[..., 0] / samples
+        top = grad.max(axis=1)
+        certified = np.log(top) <= tolerance
+        if it == 1:
+            trial = 1.0 / top
+        else:
+            curvature = -_row_dot(move, grad - last_grad)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                spectral = _row_dot(move, move) / curvature
+            trial = np.where((curvature > 0.0) & np.isfinite(spectral), spectral, 2.0 * step)
+        last_grad = grad
         moved = np.zeros(live.size, dtype=bool)
-        delta = np.zeros(live.size)
-        pending = np.arange(live.size)
-        first, width = 0, _SPECULATIVE_HALVINGS
+        pending = np.flatnonzero(~certified)
+        searching, first, width = pending.size, 0, _SPECULATIVE_HALVINGS
         while pending.size and first < _MAX_HALVINGS:
             tried = 0.5 ** np.arange(first, min(first + width, _MAX_HALVINGS))
             hit, pick, cand, cand_objective, cand_g = _try_steps(
-                stack, w, grad, objective, step[pending, None] * tried, pending
+                stack, w, grad, objective, trial[pending, None] * tried, pending
             )
             accept = pending[hit]
-            delta[accept] = cand_objective - objective[accept]
+            move[accept] = cand - w[accept]
             w[accept], objective[accept], g[accept] = cand, cand_objective, cand_g
-            step[accept] *= 2.0 * tried[pick]
+            step[accept] = trial[accept] * tried[pick]
             moved[accept] = True
             pending = pending[~hit]
             first += width
-            width = _SPECULATIVE_HALVINGS * live.size // max(pending.size, 1)
+            width = _SPECULATIVE_HALVINGS * searching // max(pending.size, 1)
         if not np.all(np.isfinite(objective[moved])):
             raise NumericError("KLIEP objective became non-finite")
         if traces is not None:
             for i in np.flatnonzero(moved):
                 traces[live[i]].append(float(objective[i]))
-        done = ~moved | (delta < tolerance)
+        done = ~moved
         if not done.any():
             continue
         idx = live[done]
         out_w[idx], out_objective[idx] = w[done], objective[done]
-        iterations[idx], converged[idx] = it, True
+        iterations[idx], converged[idx] = it, certified[done]
         keep = np.flatnonzero(~done)
         for dst, src in enumerate(keep):  # ascending: no row is read after
             if dst != src:  # it has been overwritten
                 k_num[dst] = k_num[src]
-        live, w, objective, g, step = (a[keep] for a in (live, w, objective, g, step))
+        live, w, objective, g, step, move, last_grad = (
+            a[keep] for a in (live, w, objective, g, step, move, last_grad))
         if not live.size:
             break
     out_w[live], out_objective[live] = w, objective
@@ -315,18 +357,21 @@ def kliep_ascent(
 
 def kliep_fit(
     design,
-    tolerance: float = 1e-6,
+    tolerance: float = 1e-3,
     max_iters: int = 500,
     trace: list | None = None,
 ) -> tuple[RatioModel, FitDiagnostics]:
     """Constrained maximum-likelihood ratio fit by projected gradient ascent.
 
     Maximizes mean_i log g(Y_i) subject to mean_j g(Y'_j) = 1 and theta >= 0
-    with ``kliep_ascent`` on a copy of ``design.k_num``; the objective trace
-    is monotone non-decreasing.  ``trace``, when given, receives the start
+    with ``kliep_ascent`` on a copy of ``design.k_num``: spectral trial steps,
+    halved until the Armijo test passes, so the objective trace is monotone
+    non-decreasing.  ``tolerance`` is the certified gap in nats at which the
+    ascent stops as converged.  ``trace``, when given, receives the start
     objective and the objective after every accepted step.  The diagnostics'
     ``gap``, log max_l grad_l / b_l at theta, bounds how far the objective is
-    below its maximum.
+    below its maximum; a converged fit has gap <= ``tolerance``, up to
+    rounding.
     """
     b_vec = design.k_den.mean(axis=0)
     theta, objective, iterations, converged = kliep_ascent(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 
 def window_vectors_by_index(values: np.ndarray, k: int) -> list[list[float]]:
@@ -251,21 +251,25 @@ def kliep_em_objective(k_num, k_den, iterations):
     return _kliep_objective_loop(comp, w)
 
 
-def kliep_fit_loop(k_num, k_den, tolerance=1e-6, max_iters=500, trace=None):
+def kliep_fit_loop(k_num, k_den, tolerance=1e-3, max_iters=500, trace=None):
     """KLIEP by projected gradient ascent in mixture weights, one problem at
     a time.
 
     Maximizes mean_i log g(Y_i) (g floored at 1e-12) over theta >= 0 with
     mean_j g(Y'_j) = 1.  With b the mean denominator kernel row, the weights
     w = b * theta range over the unit simplex and g = (k_num / b) @ w; the
-    ascent starts at w = b / sum(b).  Each iteration tries the step 1, 1/2,
-    1/4, ... (at most 60 halvings, starting from twice the last accepted
-    step) and takes the first candidate, projected onto the simplex, that
-    passes the Armijo test with factor 1e-4.  It stops when no step passes
-    (converged), when the gain falls below ``tolerance`` (converged) or after
-    ``max_iters`` iterations.  ``trace`` receives the start objective and the
-    objective after every accepted step.  Returns (theta, objective,
-    iterations, converged), with theta = w / b.
+    ascent starts at w = b / sum(b).  Each iteration takes the gradient in w
+    and stops (converged) once log max_l grad_l <= ``tolerance``.  Otherwise
+    it tries a step, then its halvings (at most 60 candidates), and takes the
+    first candidate, projected onto the simplex, that passes the Armijo test
+    with factor 1e-4; where none passes it stops (not converged).  The step
+    tried first is 1 / max_l grad_l in the first iteration and s.s / (-s.y)
+    after it, s the last move of w and y the change of the gradient since,
+    or twice the last accepted step where -s.y <= 0 or the quotient is not
+    finite.  After ``max_iters`` iterations it stops (not converged).
+    ``trace`` receives the start objective and the objective after every
+    accepted step.  Returns (theta, objective, iterations, converged), with
+    theta = w / b.
     """
     floor = 1e-12
     b_vec = k_den.mean(axis=0)
@@ -276,13 +280,22 @@ def kliep_fit_loop(k_num, k_den, tolerance=1e-6, max_iters=500, trace=None):
         trace.append(objective)
     iterations = 0
     converged = False
-    step_init = 1.0
+    w_before = grad_before = accepted_step = None
     for it in range(1, max_iters + 1):
         iterations = it
         g = comp @ w
         inv_g = np.where(g > floor, 1.0 / np.maximum(g, floor), 0.0)
         grad = comp.T @ inv_g / comp.shape[0]
-        step = step_init
+        if math.log(float(np.max(grad))) <= tolerance:
+            converged = True
+            break
+        if w_before is None:
+            step = 1.0 / float(np.max(grad))
+        else:
+            s = w - w_before
+            curvature = -float(s @ (grad - grad_before))
+            spectral = float(s @ s) / curvature if curvature > 0.0 else math.inf
+            step = spectral if math.isfinite(spectral) else 2.0 * accepted_step
         accepted = False
         for _ in range(60):
             candidate = _simplex_project_loop(w + step * grad)
@@ -294,17 +307,12 @@ def kliep_fit_loop(k_num, k_den, tolerance=1e-6, max_iters=500, trace=None):
                     break
             step *= 0.5
         if not accepted:
-            converged = True
             break
-        step_init = 2.0 * step
-        delta = cand_objective - objective
+        w_before, grad_before, accepted_step = w, grad, step
         w = candidate
         objective = cand_objective
         if trace is not None:
             trace.append(objective)
-        if delta < tolerance:
-            converged = True
-            break
     return w / b_vec, objective, iterations, converged
 
 
@@ -314,7 +322,11 @@ def kliep_cv_loop(num, den, sigma_factors, folds, seed):
     Folds and centers as in ``least_squares_cv_loop``.  The score of a sigma
     is the held-out numerator log-likelihood averaged over folds.  Returns
     (per-sigma scores, best sigma); the best sigma is the last maximum in
-    ascending order.
+    ascending order.  The kernels come from SciPy's squared distances, bit
+    for bit those of the package: the ascent's spectral steps grow a 2e-16
+    difference in the kernels into 2.5e-12 in one fit's objective (n = 52,
+    t = 1, sigma factor 0.6), more than the 1e-10 relative tolerance at which
+    the grid test compares scores.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
@@ -327,8 +339,7 @@ def kliep_cv_loop(num, den, sigma_factors, folds, seed):
         sigma = factor * d_med
 
         def kernel(x):
-            sq = ((x[:, None, :] - num[None, :, :]) ** 2).sum(axis=-1)
-            return np.exp(-sq / (2.0 * sigma**2))
+            return np.exp(-cdist(x, num, "sqeuclidean") / (2.0 * sigma**2))
 
         k_num, k_den = kernel(num), kernel(den)
         total = 0.0

@@ -177,6 +177,23 @@ class TestScoreDetectEval:
         assert errors[0].startswith("error: degenerate-bandwidth:")
         assert errors[0].endswith("(at position t=222, boundary 272)\n")
 
+    def test_kliep_zero_denominator_kernel_error_line(self, tmp_path, capsys, monkeypatch):
+        y = np.random.default_rng(0).normal(size=600)
+        y[300] = 100.0
+        p = tmp_path / "spike.csv"
+        p.write_text("\n".join(repr(float(v)) for v in y) + "\n")
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert main(["detect", str(p), "--out", str(tmp_path / "o"), "--estimator",
+                         "kliep", "--stride", "5", "--cv-stride", "5"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: degenerate-bandwidth: a center's mean "
+                                    "denominator kernel value underflows to 0")
+        assert errors[0].endswith("(at position t=276, boundary 326)\n")
+
     def test_alpha_zero_reduction_via_cli(self, tmp_path):
         p = _make_input(tmp_path)
         main(["detect", str(p), "--out", str(tmp_path / "r"), "--estimator",

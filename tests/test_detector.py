@@ -506,6 +506,25 @@ def test_flat_stretch_fails_at_the_same_position_at_any_worker_count(monkeypatch
     assert messages[0].endswith("(at position t=222, boundary 272)")
 
 
+def test_kliep_zero_denominator_kernel_fails_at_the_same_position_at_any_worker_count(
+        monkeypatch):
+    # a spike of 100 puts centers so far from every denominator sample that
+    # their mean denominator kernel underflows to 0: the KLIEP objective is
+    # unbounded, and the block's CV or final fits raise before the ascent
+    y = np.random.default_rng(0).normal(size=600)
+    y[300] = 100.0
+    cfg = DetectorConfig(estimator_kind="kliep", stride=5, cv_stride=5)
+    messages = []
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(DegenerateBandwidthError) as info:
+            change_scores(TimeSeries(y), cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "mean denominator kernel value underflows to 0" in messages[0]
+    assert messages[0].endswith("(at position t=276, boundary 326)")
+
+
 def test_earlier_final_fit_error_wins_over_a_later_cv_error_in_one_run(monkeypatch):
     # the serial sweep's run of blocks t=217..224 holds t=222, whose CV fails
     # on the flat stretch, and t=219, whose final fits are made to fail; a

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcpd.embedding import build_windows, segment_pair
-from relcpd.errors import DimensionMismatchError, ParameterError
+from relcpd.embedding import TimeSeries, build_windows, segment_pair
+from relcpd.errors import DegenerateBandwidthError, DimensionMismatchError, ParameterError
 from relcpd.kernel import DesignMatrices, design_matrices, median_distance
 from relcpd.model_selection import CvGrid, cv_select
 from relcpd.seeding import mix_seed
@@ -354,6 +354,71 @@ def test_gap_bounds_the_distance_to_the_em_optimum(seed, max_iters):
     f_em = kliep_em_objective(k_num, k_den, iterations=2000)
     assert diag.gap >= -1e-12  # both up to rounding
     assert diag.gap >= f_em - diag.objective_value - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6),
+       tiny=st.lists(st.floats(1e-14, 1e-4), max_size=3),
+       max_iters=st.sampled_from((3, 30, 500)))
+def test_converged_fits_are_certified(seed, count, tiny, max_iters):
+    # a stack of drawn problems, some with a center far from every
+    # denominator sample, so that its mean denominator kernel b_l is tiny
+    k_nums, k_dens = _kliep_problems(seed, count, samples=20, centers=25, dim=3)
+    for p, b_l in enumerate(tiny):
+        k_dens[p % count][:, p] = b_l
+    b_vec = np.stack([k.mean(axis=0) for k in k_dens])
+    tolerance = 1e-3
+    _, objective, iterations, converged = kliep_ascent(
+        np.stack(k_nums), b_vec, tolerance, max_iters)
+    for p, (k_num, k_den) in enumerate(zip(k_nums, k_dens)):
+        design = DesignMatrices(k_num=k_num, k_den=k_den, centers=np.zeros((25, 3)),
+                                sigma=1.0)
+        _, diag = kliep_fit(design, tolerance, max_iters)
+        assert (diag.objective_value, diag.iterations, diag.converged) == (
+            objective[p], iterations[p], converged[p])
+        if diag.converged:  # both up to rounding
+            assert -1e-12 <= diag.gap <= tolerance + 1e-12
+        f_em = kliep_em_objective(k_num, k_den, iterations=2000)
+        assert f_em - diag.objective_value <= diag.gap + 1e-12
+
+
+def test_fit_cut_by_max_iters_is_not_converged():
+    (k_num,), (k_den,) = _kliep_problems(12, 1)
+    design = DesignMatrices(k_num=k_num, k_den=k_den, centers=np.zeros((50, 4)), sigma=1.0)
+    assert kliep_fit(design)[1].converged
+    _, diag = kliep_fit(design, max_iters=2)
+    assert (diag.iterations, diag.converged) == (2, False)
+    assert diag.gap > 1e-3
+
+
+def test_spike_fit_reaches_the_em_optimum():
+    # a center whose mean denominator kernel is 5e-13: no halving of a first
+    # step of 1.0 passes the Armijo test here (the fit ends at -0.353), one
+    # of 1 / max grad does
+    y = np.random.default_rng(0).normal(size=600)
+    y[300] = 20.0
+    windows = build_windows(TimeSeries(y), 10)
+    cv_pair = segment_pair(windows, 276, 50)
+    sigma = 0.6 * median_distance(np.vstack([cv_pair.reference, cv_pair.test]))
+    assert sigma == pytest.approx(2.619, abs=1e-3)
+    pair = segment_pair(windows, 281, 50)
+    design = design_matrices(pair.reference, pair.test, pair.reference, sigma)
+    assert design.k_den.mean(axis=0).min() < 1e-12
+    _, diag = kliep_fit(design)
+    f_em = kliep_em_objective(design.k_num, design.k_den, iterations=2000)
+    assert diag.converged
+    assert f_em - 1e-3 <= diag.objective_value <= f_em + 1e-12
+
+
+@pytest.mark.parametrize("b_l", [0.0, 1e-310])
+def test_zero_mean_denominator_kernel_raises(b_l):
+    # with b_l = 0, theta_l is free under b.theta = 1 and the objective is
+    # unbounded; a subnormal b_l would overflow k_num / b
+    (k_num,), (k_den,) = _kliep_problems(14, 1)
+    b_vec = k_den.mean(axis=0)
+    b_vec[3] = b_l
+    with pytest.raises(DegenerateBandwidthError, match="underflows to 0"):
+        kliep_ascent(k_num[None].copy(), b_vec[None])
 
 
 @settings(max_examples=200, deadline=None)
