@@ -15,16 +15,17 @@ row), whose feasible set is the unit simplex: per iteration one gradient, one
 batch of candidate steps and one sort-based projection onto the simplex for
 every problem still running, each with its own step size.  A problem stops as
 soon as its certified gap log max_l grad_l, an upper bound on its distance to
-the maximum in nats, is at most ``tolerance`` (1e-3 by default).  Trial steps
-are spectral (Barzilai-Borwein) steps, 1 / max_l grad_l at first.  The
-backtracking is speculative: a round tries the next few halvings of every
-pending problem at once, _SPECULATIVE_HALVINGS candidates per problem that
-entered the search, shared among those still pending, and keeps the first
-that passes the Armijo test, the step a one-at-a-time search accepts.
-Products are matrix-vector or dot products per candidate, so a problem's
-iterates do not depend on the rest of the stack.  Finished problems leave the
-stack; a later backtracking round gathers the kernel rows of the problems
-still pending, and the other temporaries are a few (problems x
+the maximum in nats, is at most ``tolerance`` (1e-3 by default).  The ascent
+starts at the better of the uniform weights w = 1 / centers and the uniform
+theta, and its trial steps are spectral (Barzilai-Borwein) steps, 1 / max_l
+grad_l at first.  The backtracking is speculative: a round tries the next few
+halvings of every pending problem at once, _SPECULATIVE_HALVINGS candidates
+per problem that entered the search, shared among those still pending, and
+keeps the first that passes the Armijo test, the step a one-at-a-time search
+accepts.  Products are matrix-vector or dot products per candidate, so a
+problem's iterates do not depend on the rest of the stack.  Finished problems
+leave the stack; a later backtracking round gathers the kernel rows of the
+problems still pending, and the other temporaries are a few (problems x
 _SPECULATIVE_HALVINGS x centers) arrays and two (problems x centers) arrays,
 the last move and gradient, for the spectral step.  On one problem the engine
 is about twice as slow as a plain loop, so callers batch, up to STACK
@@ -224,8 +225,8 @@ def _try_steps(stack, w, grad, objective, steps, pending):
     """One backtracking round: for each problem in ``pending``, project
     w + step * grad for each of its ``steps`` (pending, tried) and find the
     first candidate that passes the Armijo test.  Returns the mask of
-    problems with a passing step, the index of that step, and the candidate
-    with its objective and model values g, for the masked problems."""
+    problems with a passing step, and the candidate with its objective and
+    model values g, for the masked problems."""
     base, direction = w[pending, None], grad[pending, None]
     cand = _simplex_project(base + steps[..., None] * direction)
     # products per candidate (matrix-vector and dot, not matrix-matrix), so
@@ -237,7 +238,7 @@ def _try_steps(stack, w, grad, objective, steps, pending):
     passed = (gain > 0.0) & (cand_objective >= objective[pending, None] + _ARMIJO * gain)
     hit = passed.any(axis=1)
     pick = passed.argmax(axis=1)[hit]
-    return hit, pick, cand[hit, pick], cand_objective[hit, pick], cand_g[hit, pick]
+    return hit, cand[hit, pick], cand_objective[hit, pick], cand_g[hit, pick]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,25 +262,33 @@ def kliep_ascent(
     double raises ``DegenerateBandwidthError``: with b_l = 0, theta_l is
     unbounded under b . theta = 1, and so is the objective.
     The ascent runs in w = b * theta over the unit simplex: ``k_num`` is
-    divided by b in place, and w starts at b / sum(b), the uniform theta.
+    divided by b in place, and w starts at the uniform weights 1 / centers
+    or at the uniform theta, w = b / sum(b), whichever has the higher
+    objective.  From the uniform theta alone, a center with a tiny b_l
+    starts with almost no weight and a gradient entry near 1 / b_l, too
+    steep for any halving of the first step to pass (as at b_l = 1.6e-109);
+    from the uniform weights alone, a fit could end below the uniform
+    theta's objective, by up to its gap.
 
     Each iteration starts with the gradient in w and its certified gap, log
     max_l grad_l: no feasible point is better by more than that, so a
     problem whose gap is at most ``tolerance`` (nats) stops as converged.
     Otherwise it tries a step from a trial value, halved up to _MAX_HALVINGS
     times until a candidate projected by ``_simplex_project`` passes the
-    Armijo test (factor 1e-4).  The first trial is 1 / max_l grad_l, scale
-    free; later ones are the spectral step s.s / (-s.y) of the last move s
-    and gradient change y (Barzilai & Borwein 1988, as in SPG: Birgin,
-    Martinez & Raydan 2000), or twice the last accepted step where -s.y <= 0
-    or the quotient is not finite.  Later backtracking rounds share the first
-    round's candidate count among the problems still pending.  A problem
-    where no step passes, or that reaches ``max_iters`` iterations, ends not
-    converged.  Finished problems' rows of ``k_num`` are overwritten, as the
-    stack is compacted in place.  ``traces``, when given, holds one list per
-    problem for its start objective and the objective after every accepted
-    step.  Returns (theta, objective, iterations, converged), with theta = w
-    / b; a problem's iterations count the gradients taken.
+    Armijo test (factor 1e-4).  The trial is the spectral step s.s / (-s.y)
+    of the last move s and gradient change y (Barzilai & Borwein 1988, as in
+    SPG: Birgin, Martinez & Raydan 2000), or the scale-free 1 / max_l grad_l
+    where -s.y <= 0 or the quotient is not finite: at the first iteration,
+    where s = 0, and, f being concave, hardly ever after it (never in the
+    291,572 later trials of ``tools/kliep_stacks.py`` at seeds 3 and 11).
+    Later backtracking rounds share the first round's candidate count among
+    the problems still pending.  A problem where no step passes, or that
+    reaches ``max_iters`` iterations, ends not converged.  Finished problems'
+    rows of ``k_num`` are overwritten, as the stack is compacted in place.
+    ``traces``, when given, holds one list per problem for its start
+    objective and the objective after every accepted step.  Returns (theta,
+    objective, iterations, converged), with theta = w / b; a problem's
+    iterations count the gradients taken.
     """
     count, samples, centers = k_num.shape
     if not np.all(b_vec >= np.finfo(np.float64).tiny):
@@ -288,12 +297,15 @@ def kliep_ascent(
             "bandwidth, so the KLIEP objective has no finite maximum"
         )
     k_num /= b_vec[:, None, :]
-    w = b_vec / b_vec.sum(axis=1, keepdims=True)
+    w = np.full((count, centers), 1.0 / centers)
     g = (k_num @ w[..., None])[..., 0]
+    uniform_theta = b_vec / b_vec.sum(axis=1, keepdims=True)
+    uniform_theta_g = (k_num @ uniform_theta[..., None])[..., 0]
+    better = _mean_log(uniform_theta_g) > _mean_log(g)
+    w[better], g[better] = uniform_theta[better], uniform_theta_g[better]
     objective = _mean_log(g)
-    step = np.empty(count)  # last accepted step
-    move = np.empty((count, centers))  # last accepted w_k - w_{k-1}
-    last_grad = np.empty((count, centers))
+    move = np.zeros((count, centers))  # last accepted w_k - w_{k-1}
+    last_grad = np.zeros((count, centers))
     out_w = np.empty((count, centers))
     out_objective = np.empty(count)
     iterations = np.full(count, max_iters)
@@ -308,26 +320,22 @@ def kliep_ascent(
         grad = (stack.swapaxes(1, 2) @ inv_g[..., None])[..., 0] / samples
         top = grad.max(axis=1)
         certified = np.log(top) <= tolerance
-        if it == 1:
-            trial = 1.0 / top
-        else:
-            curvature = -_row_dot(move, grad - last_grad)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                spectral = _row_dot(move, move) / curvature
-            trial = np.where((curvature > 0.0) & np.isfinite(spectral), spectral, 2.0 * step)
+        curvature = -_row_dot(move, grad - last_grad)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            spectral = _row_dot(move, move) / curvature
+        trial = np.where((curvature > 0.0) & np.isfinite(spectral), spectral, 1.0 / top)
         last_grad = grad
         moved = np.zeros(live.size, dtype=bool)
         pending = np.flatnonzero(~certified)
         searching, first, width = pending.size, 0, _SPECULATIVE_HALVINGS
         while pending.size and first < _MAX_HALVINGS:
             tried = 0.5 ** np.arange(first, min(first + width, _MAX_HALVINGS))
-            hit, pick, cand, cand_objective, cand_g = _try_steps(
+            hit, cand, cand_objective, cand_g = _try_steps(
                 stack, w, grad, objective, trial[pending, None] * tried, pending
             )
             accept = pending[hit]
             move[accept] = cand - w[accept]
             w[accept], objective[accept], g[accept] = cand, cand_objective, cand_g
-            step[accept] = trial[accept] * tried[pick]
             moved[accept] = True
             pending = pending[~hit]
             first += width
@@ -347,8 +355,8 @@ def kliep_ascent(
         for dst, src in enumerate(keep):  # ascending: no row is read after
             if dst != src:  # it has been overwritten
                 k_num[dst] = k_num[src]
-        live, w, objective, g, step, move, last_grad = (
-            a[keep] for a in (live, w, objective, g, step, move, last_grad))
+        live, w, objective, g, move, last_grad = (
+            a[keep] for a in (live, w, objective, g, move, last_grad))
         if not live.size:
             break
     out_w[live], out_objective[live] = w, objective

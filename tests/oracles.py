@@ -258,29 +258,34 @@ def kliep_fit_loop(k_num, k_den, tolerance=1e-3, max_iters=500, trace=None):
     Maximizes mean_i log g(Y_i) (g floored at 1e-12) over theta >= 0 with
     mean_j g(Y'_j) = 1.  With b the mean denominator kernel row, the weights
     w = b * theta range over the unit simplex and g = (k_num / b) @ w; the
-    ascent starts at w = b / sum(b).  Each iteration takes the gradient in w
-    and stops (converged) once log max_l grad_l <= ``tolerance``.  Otherwise
-    it tries a step, then its halvings (at most 60 candidates), and takes the
-    first candidate, projected onto the simplex, that passes the Armijo test
-    with factor 1e-4; where none passes it stops (not converged).  The step
-    tried first is 1 / max_l grad_l in the first iteration and s.s / (-s.y)
-    after it, s the last move of w and y the change of the gradient since,
-    or twice the last accepted step where -s.y <= 0 or the quotient is not
-    finite.  After ``max_iters`` iterations it stops (not converged).
-    ``trace`` receives the start objective and the objective after every
-    accepted step.  Returns (theta, objective, iterations, converged), with
-    theta = w / b.
+    ascent starts at the uniform weights w = 1 / m over the m centers, or at
+    w = b / sum(b) where that has the higher objective.  Each iteration takes
+    the gradient in w and stops (converged) once log max_l grad_l <=
+    ``tolerance``.  Otherwise it tries a step, then its halvings (at most 60
+    candidates), and takes the first candidate, projected onto the simplex,
+    that passes the Armijo test with factor 1e-4; where none passes it stops
+    (not converged).  The step tried first is 1 / max_l grad_l in the first
+    iteration and s.s / (-s.y) after it, s the last move of w and y the
+    change of the gradient since, or again 1 / max_l grad_l where -s.y <= 0
+    or the quotient is not finite.  After ``max_iters`` iterations it stops
+    (not converged).  ``trace`` receives the start objective and the
+    objective after every accepted step.  Returns (theta, objective,
+    iterations, converged), with theta = w / b.
     """
     floor = 1e-12
     b_vec = k_den.mean(axis=0)
     comp = k_num / b_vec
-    w = b_vec / b_vec.sum()
+    w = np.full(len(b_vec), 1.0 / len(b_vec))
     objective = _kliep_objective_loop(comp, w)
+    w_theta = b_vec / b_vec.sum()
+    if _kliep_objective_loop(comp, w_theta) > objective:
+        w = w_theta
+        objective = _kliep_objective_loop(comp, w)
     if trace is not None:
         trace.append(objective)
     iterations = 0
     converged = False
-    w_before = grad_before = accepted_step = None
+    w_before = grad_before = None
     for it in range(1, max_iters + 1):
         iterations = it
         g = comp @ w
@@ -295,7 +300,7 @@ def kliep_fit_loop(k_num, k_den, tolerance=1e-3, max_iters=500, trace=None):
             s = w - w_before
             curvature = -float(s @ (grad - grad_before))
             spectral = float(s @ s) / curvature if curvature > 0.0 else math.inf
-            step = spectral if math.isfinite(spectral) else 2.0 * accepted_step
+            step = spectral if math.isfinite(spectral) else 1.0 / float(np.max(grad))
         accepted = False
         for _ in range(60):
             candidate = _simplex_project_loop(w + step * grad)
@@ -308,7 +313,7 @@ def kliep_fit_loop(k_num, k_den, tolerance=1e-3, max_iters=500, trace=None):
             step *= 0.5
         if not accepted:
             break
-        w_before, grad_before, accepted_step = w, grad, step
+        w_before, grad_before = w, grad
         w = candidate
         objective = cand_objective
         if trace is not None:
@@ -323,10 +328,12 @@ def kliep_cv_loop(num, den, sigma_factors, folds, seed):
     is the held-out numerator log-likelihood averaged over folds.  Returns
     (per-sigma scores, best sigma); the best sigma is the last maximum in
     ascending order.  The kernels come from SciPy's squared distances, bit
-    for bit those of the package: the ascent's spectral steps grow a 2e-16
-    difference in the kernels into 2.5e-12 in one fit's objective (n = 52,
-    t = 1, sigma factor 0.6), more than the 1e-10 relative tolerance at which
-    the grid test compares scores.
+    for bit those of the package.  Kernels from a coordinate-by-coordinate
+    sum of squares differ from them by about 2e-16, which the ascent's
+    spectral steps and threshold stop grow into scores up to 4.8e-11
+    relatively apart (n = 50), half the 1e-10 tolerance of the grid test.
+    The package's kernels are checked against that sum on their own, at
+    1e-12.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)

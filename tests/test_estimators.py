@@ -380,6 +380,9 @@ def test_converged_fits_are_certified(seed, count, tiny, max_iters):
             assert -1e-12 <= diag.gap <= tolerance + 1e-12
         f_em = kliep_em_objective(k_num, k_den, iterations=2000)
         assert f_em - diag.objective_value <= diag.gap + 1e-12
+        # never below the uniform theta, the start of EM
+        f_start = kliep_em_objective(k_num, k_den, iterations=0)
+        assert diag.objective_value >= f_start - 1e-12
 
 
 def test_fit_cut_by_max_iters_is_not_converged():
@@ -391,19 +394,21 @@ def test_fit_cut_by_max_iters_is_not_converged():
     assert diag.gap > 1e-3
 
 
-def test_spike_fit_reaches_the_em_optimum():
-    # a center whose mean denominator kernel is 5e-13: no halving of a first
-    # step of 1.0 passes the Armijo test here (the fit ends at -0.353), one
-    # of 1 / max grad does
+@pytest.mark.parametrize("spike, b_min", [(20.0, 1e-12), (70.0, 1e-148)])
+def test_spike_fit_reaches_the_em_optimum(spike, b_min):
+    # a center whose mean denominator kernel is 5e-13 (2e-149 at 70): no
+    # halving of a first step of 1.0 passes the Armijo test at 20 (the fit
+    # ends at -0.353), and from w = b / sum(b) none of 1 / max grad passes at
+    # 70 (it ends at -0.425); from uniform weights both fits get there
     y = np.random.default_rng(0).normal(size=600)
-    y[300] = 20.0
+    y[300] = spike
     windows = build_windows(TimeSeries(y), 10)
     cv_pair = segment_pair(windows, 276, 50)
     sigma = 0.6 * median_distance(np.vstack([cv_pair.reference, cv_pair.test]))
     assert sigma == pytest.approx(2.619, abs=1e-3)
     pair = segment_pair(windows, 281, 50)
     design = design_matrices(pair.reference, pair.test, pair.reference, sigma)
-    assert design.k_den.mean(axis=0).min() < 1e-12
+    assert design.k_den.mean(axis=0).min() < b_min
     _, diag = kliep_fit(design)
     f_em = kliep_em_objective(design.k_num, design.k_den, iterations=2000)
     assert diag.converged

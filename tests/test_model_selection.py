@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcpd import estimators, seeding
+from relcpd import estimators, model_selection, seeding
 from relcpd.embedding import build_windows, segment_pair
 from relcpd.errors import DegenerateBandwidthError, ParameterError, SingularSystemError
 from relcpd.estimators import _solve_spd
@@ -18,7 +18,7 @@ from relcpd.model_selection import (
 )
 from relcpd.synthgen import SynthSpec, generate
 
-from oracles import kliep_cv_loop, least_squares_cv_loop
+from oracles import kliep_cv_loop, least_squares_cv_loop, median_pairwise_distance
 
 
 def _samples(seed=0, n=30, dim=2, shift=0.4):
@@ -261,6 +261,40 @@ def test_kliep_grid_matches_loop_oracle(n):
             assert res.best_lambda == max(grid.lambdas)
             got = np.array([res.score_table[(s, grid.lambdas[0])] for s in scores])
             np.testing.assert_allclose(got, list(scores.values()), rtol=1e-10, atol=0)
+
+
+def test_kliep_cv_kernels_match_elementwise_formula(monkeypatch):
+    # kliep_cv_loop takes its kernels from the same cdist call as the
+    # package, so the grid test above compares folds, fits and held-out
+    # scores on equal inputs; this checks those inputs on their own
+    series = generate(SynthSpec(dataset_id=2, length=800, seed=52))
+    pair = segment_pair(build_windows(series, 10), 1, 52)
+    num, den = pair.reference, pair.test
+    grid = CvGrid(seed=seeding.mix_seed(23, 1, 0))
+    recorded = []
+    scores = model_selection._kliep_cv_scores
+
+    def recording_scores(cases):
+        recorded.extend(cases)
+        return scores(cases)
+
+    monkeypatch.setattr(model_selection, "_kliep_cv_scores", recording_scores)
+    cv_select(num, den, grid, "kliep")
+    (k_num, b_vecs, folds), = recorded
+    d_med = median_pairwise_distance(np.vstack([num, den]))
+    for s, factor in enumerate(grid.sigma_factors):
+        sigma = factor * d_med
+
+        def kernel(x):
+            sq = ((x[:, None, :] - num[None, :, :]) ** 2).sum(axis=-1)
+            return np.exp(-sq / (2.0 * sigma**2))
+
+        np.testing.assert_allclose(k_num[s], kernel(num), rtol=1e-12, atol=0)
+        k_den = kernel(den)
+        for f, (_, (den_tr, _)) in enumerate(folds):
+            np.testing.assert_allclose(
+                b_vecs[f][s], k_den[den_tr].mean(axis=0), rtol=1e-12, atol=0
+            )
 
 
 def test_kliep_grid_memory_peak():

@@ -14,8 +14,8 @@ final) it prints:
 * the candidate steps tried and the fits not reported converged;
 * the certified gap log max_l (grad_theta f)_l / b_l at the returned theta,
   its median, 99th percentile and maximum;
-* the shortfall f_EM - f against ``--em-updates`` multiplicative EM updates
-  on every ``--em-every``-th problem (a lower bound on the true shortfall).
+* the shortfall f_EM - f against EM_UPDATES multiplicative EM updates on
+  every EM_EVERY-th problem (a lower bound on the true shortfall).
 
     python3 tools/kliep_stacks.py <checkout> [<checkout> ...] [--seed 3]
 
@@ -39,6 +39,8 @@ import numpy as np
 DATASETS = (1, 2, 3, 4)
 LENGTH = 2000
 DETECTOR = {"n": 50, "k": 10, "stride": 5, "cv_stride": 5}
+EM_UPDATES = 2000
+EM_EVERY = 10
 FLOOR = 1e-12
 
 
@@ -55,7 +57,7 @@ def em_objectives(k_num: np.ndarray, b_vec: np.ndarray, updates: int) -> np.ndar
     return np.log(np.maximum(g, FLOOR)).mean(axis=1)
 
 
-def measure(checkout: str, seed: int, em_updates: int, em_every: int) -> dict:
+def measure(checkout: str, seed: int) -> dict:
     """Child process: sweep, record every stack, return the per-kind totals."""
     sys.path.insert(0, str(Path(checkout) / "src"))
     from relcpd import (CvGrid, DetectorConfig, SynthSpec, change_scores, detector,
@@ -95,9 +97,9 @@ def measure(checkout: str, seed: int, em_updates: int, em_every: int) -> dict:
             s["gaps"] += np.log(np.max(grad / b_orig, axis=1)).tolist()
             s["iterations"] += iterations.tolist()
             index = s["problems"] - len(theta) + np.arange(len(theta))  # within the kind
-            picked = np.flatnonzero(index % em_every == 0)
+            picked = np.flatnonzero(index % EM_EVERY == 0)
             if picked.size:
-                f_em = em_objectives(k_orig[picked], b_orig[picked], em_updates)
+                f_em = em_objectives(k_orig[picked], b_orig[picked], EM_UPDATES)
                 s["shortfalls"] += (f_em - objective[picked]).tolist()
             return out
         return wrapper
@@ -131,23 +133,17 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+")
     parser.add_argument("--seed", type=int, default=3, help="series and CV seed (default 3)")
-    parser.add_argument("--em-updates", type=int, default=2000,
-                        help="EM updates of the reference fits (default 2000)")
-    parser.add_argument("--em-every", type=int, default=10,
-                        help="run the EM reference on every N-th problem (default 10)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.checkouts[0], args.seed, args.em_updates,
-                                 args.em_every)))
+        print(json.dumps(measure(args.checkouts[0], args.seed)))
         return
     print(f"{'checkout':<24} {'stacks':<6} {'time s':>7} {'problems':>8} {'prob-it':>8} "
           f"{'it med':>6} {'lockstep':>8} {'cands':>8} {'unconv':>6} {'gap med':>8} "
           f"{'gap p99':>8} {'gap max':>8} {'short max':>9} {'>1e-3':>5}")
     for checkout in args.checkouts:
         out = subprocess.run(
-            [sys.executable, __file__, checkout, "--child", "--seed", str(args.seed),
-             "--em-updates", str(args.em_updates), "--em-every", str(args.em_every)],
+            [sys.executable, __file__, checkout, "--child", "--seed", str(args.seed)],
             check=True, capture_output=True, text=True).stdout
         summary = json.loads(out)
         for kind in ("cv", "final"):
