@@ -16,16 +16,15 @@ via ``seeding.mix_seed(master, t, direction)``, so blocks are independent:
 any grouping or evaluation order gives the same scores, bit for bit.
 
 The unit of work is a run of consecutive CV blocks, scored in two phases:
-first the CV refresh of every block, in one ``cv_select_many`` call that
-fits the KLIEP CV problems of all blocks and both directions in one
-``kliep_ascent`` stack per training size, then the final fits of all the
-blocks.  A run holds as many whole blocks as fill one STACK with KLIEP CV
-problems, one per (direction, fold, sigma): 8 blocks for the default grid in
-symmetric mode.  The same runs serve uLSIF and RuLSIF, which compute each
-block as on their own.  With more than one worker, runs are shortened so
-that each worker gets RUNS_PER_WORKER runs, down to one block per run.  A run
-of several blocks that fails is scored again one block at a time, so the
-first failing block in series order raises, with the serial sweep's error.
+first the CV refresh of every block, in one ``cv_select_many`` call, then
+the final fits of all the blocks.  A run holds as many whole blocks as fill
+one STACK with KLIEP CV problems, one per (direction, fold, sigma): 8 blocks
+for the default grid in symmetric mode.  The same runs serve uLSIF and
+RuLSIF, which compute each block as on their own.  With more than one
+worker, runs are shortened so that each worker gets RUNS_PER_WORKER runs,
+down to one block per run.  A run of several blocks that fails is scored
+again one block at a time, so the first failing block in series order
+raises, with the serial sweep's error.
 
 A sweep runs on ``min(available CPUs, CPU quota, runs)`` worker processes.
 The available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count``
@@ -54,10 +53,8 @@ chunk's span and one ``exp`` per direction give the band kernel; each pair's
 distance and kernel matrices hold at most (4n)^2 doubles each (0.3 MB for
 n = 50) at any stride.  uLSIF and RuLSIF fit a chunk with one
 ``gram_system`` call, one stacked ``_solve_spd`` and one PE expression.
-KLIEP copies a run's final fits, one chunk's kernels at a time, into
-``kliep_ascent`` stacks of STACK problems that cut across chunks, each term
-the fit's final objective.  The terms equal those of one fit per position.
-A stack's arrays hold at most STACK n^2 doubles each (8 MB for n = 50).
+KLIEP streams a run's final fits into ``estimators.kliep_stacks``, so its
+stacks cut across chunks; each term is the fit's final objective.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ from .errors import (
     integer,
 )
 from .estimators import (
-    ESTIMATOR_KINDS, KLIEP, RULSIF, STACK, _solve_spd, gram_system, kliep_ascent, pe_terms,
+    ESTIMATOR_KINDS, KLIEP, RULSIF, STACK, _solve_spd, gram_system, kliep_stacks, pe_terms,
 )
 # Imported only for perfbench/perftrace.py, which wraps these names here by
 # getattr; they stay until that tracer reads per-layer counters instead.
@@ -183,28 +180,14 @@ def _chunk_kernels(windows, chunk: range, selections: dict, n: int) -> list[tupl
 
 
 def _kliep_terms(windows, chunks: list, n: int) -> list[np.ndarray]:
-    """``_chunk_terms`` for KLIEP: the final fits of ``chunks``, copied one
-    chunk's kernels at a time into one stack of at most STACK problems, which
-    ``kliep_ascent`` fits each time it is full and once more for the rest;
-    each term is the fit's final objective.  Copying frees each chunk's band
-    kernel at once: it holds up to 8 times the doubles of the chunk's
-    problems (at stride 2n)."""
+    """``_chunk_terms`` for KLIEP: the final objectives of ``chunks``' fits,
+    streamed one chunk's band kernel at a time into ``kliep_stacks``."""
     counts = [len(chunk) * len(selections) for chunk, selections in chunks]
-    k_num = np.empty((min(STACK, sum(counts)), n, n))
-    b_vec = np.empty((len(k_num), n))
     problems = (problem for chunk, selections in chunks
                 for k_chunk, k_den in _chunk_kernels(windows, chunk, selections, n)
                 for problem in zip(k_chunk, k_den.mean(axis=1)))
-    objectives, size = [], 0
-    for k_row, b_row in problems:
-        k_num[size], b_vec[size] = k_row, b_row
-        size += 1
-        if size == len(k_num):  # the ascent overwrites k_num, filled again next
-            objectives.append(kliep_ascent(k_num, b_vec)[1])
-            size = 0
-    if size:
-        objectives.append(kliep_ascent(k_num[:size], b_vec[:size])[1])
-    parts = np.split(np.concatenate(objectives), np.cumsum(counts)[:-1])
+    objectives = kliep_stacks(problems, sum(counts))[1]
+    parts = np.split(objectives, np.cumsum(counts)[:-1])
     return [part.reshape(len(selections), -1).T
             for part, (_, selections) in zip(parts, chunks)]
 

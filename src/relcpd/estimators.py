@@ -28,10 +28,8 @@ leave the stack; a later backtracking round gathers the kernel rows of the
 problems still pending, and the other temporaries are a few (problems x
 _SPECULATIVE_HALVINGS x centers) arrays and two (problems x centers) arrays,
 the last move and gradient, for the spectral step.  On one problem the engine
-is about twice as slow as a plain loop, so callers batch, up to STACK
-problems a stack: CV sends the (sigma, fold) problems of all its problems
-(400 for a detector run of 8 blocks, default grid), the detector a run's
-final fits.
+is about twice as slow as a plain loop, so CV and the detector stream their
+problems into ``kliep_stacks``, which packs them into stacks.
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
@@ -71,8 +69,8 @@ _MAX_HALVINGS = 60
 # Spectral trial steps mostly pass at once (1.75 candidates per iteration), so
 # trying more at once wastes candidates: 1 measured faster than 2 and 3.
 _SPECULATIVE_HALVINGS = 1
-# most problems per kliep_ascent stack that CV and the detector send; with
-# 50 samples and centers, a stack of STACK problems holds 8 MB
+# most problems per stack of fits (see kliep_stacks); with 50 samples and
+# centers, a KLIEP stack of STACK problems holds 8 MB
 STACK = 400
 
 
@@ -361,6 +359,32 @@ def kliep_ascent(
             break
     out_w[live], out_objective[live] = w, objective
     return out_w / b_vec, out_objective, iterations, converged
+
+
+def kliep_stacks(problems, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, objective) of each KLIEP problem that ``problems`` yields:
+    (k_num (samples, centers), b (centers)) pairs of one shape, at least one.
+    The one packer of KLIEP problems: each is copied, as it arrives, into a
+    buffer of min(STACK, ``count``) problems (``count``, the number
+    expected, only sizes it), which ``kliep_ascent`` fits each time it is
+    full and once more for the rest.  So a caller may free each problem's
+    source at once, and its arrays are never modified.  A problem's fit does
+    not depend on its stack, so the results equal one fit per problem."""
+    k_num = b_vec = None
+    fitted, size = [], 0
+    for k_row, b_row in problems:
+        if k_num is None:
+            k_num = np.empty((min(STACK, count), *np.shape(k_row)))
+            b_vec = np.empty((len(k_num), *np.shape(b_row)))
+        k_num[size], b_vec[size] = k_row, b_row
+        size += 1
+        if size == len(k_num):  # the ascent overwrites k_num, filled again next
+            fitted.append(kliep_ascent(k_num, b_vec)[:2])
+            size = 0
+    if size:
+        fitted.append(kliep_ascent(k_num[:size], b_vec[:size])[:2])
+    theta, objective = zip(*fitted)
+    return np.concatenate(theta), np.concatenate(objective)
 
 
 def kliep_fit(

@@ -24,16 +24,11 @@ system that is not positive definite with jitter on its own.  Folds are
 solved one at a time, so the largest temporary is sigmas x lambdas x
 centers^2 doubles (0.5 MB for the default grid and 50 centers).
 
-The KLIEP grid is fitted by ``estimators.kliep_ascent`` in lockstep: the
-training rows of every (sigma, fold) problem are gathered into one (problem,
-sample, center) stack, and each fold contributes only its mean denominator
-kernel rows.  ``cv_select_many`` stacks the (sigma, fold) problems of many
-CV problems together, at most STACK a stack: the detector sends a run's 400
-(8 blocks, 2 directions, 5 folds, 5 sigmas; 6.4 MB for 50 samples), and
-``cv_select`` is its one-problem case, 25 problems for the default grid.
-Folds of unequal training size (n = 52 in 5 folds) are grouped by size, one
-stack per size.  The held-out scores are exactly those of one fit per
-problem.
+The KLIEP grid streams every (sigma, fold) problem, its training rows and
+its fold's mean denominator kernel row, into ``estimators.kliep_stacks``:
+one call per training shape for all of a ``cv_select_many`` call (400
+problems for a detector run of 8 blocks and the default grid).  The
+held-out scores are exactly those of one fit per problem.
 
 Ties are broken toward the larger sigma, then the larger lambda.
 """
@@ -45,16 +40,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .errors import ParameterError, integer
+from .errors import DimensionMismatchError, ParameterError, integer
 from .estimators import (
     ESTIMATOR_KINDS,
     KLIEP,
-    STACK,
     _mean_log,
     _solve_spd,
     gram_system,
-    kliep_ascent,
     kliep_fit,  # noqa: F401 -- only for perfbench/perftrace.py, which wraps it here
+    kliep_stacks,
     pe_terms,
 )
 from .kernel import gaussian_kernels, median_distance
@@ -110,33 +104,24 @@ def _kliep_cv_scores(cases: list) -> list[np.ndarray]:
 
     ``b_vecs[f]`` holds fold f's mean denominator kernel rows (sigma,
     center).  The (sigma, fold) problems of all cases' folds with one
-    training shape go to ``kliep_ascent`` together, in stacks of at most
-    STACK problems.
+    training shape go to one ``kliep_stacks`` call.
     """
     fold_scores = [np.empty((len(k_num), len(folds))) for k_num, _, folds in cases]
     by_shape: dict[tuple, list] = {}  # (training size, centers): (case, fold)s
     for c, (k_num, _, folds) in enumerate(cases):
         for f, ((num_tr, _), _) in enumerate(folds):
             by_shape.setdefault((len(num_tr), k_num.shape[2]), []).append((c, f))
-    for (size, centers), members in sorted(by_shape.items()):
+    for members in by_shape.values():
         sigmas = len(cases[0][0])  # one grid for all cases
-        per_stack = max(1, STACK // sigmas)
-        for first in range(0, len(members), per_stack):
-            group = members[first : first + per_stack]
-            # (case fold, sigma, training sample, center), filled without temporaries
-            stack = np.empty((len(group), sigmas, size, centers))
-            for i, (c, f) in enumerate(group):
-                k_num, _, folds = cases[c]
-                np.take(k_num, folds[f][0][0], axis=1, out=stack[i])
-            theta, _, _, _ = kliep_ascent(
-                stack.reshape(-1, size, centers),
-                np.concatenate([cases[c][1][f] for c, f in group]),
-            )
-            theta = theta.reshape(len(group), sigmas, -1, 1)
-            for i, (c, f) in enumerate(group):
-                k_num, _, folds = cases[c]
-                g_hold = (k_num[:, folds[f][0][1]] @ theta[i])[..., 0]
-                fold_scores[c][:, f] = _mean_log(g_hold)
+        problems = ((k_num[s, folds[f][0][0]], b_vecs[f][s])
+                    for c, f in members for k_num, b_vecs, folds in [cases[c]]
+                    for s in range(sigmas))
+        theta = kliep_stacks(problems, len(members) * sigmas)[0]
+        theta = theta.reshape(len(members), sigmas, -1, 1)
+        for (c, f), fold_theta in zip(members, theta):
+            k_num, _, folds = cases[c]
+            g_hold = (k_num[:, folds[f][0][1]] @ fold_theta)[..., 0]
+            fold_scores[c][:, f] = _mean_log(g_hold)
     return [scores.mean(axis=1) for scores in fold_scores]
 
 
@@ -182,10 +167,16 @@ def cv_select_many(
     median distance) raises."""
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ParameterError(f"unknown estimator kind {estimator_kind!r}")
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:  # rulsif_fit's rule; also rejects nan
+        raise ParameterError(f"alpha must lie in [0, 1), got {alpha}")
     sigma_sets, tables, cases = [], [], []
     for numerator_samples, denominator_samples, seed in problems:
         num = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
         den = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
+        if num.shape[1] != den.shape[1]:
+            raise DimensionMismatchError(f"numerator dimension {num.shape[1]} does "
+                                         f"not match denominator dimension {den.shape[1]}")
         if min(num.shape[0], den.shape[0]) < grid.folds:
             raise ParameterError(
                 f"sample sets of sizes {num.shape[0]}/{den.shape[0]} are smaller "

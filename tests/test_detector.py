@@ -200,7 +200,8 @@ def test_kliep_block_fits_match_per_position_loop(monkeypatch, mode, stride, cv_
     # its final fits as stacks of up to the cap that cut across chunks and
     # CV refreshes
     monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # runs of many blocks
-    monkeypatch.setattr(detector, "STACK", stack)
+    monkeypatch.setattr(detector, "STACK", stack)  # runs and chunks
+    monkeypatch.setattr(estimators, "STACK", stack)  # the stacks of kliep_stacks
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(
         n=n, estimator_kind="kliep", score_mode=mode, stride=stride, cv_stride=cv_stride,
@@ -289,29 +290,39 @@ def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
     # of fits, CV or final, KLIEP or least squares, holds at most STACK
     # problems
     monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # calls counted here
-    monkeypatch.setattr(detector, "STACK", stack)
-    monkeypatch.setattr(model_selection, "STACK", stack)
+    monkeypatch.setattr(detector, "STACK", stack)  # runs and chunks
+    monkeypatch.setattr(estimators, "STACK", stack)  # the stacks of kliep_stacks
     spans, stacks, cv_stacks, solves = [], [], [], []
     kernels, solve = detector.gaussian_kernels, detector._solve_spd
+    ascent = estimators.kliep_ascent
+    into = []  # the size list of the kliep_stacks call running: final or CV
 
     def recording_kernels(samples, centers, sigmas):
         spans.append(len(samples))
         return kernels(samples, centers, sigmas)
 
-    def recording(ascent, sizes):
-        def recording_ascent(k_num, b_vec):
-            sizes.append(len(k_num))
-            return ascent(k_num, b_vec)
-        return recording_ascent
+    def recording(kliep_stacks, stack_sizes):
+        def recording_stacks(problems, count):
+            into.append(stack_sizes)
+            try:
+                return kliep_stacks(problems, count)
+            finally:
+                into.pop()
+        return recording_stacks
+
+    def recording_ascent(k_num, b_vec):
+        into[-1].append(len(k_num))
+        return ascent(k_num, b_vec)
 
     def recording_solve(h_mat, lam, rhs):
         solves.append(len(h_mat))
         return solve(h_mat, lam, rhs)
 
     monkeypatch.setattr(detector, "gaussian_kernels", recording_kernels)
-    monkeypatch.setattr(detector, "kliep_ascent", recording(detector.kliep_ascent, stacks))
-    monkeypatch.setattr(model_selection, "kliep_ascent",
-                        recording(model_selection.kliep_ascent, cv_stacks))
+    monkeypatch.setattr(estimators, "kliep_ascent", recording_ascent)
+    monkeypatch.setattr(detector, "kliep_stacks", recording(detector.kliep_stacks, stacks))
+    monkeypatch.setattr(model_selection, "kliep_stacks",
+                        recording(model_selection.kliep_stacks, cv_stacks))
     monkeypatch.setattr(detector, "_solve_spd", recording_solve)
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="kliep", stride=stride, cv_stride=100)

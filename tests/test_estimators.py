@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcpd import estimators
 from relcpd.embedding import TimeSeries, build_windows, segment_pair
 from relcpd.errors import DegenerateBandwidthError, DimensionMismatchError, ParameterError
 from relcpd.kernel import DesignMatrices, design_matrices, median_distance
@@ -268,6 +269,35 @@ def test_ascent_result_does_not_depend_on_the_stack(seed, count, max_iters, flat
         for in_stack, in_permuted, alone in zip(stacked, permuted, ascent([p])):
             np.testing.assert_array_equal(in_stack[p], alone[0])
             np.testing.assert_array_equal(in_permuted[at], alone[0])
+
+
+@pytest.mark.parametrize("count", [1, 6, 7, 8, 20])
+def test_kliep_stacks_matches_one_stack(monkeypatch, count):
+    # the packer fits its stream in stacks of at most STACK problems, bit-equal
+    # to one kliep_ascent call on all of them, and leaves the caller's arrays
+    # as they were; an understated count only shrinks the stacks
+    monkeypatch.setattr(estimators, "STACK", 7)
+    k_nums, k_dens = _kliep_problems(14, count, samples=20, centers=25, dim=3)
+    b_vecs = [k.mean(axis=0) for k in k_dens]
+    k_before, b_before = [k.copy() for k in k_nums], [b.copy() for b in b_vecs]
+    ascent, sizes = estimators.kliep_ascent, []
+
+    def recording_ascent(k_num, b_vec):
+        sizes.append(len(k_num))
+        return ascent(k_num, b_vec)
+
+    want = ascent(np.stack(k_nums), np.stack(b_vecs))[:2]
+    monkeypatch.setattr(estimators, "kliep_ascent", recording_ascent)
+    got = estimators.kliep_stacks(zip(k_nums, b_vecs), count)
+    assert sum(sizes) == count and max(sizes) <= 7 and len(sizes) == -(-count // 7)
+    sizes.clear()
+    understated = estimators.kliep_stacks(zip(k_nums, b_vecs), 1)
+    assert sizes == [1] * count
+    for result in (got, understated):
+        for part, want_part in zip(result, want):
+            np.testing.assert_array_equal(part, want_part)
+    for array, before in zip(k_nums + b_vecs, k_before + b_before):
+        np.testing.assert_array_equal(array, before)
 
 
 class TestKliepAscent:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from relcpd import estimators, model_selection, seeding
 from relcpd.embedding import build_windows, segment_pair
-from relcpd.errors import DegenerateBandwidthError, ParameterError, SingularSystemError
+from relcpd.errors import (
+    DegenerateBandwidthError,
+    DimensionMismatchError,
+    ParameterError,
+    SingularSystemError,
+)
 from relcpd.estimators import _solve_spd
 from relcpd.kernel import median_distance
 from relcpd.model_selection import (
@@ -125,6 +131,41 @@ def test_unknown_estimator_kind():
     num, den = _samples()
     with pytest.raises(ParameterError):
         cv_select(num, den, CvGrid(), "bogus")
+
+
+@pytest.mark.parametrize("kind", ["rulsif", "ulsif", "kliep"])
+@pytest.mark.parametrize("alpha", [float("nan"), 1.0, -0.5, float("inf")])
+def test_alpha_outside_unit_interval_rejected(kind, alpha):
+    # rulsif_fit's rule, 0 <= alpha < 1, for every estimator kind, before any fit
+    num, den = _samples()
+    with pytest.raises(ParameterError, match="alpha"):
+        cv_select(num, den, CvGrid(), kind, alpha)
+    with pytest.raises(ParameterError, match="alpha"):
+        model_selection.cv_select_many([(num, den, 0)], CvGrid(), kind, alpha)
+
+
+@pytest.mark.parametrize("kind", ["rulsif", "kliep"])
+def test_sample_dimensions_must_match(kind):
+    num, _ = _samples(dim=2)
+    _, den = _samples(dim=3)
+    with pytest.raises(DimensionMismatchError):
+        cv_select(num, den, CvGrid(), kind, 0.1)
+    with pytest.raises(DimensionMismatchError):  # in a later problem too
+        model_selection.cv_select_many([(num, num, 0), (num, den, 1)], CvGrid(), kind)
+
+
+@pytest.mark.parametrize("kind", ["rulsif", "kliep"])
+def test_many_problems_equal_one_call_each(kind):
+    # 30 and 31 numerator samples give training folds of 24 rows against 30
+    # and 31 centers: the KLIEP problems of one size but two shapes
+    grid = CvGrid(seed=4)
+    problems = [(*_samples(seed=seed, n=n), seed) for seed, n in ((0, 30), (1, 31), (2, 30))]
+    results = model_selection.cv_select_many(problems, grid, kind, 0.1)
+    for (num, den, seed), res in zip(problems, results):
+        alone = cv_select(num, den, dataclasses.replace(grid, seed=seed), kind, 0.1)
+        assert (res.best_sigma, res.best_lambda) == (alone.best_sigma, alone.best_lambda)
+        assert res.score_table == alone.score_table
+    assert model_selection.cv_select_many([], grid, kind) == []
 
 
 def test_tie_break_prefers_larger_sigma_then_lambda():

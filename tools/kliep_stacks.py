@@ -2,8 +2,9 @@
 
 Runs one fixed-seed 2000-point KLIEP sweep of each generator (datasets 1-4)
 with the benchmark's detector setting (n=50, k=10, stride 5, cv_stride 5) in
-one process, and records every ``kliep_ascent`` stack that cross-validation
-and the final fits send.  For each checkout and each kind of stack (CV,
+one process, and records every ``kliep_ascent`` stack that
+``estimators.kliep_stacks`` fits, tagged CV or final by the module that
+called it.  For each checkout and each kind of stack (CV,
 final) it prints:
 
 * the time spent in ``kliep_ascent`` (counting included; it varied by about
@@ -20,7 +21,7 @@ final) it prints:
     python3 tools/kliep_stacks.py <checkout> [<checkout> ...] [--seed 3]
 
 Each checkout runs in a child process that imports the package from its
-``src``.  CV stacks are the same in every checkout; final-fit stacks follow
+``src``, which must have ``estimators.kliep_stacks``.  CV stacks are the same in every checkout; final-fit stacks follow
 the bandwidths CV selects, so they can differ where the fits do.  Not a
 test; pytest does not collect it.
 """
@@ -74,20 +75,25 @@ def measure(checkout: str, seed: int) -> dict:
         stats[current[-1]]["candidates"] += int(steps.size)
         return try_steps(stack, w, grad, objective, steps, pending)
 
-    def recording(kind, ascent):
+    def tagging(kind, kliep_stacks):
+        def wrapper(problems, count):
+            current.append(kind)
+            try:
+                return kliep_stacks(problems, count)
+            finally:
+                current.pop()
+        return wrapper
+
+    def recording(ascent):
         def wrapper(k_num, b_vec, *args, **kwargs):
             k_orig, b_orig = k_num.copy(), b_vec.copy()
-            current.append(kind)
             start = time.perf_counter()
-            try:
-                out = ascent(k_num, b_vec, *args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                current.pop()
+            out = ascent(k_num, b_vec, *args, **kwargs)
+            elapsed = time.perf_counter() - start
             theta, objective, iterations, converged = out
             g = (k_orig @ theta[..., None])[..., 0]
             grad = (k_orig.swapaxes(1, 2) @ (1.0 / g)[..., None])[..., 0] / g.shape[1]
-            s = stats[kind]
+            s = stats[current[-1]]
             s["time_s"] += elapsed
             s["stacks"] += 1
             s["problems"] += len(theta)
@@ -105,8 +111,9 @@ def measure(checkout: str, seed: int) -> dict:
         return wrapper
 
     estimators._try_steps = counting_try_steps
-    model_selection.kliep_ascent = recording("cv", model_selection.kliep_ascent)
-    detector.kliep_ascent = recording("final", detector.kliep_ascent)
+    estimators.kliep_ascent = recording(estimators.kliep_ascent)
+    model_selection.kliep_stacks = tagging("cv", model_selection.kliep_stacks)
+    detector.kliep_stacks = tagging("final", detector.kliep_stacks)
     detector._worker_count = lambda tasks: 1  # every stack in this process
     start = time.perf_counter()
     for dataset in DATASETS:

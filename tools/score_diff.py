@@ -4,7 +4,8 @@ Runs a fixed list of sweeps in each checkout -- every estimator on datasets
 1-4, two fixed-seed 2000-point series each, with the benchmark's detector
 setting (n=50, k=10, stride 5, cv_stride 5) -- and prints, per sweep, the
 sha256 of the scores in each checkout (its first 16 hex digits), the largest
-|score difference| and both AUCs.
+|score difference| and both AUCs.  Like ``diff``, it exits 1 when any
+digest differs and 0 when all are equal.
 
     python3 tools/score_diff.py <checkout A> <checkout B>
 
@@ -76,17 +77,21 @@ def main(argv=None) -> None:
     side_a, side_b = run_checkout(args.checkout_a), run_checkout(args.checkout_b)
     print(f"{'setting':<22} {'sha256 A':<16} {'sha256 B':<16} {'max |d|':>9} "
           f"{'AUC A':>6} {'AUC B':>6}")
-    worst = {}
+    worst, differing = {}, 0
     for (estimator, dataset, series_index), a, b in zip(settings(), side_a, side_b):
         scores_a, scores_b = np.array(a["scores"]), np.array(b["scores"])
         diff = float(np.max(np.abs(scores_a - scores_b)))
         worst[estimator] = max(worst.get(estimator, 0.0), diff)
+        digest_a, digest_b = score_digest(scores_a), score_digest(scores_b)
+        differing += digest_a != digest_b
         setting = f"{estimator} ds{dataset} series {series_index}"
-        print(f"{setting:<22} "
-              f"{score_digest(scores_a)[:16]} {score_digest(scores_b)[:16]} {diff:9.2e} "
+        print(f"{setting:<22} {digest_a[:16]} {digest_b[:16]} {diff:9.2e} "
               f"{a['auc']:6.3f} {b['auc']:6.3f}")
     for estimator, diff in worst.items():
         print(f"largest |d| {estimator}: {diff:.3e}")
+    print(f"{differing} of {len(settings())} digests differ")
+    if differing:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
