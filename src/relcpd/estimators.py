@@ -11,25 +11,24 @@ Three fitters share the kernel model g(Y; theta) = sum_l theta_l K(Y, C_l):
 
 KLIEP fits run on ``kliep_ascent``, which runs a stack of problems in
 lockstep in the mixture weights w = b * theta (b the mean denominator kernel
-row), whose feasible set is the unit simplex: per iteration one gradient, one
+row), whose feasible set is the unit simplex: per round one gradient, one
 batch of candidate steps and one sort-based projection onto the simplex for
 every problem still running, each with its own step size.  A problem stops as
 soon as its certified gap log max_l grad_l, an upper bound on its distance to
 the maximum in nats, is at most ``tolerance`` (1e-3 by default).  The ascent
 starts at the better of the uniform weights w = 1 / centers and the uniform
 theta, and its trial steps are spectral (Barzilai-Borwein) steps, 1 / max_l
-grad_l at first.  The backtracking is speculative: a round tries the next few
-halvings of every pending problem at once, _SPECULATIVE_HALVINGS candidates
-per problem that entered the search, shared among those still pending, and
-keeps the first that passes the Armijo test, the step a one-at-a-time search
-accepts.  Products are matrix-vector or dot products per candidate, so a
-problem's iterates do not depend on the rest of the stack.  Finished problems
-leave the stack; a later backtracking round gathers the kernel rows of the
-problems still pending, and the other temporaries are a few (problems x
-_SPECULATIVE_HALVINGS x centers) arrays and two (problems x centers) arrays,
-the last move and gradient, for the spectral step.  On one problem the engine
-is about twice as slow as a plain loop, so CV and the detector stream their
-problems into ``kliep_stacks``, which packs them into stacks.
+grad_l at first.  Each round, every problem tries the next
+_SPECULATIVE_HALVINGS halvings of its trial step and keeps the first that
+passes the Armijo test, the step a one-at-a-time search accepts; where none
+passes, it tries the next ones in the next round while the others go on.
+Products are matrix-vector or dot products per candidate, so a problem's
+iterates do not depend on the rest of the stack.  Finished problems leave
+the stack right after the gradient, before the candidates, and compaction
+fills their holes from the end; every round spans the whole stack, so no
+kernel row is gathered.  On one problem the engine is about twice as slow
+as a plain loop, so CV and the detector stream their problems into
+``kliep_stacks``, which packs them into stacks.
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
@@ -64,10 +63,9 @@ LOG_FLOOR = 1e-12
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-# halvings tried at once per problem in the first backtracking round; later
-# rounds split the same number of candidates among the problems still pending.
-# Spectral trial steps mostly pass at once (1.75 candidates per iteration), so
-# trying more at once wastes candidates: 1 measured faster than 2 and 3.
+# halvings of its trial step a searching problem tries per round.  Spectral
+# trial steps mostly pass at once (83% of accepted steps are the trial
+# itself), so trying more at once wastes candidates: 1 measured faster than 2.
 _SPECULATIVE_HALVINGS = 1
 # most problems per stack of fits (see kliep_stacks); with 50 samples and
 # centers, a KLIEP stack of STACK problems holds 8 MB
@@ -212,31 +210,38 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
     level -= 1.0
     level /= np.arange(1, width + 1)
     last = (width - 1) - np.argmax((desc > level)[..., ::-1], axis=-1)
-    out = v - np.take_along_axis(level, last[..., None], axis=-1)
+    rows = np.arange(0, level.size, width).reshape(last.shape)
+    out = v - level.reshape(-1)[rows + last][..., None]
     np.maximum(out, 0.0, out=out)
     s = np.ones(width) @ out[..., None]  # sum by dot product, row by row
     out /= np.where(s > 0.0, s, 1.0)
     return out
 
 
-def _try_steps(stack, w, grad, objective, steps, pending):
-    """One backtracking round: for each problem in ``pending``, project
-    w + step * grad for each of its ``steps`` (pending, tried) and find the
+def _try_steps(stack, w, grad, objective, steps):
+    """One backtracking round for every problem of the stack: project
+    w + step * grad for each of its ``steps`` (problems, tried) and find the
     first candidate that passes the Armijo test.  Returns the mask of
     problems with a passing step, and the candidate with its objective and
     model values g, for the masked problems."""
-    base, direction = w[pending, None], grad[pending, None]
+    base, direction = w[:, None], grad[:, None]
     cand = _simplex_project(base + steps[..., None] * direction)
     # products per candidate (matrix-vector and dot, not matrix-matrix), so
     # each value is computed as in a one-problem fit
     gain = ((cand - base)[..., None, :] @ direction[..., None])[..., 0, 0]
-    rows = stack if pending.size == len(stack) else stack[pending]
-    cand_g = (rows[:, None] @ cand[..., None])[..., 0]  # (pending, tried, samples)
+    cand_g = (stack[:, None] @ cand[..., None])[..., 0]  # (problems, tried, samples)
     cand_objective = _mean_log(cand_g)
-    passed = (gain > 0.0) & (cand_objective >= objective[pending, None] + _ARMIJO * gain)
+    passed = (gain > 0.0) & (cand_objective >= objective[:, None] + _ARMIJO * gain)
     hit = passed.any(axis=1)
     pick = passed.argmax(axis=1)[hit]
     return hit, cand[hit, pick], cand_objective[hit, pick], cand_g[hit, pick]
+
+
+def _fill(a: np.ndarray, holes, sources, size: int) -> np.ndarray:
+    """The first ``size`` rows of ``a`` after moving rows ``sources`` into
+    rows ``holes``, in place."""
+    a[holes] = a[sources]
+    return a[:size]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,7 +255,7 @@ def kliep_ascent(
     tolerance: float = 1e-3,
     max_iters: int = 500,
     traces: list | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Projected gradient ascent for a stack of KLIEP problems in lockstep.
 
     Problem p maximizes mean_i log (k_num[p] @ theta)_i subject to
@@ -268,8 +273,8 @@ def kliep_ascent(
     from the uniform weights alone, a fit could end below the uniform
     theta's objective, by up to its gap.
 
-    Each iteration starts with the gradient in w and its certified gap, log
-    max_l grad_l: no feasible point is better by more than that, so a
+    An iteration of a problem takes the gradient in w and its certified gap,
+    log max_l grad_l: no feasible point is better by more than that, so a
     problem whose gap is at most ``tolerance`` (nats) stops as converged.
     Otherwise it tries a step from a trial value, halved up to _MAX_HALVINGS
     times until a candidate projected by ``_simplex_project`` passes the
@@ -279,14 +284,21 @@ def kliep_ascent(
     where -s.y <= 0 or the quotient is not finite: at the first iteration,
     where s = 0, and, f being concave, hardly ever after it (never in the
     291,572 later trials of ``tools/kliep_stacks.py`` at seeds 3 and 11).
-    Later backtracking rounds share the first round's candidate count among
-    the problems still pending.  A problem where no step passes, or that
-    reaches ``max_iters`` iterations, ends not converged.  Finished problems'
-    rows of ``k_num`` are overwritten, as the stack is compacted in place.
+    A problem where no step passes, or that reaches ``max_iters``
+    iterations, ends not converged.
+
+    The stack runs in rounds: each takes the gradient of every problem at a
+    new point, drops the problems that are finished, then lets every problem
+    left try its next _SPECULATIVE_HALVINGS candidates, so a problem's search
+    spans as many rounds as it needs while the others go on.  Each problem
+    follows the same iterates as in a one-problem fit.  The stack is
+    compacted in place: the rows of problems that stay, from above the
+    stack's new length, overwrite those of problems that left, below it.
     ``traces``, when given, holds one list per problem for its start
     objective and the objective after every accepted step.  Returns (theta,
-    objective, iterations, converged), with theta = w / b; a problem's
-    iterations count the gradients taken.
+    objective, iterations, converged, gap), with theta = w / b and gap the
+    certified gap at theta; a problem's iterations count the gradients its
+    searches started from, plus the one that certified it.
     """
     count, samples, centers = k_num.shape
     if not np.all(b_vec >= np.finfo(np.float64).tiny):
@@ -303,62 +315,68 @@ def kliep_ascent(
     w[better], g[better] = uniform_theta[better], uniform_theta_g[better]
     objective = _mean_log(g)
     move = np.zeros((count, centers))  # last accepted w_k - w_{k-1}
-    last_grad = np.zeros((count, centers))
+    grad = np.zeros((count, centers))  # where the search started
+    trial = np.empty(count)
+    halvings = np.zeros(count, dtype=np.int64)  # of the trial, tried so far
+    taken = np.zeros(count, dtype=np.int64)  # searches started
+    fresh = np.ones(count, dtype=bool)  # at a new point: a step passed
     out_w = np.empty((count, centers))
     out_objective = np.empty(count)
-    iterations = np.full(count, max_iters)
+    out_gap = np.empty(count)
+    iterations = np.empty(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     live = np.arange(count)  # original index of each stacked problem
     if traces is not None:
         for p in live:
             traces[p].append(float(objective[p]))
-    for it in range(1, max_iters + 1):
-        stack = k_num[: live.size]
+    stack = k_num
+    while True:
         inv_g = np.where(g > LOG_FLOOR, 1.0 / np.maximum(g, LOG_FLOOR), 0.0)
-        grad = (stack.swapaxes(1, 2) @ inv_g[..., None])[..., 0] / samples
-        top = grad.max(axis=1)
-        certified = np.log(top) <= tolerance
-        curvature = -_row_dot(move, grad - last_grad)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            spectral = _row_dot(move, move) / curvature
-        trial = np.where((curvature > 0.0) & np.isfinite(spectral), spectral, 1.0 / top)
-        last_grad = grad
-        moved = np.zeros(live.size, dtype=bool)
-        pending = np.flatnonzero(~certified)
-        searching, first, width = pending.size, 0, _SPECULATIVE_HALVINGS
-        while pending.size and first < _MAX_HALVINGS:
-            tried = 0.5 ** np.arange(first, min(first + width, _MAX_HALVINGS))
-            hit, cand, cand_objective, cand_g = _try_steps(
-                stack, w, grad, objective, trial[pending, None] * tried, pending
-            )
-            accept = pending[hit]
-            move[accept] = cand - w[accept]
-            w[accept], objective[accept], g[accept] = cand, cand_objective, cand_g
-            moved[accept] = True
-            pending = pending[~hit]
-            first += width
-            width = _SPECULATIVE_HALVINGS * searching // max(pending.size, 1)
-        if not np.all(np.isfinite(objective[moved])):
+        new_grad = (stack.swapaxes(1, 2) @ inv_g[..., None])[..., 0] / samples
+        top = new_grad.max(axis=1)
+        gap = np.log(top)
+        capped = fresh & (taken >= max_iters)
+        certified = fresh & ~capped & (gap <= tolerance)
+        done = capped | certified | (halvings >= _MAX_HALVINGS)
+        if done.any():
+            idx = live[done]
+            out_w[idx], out_objective[idx] = w[done], objective[done]
+            out_gap[idx], converged[idx] = gap[done], certified[done]
+            iterations[idx] = taken[done] + certified[done]
+            size = live.size - np.count_nonzero(done)
+            holes = np.flatnonzero(done[:size])  # filled by the kept rows above size
+            sources = size + np.flatnonzero(~done[size:])
+            (stack, live, w, objective, g, move, grad, trial, halvings, taken, fresh,
+             new_grad, top) = (
+                _fill(a, holes, sources, size)
+                for a in (stack, live, w, objective, g, move, grad, trial, halvings,
+                          taken, fresh, new_grad, top))
+            if not size:
+                break
+        if fresh.any():  # new searches
+            curvature = -_row_dot(move, new_grad - grad)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                spectral = _row_dot(move, move) / curvature
+            step = np.where((curvature > 0.0) & np.isfinite(spectral), spectral, 1.0 / top)
+            trial = np.where(fresh, step, trial)
+            grad = np.where(fresh[:, None], new_grad, grad)
+            halvings[fresh] = 0
+            taken += fresh
+        # the next _SPECULATIVE_HALVINGS halvings; past the last, the last again
+        tried = np.minimum(halvings[:, None] + np.arange(_SPECULATIVE_HALVINGS),
+                           _MAX_HALVINGS - 1)
+        hit, cand, cand_objective, cand_g = _try_steps(
+            stack, w, grad, objective, trial[:, None] * 0.5 ** tried)
+        move[hit] = cand - w[hit]
+        w[hit], objective[hit], g[hit] = cand, cand_objective, cand_g
+        if not np.all(np.isfinite(cand_objective)):
             raise NumericError("KLIEP objective became non-finite")
         if traces is not None:
-            for i in np.flatnonzero(moved):
+            for i in np.flatnonzero(hit):
                 traces[live[i]].append(float(objective[i]))
-        done = ~moved
-        if not done.any():
-            continue
-        idx = live[done]
-        out_w[idx], out_objective[idx] = w[done], objective[done]
-        iterations[idx], converged[idx] = it, certified[done]
-        keep = np.flatnonzero(~done)
-        for dst, src in enumerate(keep):  # ascending: no row is read after
-            if dst != src:  # it has been overwritten
-                k_num[dst] = k_num[src]
-        live, w, objective, g, move, last_grad = (
-            a[keep] for a in (live, w, objective, g, move, last_grad))
-        if not live.size:
-            break
-    out_w[live], out_objective[live] = w, objective
-    return out_w / b_vec, out_objective, iterations, converged
+        halvings[~hit] += _SPECULATIVE_HALVINGS
+        fresh = hit
+    return out_w / b_vec, out_objective, iterations, converged, out_gap
 
 
 def kliep_stacks(problems, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -401,12 +419,11 @@ def kliep_fit(
     non-decreasing.  ``tolerance`` is the certified gap in nats at which the
     ascent stops as converged.  ``trace``, when given, receives the start
     objective and the objective after every accepted step.  The diagnostics'
-    ``gap``, log max_l grad_l / b_l at theta, bounds how far the objective is
-    below its maximum; a converged fit has gap <= ``tolerance``, up to
-    rounding.
+    ``gap``, the ascent's log max_l grad_l / b_l at theta, bounds how far the
+    objective is below its maximum; a converged fit has gap <= ``tolerance``.
     """
     b_vec = design.k_den.mean(axis=0)
-    theta, objective, iterations, converged = kliep_ascent(
+    theta, objective, iterations, converged, gap = kliep_ascent(
         design.k_num[None].copy(),
         b_vec[None],
         tolerance,
@@ -420,7 +437,7 @@ def kliep_fit(
         objective_value=float(objective[0]),
         iterations=int(iterations[0]),
         converged=bool(converged[0]),
-        gap=float(np.log(np.max(kliep_gradient(design, theta[0]) / b_vec))),
+        gap=float(gap[0]),
     )
 
 

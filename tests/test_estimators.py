@@ -226,7 +226,7 @@ def _assert_ascent_matches_loop(k_nums, k_dens, max_iters=500):
     """Runs one lockstep stack and checks every problem against the loop
     oracle; returns the oracle's (theta, objective, iterations, converged)."""
     traces = [[] for _ in k_nums]
-    theta, objective, iterations, converged = kliep_ascent(
+    theta, objective, iterations, converged, _ = kliep_ascent(
         np.stack(k_nums),
         np.stack([k.mean(axis=0) for k in k_dens]),
         max_iters=max_iters,
@@ -247,21 +247,35 @@ def _assert_ascent_matches_loop(k_nums, k_dens, max_iters=500):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 9),
-       max_iters=st.sampled_from((4, 30, 500)), flat=st.booleans(), data=st.data())
-def test_ascent_result_does_not_depend_on_the_stack(seed, count, max_iters, flat, data):
-    # a problem's (theta, objective, iterations, converged) is bit-identical
-    # whether it is fitted alone, in a stack of other problems or in a
-    # permuted stack, so callers may pack problems into stacks as they like
+       stop=st.sampled_from(((1e-3, 4), (1e-3, 30), (1e-3, 500),
+                             (-np.inf, 4), (-np.inf, 30))),
+       flat=st.booleans(), certified=st.booleans(),
+       tiny=st.lists(st.floats(1e-14, 1e-4), max_size=3), data=st.data())
+def test_ascent_result_does_not_depend_on_the_stack(
+    seed, count, stop, flat, certified, tiny, data
+):
+    # a problem's (theta, objective, iterations, converged, gap) is
+    # bit-identical whether it is fitted alone, in a stack of other problems
+    # or in a permuted stack, so callers may pack problems into stacks as
+    # they like; problems leave the stack out of order (certified at the
+    # start, or, at tolerance -inf, when no step passes), and the stack is
+    # compacted around them
+    tolerance, max_iters = stop
     k_nums, k_dens = _kliep_problems(seed, count, samples=20, centers=25, dim=3)
+    for p, b_l in enumerate(tiny):  # a center far from every denominator sample
+        k_dens[p % count][:, p] = b_l
     if flat:  # no step ascends from the start of this problem
         k_nums.append(np.ones((20, 25)))
         k_dens.append(np.ones((20, 25)))
+    if certified:  # every kernel row is b: a gradient of 1 everywhere, gap 0
+        k_nums.append(np.tile(k_dens[0].mean(axis=0), (20, 1)))
+        k_dens.append(k_dens[0])
     k_num = np.stack(k_nums)
     b_vec = np.stack([k.mean(axis=0) for k in k_dens])
     order = np.array(data.draw(st.permutations(range(len(k_num)))))
 
     def ascent(rows):  # indexing copies k_num, which the ascent overwrites
-        return kliep_ascent(k_num[rows], b_vec[rows], max_iters=max_iters)
+        return kliep_ascent(k_num[rows], b_vec[rows], tolerance, max_iters)
 
     stacked, permuted = ascent(np.arange(len(k_num))), ascent(order)
     for p in range(len(k_num)):
@@ -398,14 +412,14 @@ def test_converged_fits_are_certified(seed, count, tiny, max_iters):
         k_dens[p % count][:, p] = b_l
     b_vec = np.stack([k.mean(axis=0) for k in k_dens])
     tolerance = 1e-3
-    _, objective, iterations, converged = kliep_ascent(
+    _, objective, iterations, converged, gap = kliep_ascent(
         np.stack(k_nums), b_vec, tolerance, max_iters)
     for p, (k_num, k_den) in enumerate(zip(k_nums, k_dens)):
         design = DesignMatrices(k_num=k_num, k_den=k_den, centers=np.zeros((25, 3)),
                                 sigma=1.0)
         _, diag = kliep_fit(design, tolerance, max_iters)
-        assert (diag.objective_value, diag.iterations, diag.converged) == (
-            objective[p], iterations[p], converged[p])
+        assert (diag.objective_value, diag.iterations, diag.converged, diag.gap) == (
+            objective[p], iterations[p], converged[p], gap[p])
         if diag.converged:  # both up to rounding
             assert -1e-12 <= diag.gap <= tolerance + 1e-12
         f_em = kliep_em_objective(k_num, k_den, iterations=2000)
@@ -413,6 +427,34 @@ def test_converged_fits_are_certified(seed, count, tiny, max_iters):
         # never below the uniform theta, the start of EM
         f_start = kliep_em_objective(k_num, k_den, iterations=0)
         assert diag.objective_value >= f_start - 1e-12
+
+
+@pytest.mark.parametrize("tolerance, max_iters", [(1e-3, 500), (1e-3, 2), (-np.inf, 30)])
+def test_returned_gap_is_the_gap_at_theta(tolerance, max_iters):
+    # the ascent's gap, taken where a problem leaves the stack, is log max_l
+    # (grad_theta f)_l / b_l at the returned theta: for converged, flat (at
+    # tolerance -inf, no step passes) and max_iters-cut problems; before the
+    # cap, every iteration but the last accepted a step
+    k_nums, k_dens = _kliep_problems(15, 6, samples=20, centers=25, dim=3)
+    k_nums.append(np.ones((20, 25)))
+    k_dens.append(np.ones((20, 25)))
+    b_vec = np.stack([k.mean(axis=0) for k in k_dens])
+    traces = [[] for _ in k_nums]
+    theta, _, iterations, converged, gap = kliep_ascent(
+        np.stack(k_nums), b_vec, tolerance, max_iters, traces)
+    for p, (k_num, k_den) in enumerate(zip(k_nums, k_dens)):
+        design = DesignMatrices(k_num=k_num, k_den=k_den, centers=np.zeros((25, 3)),
+                                sigma=1.0)
+        want = np.log(np.max(kliep_gradient(design, theta[p]) / b_vec[p]))
+        assert abs(gap[p] - want) <= 1e-12
+        if iterations[p] < max_iters:  # the start, then one step per iteration
+            assert len(traces[p]) == iterations[p]
+    if max_iters == 500:
+        assert converged.all()
+    elif max_iters == 2:
+        assert not converged[:-1].any() and set(iterations[:-1]) == {2}
+    else:  # the flat problem ends where no step passes, before the cap
+        assert iterations[-1] < max_iters and not converged.any()
 
 
 def test_fit_cut_by_max_iters_is_not_converged():

@@ -4,26 +4,30 @@ Runs one fixed-seed 2000-point KLIEP sweep of each generator (datasets 1-4)
 with the benchmark's detector setting (n=50, k=10, stride 5, cv_stride 5) in
 one process, and records every ``kliep_ascent`` stack that
 ``estimators.kliep_stacks`` fits, tagged CV or final by the module that
-called it.  For each checkout and each kind of stack (CV,
-final) it prints:
+called it.  For each checkout and each kind of stack (CV, final) it prints:
 
 * the time spent in ``kliep_ascent`` (counting included; it varied by about
   25% between processes on one 2-core machine, so compare the counts first)
   and the problem count;
 * problem-iterations (summed over problems) and lockstep iterations (the
   longest problem of each stack, summed over stacks);
-* the candidate steps tried and the fits not reported converged;
+* the candidate steps tried, the backtracking rounds (calls of
+  ``estimators._try_steps``) and the kernel rows they gathered: a round
+  passed the indices of pending problems gathers their rows unless they are
+  the whole stack, and a round passed none spans the whole stack;
+* the fits not reported converged;
 * the certified gap log max_l (grad_theta f)_l / b_l at the returned theta,
-  its median, 99th percentile and maximum;
+  as the ascent returns it, its median, 99th percentile and maximum;
 * the shortfall f_EM - f against EM_UPDATES multiplicative EM updates on
   every EM_EVERY-th problem (a lower bound on the true shortfall).
 
     python3 tools/kliep_stacks.py <checkout> [<checkout> ...] [--seed 3]
 
 Each checkout runs in a child process that imports the package from its
-``src``, which must have ``estimators.kliep_stacks``.  CV stacks are the same in every checkout; final-fit stacks follow
-the bandwidths CV selects, so they can differ where the fits do.  Not a
-test; pytest does not collect it.
+``src``, which must have ``estimators.kliep_stacks`` and a ``kliep_ascent``
+that returns the gap.  CV stacks are the same in every checkout; final-fit
+stacks follow the bandwidths CV selects, so they can differ where the fits
+do.  Not a test; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -66,14 +70,19 @@ def measure(checkout: str, seed: int) -> dict:
     from relcpd.seeding import mix_seed
 
     stats = {kind: {"time_s": 0.0, "stacks": 0, "problems": 0, "problem_iterations": 0,
-                    "lockstep_iterations": 0, "candidates": 0, "nonconverged": 0,
+                    "lockstep_iterations": 0, "candidates": 0, "rounds": 0,
+                    "rows_gathered": 0, "nonconverged": 0,
                     "iterations": [], "gaps": [], "shortfalls": []} for kind in ("cv", "final")}
     current = []
     try_steps = estimators._try_steps
 
-    def counting_try_steps(stack, w, grad, objective, steps, pending):
-        stats[current[-1]]["candidates"] += int(steps.size)
-        return try_steps(stack, w, grad, objective, steps, pending)
+    def counting_try_steps(stack, w, grad, objective, steps, *pending):
+        s = stats[current[-1]]
+        s["candidates"] += int(steps.size)
+        s["rounds"] += 1
+        if pending and pending[0].size < len(stack):
+            s["rows_gathered"] += int(pending[0].size)
+        return try_steps(stack, w, grad, objective, steps, *pending)
 
     def tagging(kind, kliep_stacks):
         def wrapper(problems, count):
@@ -90,9 +99,7 @@ def measure(checkout: str, seed: int) -> dict:
             start = time.perf_counter()
             out = ascent(k_num, b_vec, *args, **kwargs)
             elapsed = time.perf_counter() - start
-            theta, objective, iterations, converged = out
-            g = (k_orig @ theta[..., None])[..., 0]
-            grad = (k_orig.swapaxes(1, 2) @ (1.0 / g)[..., None])[..., 0] / g.shape[1]
+            theta, objective, iterations, converged, gap = out
             s = stats[current[-1]]
             s["time_s"] += elapsed
             s["stacks"] += 1
@@ -100,7 +107,7 @@ def measure(checkout: str, seed: int) -> dict:
             s["problem_iterations"] += int(iterations.sum())
             s["lockstep_iterations"] += int(iterations.max())
             s["nonconverged"] += int((~converged).sum())
-            s["gaps"] += np.log(np.max(grad / b_orig, axis=1)).tolist()
+            s["gaps"] += gap.tolist()
             s["iterations"] += iterations.tolist()
             index = s["problems"] - len(theta) + np.arange(len(theta))  # within the kind
             picked = np.flatnonzero(index % EM_EVERY == 0)
@@ -146,7 +153,8 @@ def main(argv=None) -> None:
         print(json.dumps(measure(args.checkouts[0], args.seed)))
         return
     print(f"{'checkout':<24} {'stacks':<6} {'time s':>7} {'problems':>8} {'prob-it':>8} "
-          f"{'it med':>6} {'lockstep':>8} {'cands':>8} {'unconv':>6} {'gap med':>8} "
+          f"{'it med':>6} {'lockstep':>8} {'cands':>8} {'rounds':>6} {'gathered':>8} "
+          f"{'unconv':>6} {'gap med':>8} "
           f"{'gap p99':>8} {'gap max':>8} {'short max':>9} {'>1e-3':>5}")
     for checkout in args.checkouts:
         out = subprocess.run(
@@ -159,6 +167,7 @@ def main(argv=None) -> None:
                   f"{s['problems']:8d} {s['problem_iterations']:8d} "
                   f"{s['iterations_median']:6.0f} "
                   f"{s['lockstep_iterations']:8d} {s['candidates']:8d} "
+                  f"{s['rounds']:6d} {s['rows_gathered']:8d} "
                   f"{s['nonconverged']:6d} {s['gap_median']:8.1e} {s['gap_p99']:8.1e} "
                   f"{s['gap_max']:8.1e} {s['shortfall_max']:9.1e} "
                   f"{s['shortfalls_above_1e3']:5d}")
