@@ -17,14 +17,16 @@ any grouping or evaluation order gives the same scores, bit for bit.
 
 The unit of work is a run of consecutive CV blocks, scored in two phases:
 first the CV refresh of every block, in one ``cv_select_many`` call, then
-the final fits of all the blocks.  A run holds as many whole blocks as fill
-one STACK with KLIEP CV problems, one per (direction, fold, sigma): 8 blocks
-for the default grid in symmetric mode.  The same runs serve uLSIF and
-RuLSIF, which compute each block as on their own.  With more than one
-worker, runs are shortened so that each worker gets RUNS_PER_WORKER runs,
-down to one block per run.  A run of several blocks that fails is scored
-again one block at a time, so the first failing block in series order
-raises, with the serial sweep's error.
+the final fits of all the blocks.  A sweep's blocks are cut into contiguous
+runs whose lengths differ by at most 1: one run per worker, and more only
+where a run would hold more than RUN_PROBLEMS KLIEP CV problems, one per
+(direction, fold, sigma).  For KLIEP each phase streams its problems into
+``estimators.kliep_ascent``, CV one stream per training size (one where the
+fold count divides n), so a run pays for about two stream ends, where rounds
+run nearly empty.  The same runs serve uLSIF and RuLSIF, which compute each
+block as on their own.  A run of several blocks that fails is scored again
+one block at a time, so the first failing block in series order raises,
+with the serial sweep's error.
 
 A sweep runs on ``min(available CPUs, CPU quota, runs)`` worker processes.
 The available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count``
@@ -42,19 +44,21 @@ runs in series order, shuts the pool down before returning and checks that
 every score is finite.  Each worker gets the window vectors and the config
 once, when it starts, and each task only its blocks; it holds them and one
 run's CV and final-fit arrays on top of the copy of this process it forks
-from.
+from: with the default grid at n = 50, up to 13 MB of CV kernels for a run
+at the cap.
 
-STACK problems is the one cap on every stack of fits: CV or final, least
-squares or KLIEP.  Final fits run in chunks, the positions of one CV block
-whose pairs share one span of at most 4n windows: at most
-min(1 + 2n // stride, STACK // directions) positions.  One ``cdist`` over a
-chunk's span and one ``exp`` per direction give the band kernel; each pair's
-(2n, 2n) kernel is a diagonal block of it, taken as a strided view.  The
-distance and kernel matrices hold at most (4n)^2 doubles each (0.3 MB for
-n = 50) at any stride.  uLSIF and RuLSIF fit a chunk with one
-``gram_system`` call, one stacked ``_solve_spd`` and one PE expression.
-KLIEP streams a run's final fits into ``estimators.kliep_stacks``, so its
-stacks cut across chunks; each term is the fit's final objective.
+STACK problems is the one cap on every stack of fits: the KLIEP engine's
+buffer, CV or final, and each least-squares stack.  Final fits run in
+chunks, the positions of one CV block whose pairs share one span of at most
+4n windows: at most min(1 + 2n // stride, STACK // directions) positions.
+One ``cdist`` over a chunk's span and one ``exp`` per direction give the
+band kernel; each pair's (2n, 2n) kernel is a diagonal block of it, taken as
+a strided view.  The distance and kernel matrices hold at most (4n)^2
+doubles each (0.3 MB for n = 50) at any stride.  uLSIF and RuLSIF fit a
+chunk with one ``gram_system`` call, one stacked ``_solve_spd`` and one PE
+expression.  KLIEP streams all of a run's final fits, one chunk's band
+kernel at a time, into ``estimators.kliep_ascent``; each term is the fit's
+final objective.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from .errors import (
     integer,
 )
 from .estimators import (
-    ESTIMATOR_KINDS, KLIEP, RULSIF, STACK, _solve_spd, gram_system, kliep_stacks, pe_terms,
+    ESTIMATOR_KINDS, KLIEP, RULSIF, STACK, _solve_spd, gram_system, kliep_ascent, pe_terms,
 )
 # Imported only for perfbench/perftrace.py, which wraps these names here by
 # getattr; they stay until that tracer reads per-layer counters instead.
@@ -98,7 +102,7 @@ SCORE_MODES = (SYMMETRIC, FORWARD, BACKWARD)
 _ROLES = ((0, 1), (1, 0))
 _MODE_DIRECTIONS = {SYMMETRIC: (0, 1), FORWARD: (0,), BACKWARD: (1,)}
 
-RUNS_PER_WORKER = 4  # fewest runs per worker of a parallel sweep
+RUN_PROBLEMS = 8 * STACK  # most KLIEP CV problems per run (13 MB of kernels at n = 50)
 CPU_MAX = "/sys/fs/cgroup/cpu.max"  # the cgroup v2 CPU quota, read only
 
 
@@ -181,12 +185,12 @@ def _chunk_kernels(windows, chunk: range, selections: dict, n: int) -> list[tupl
 
 def _kliep_terms(windows, chunks: list, n: int) -> list[np.ndarray]:
     """``_chunk_terms`` for KLIEP: the final objectives of ``chunks``' fits,
-    streamed one chunk's band kernel at a time into ``kliep_stacks``."""
+    streamed one chunk's band kernel at a time into ``kliep_ascent``."""
     counts = [len(chunk) * len(selections) for chunk, selections in chunks]
     problems = (problem for chunk, selections in chunks
                 for k_chunk, k_den in _chunk_kernels(windows, chunk, selections, n)
                 for problem in zip(k_chunk, k_den.mean(axis=1)))
-    objectives = kliep_stacks(problems, sum(counts))[1]
+    objectives = kliep_ascent(problems, sum(counts))[1]
     parts = np.split(objectives, np.cumsum(counts)[:-1])
     return [part.reshape(len(selections), -1).T
             for part, (_, selections) in zip(parts, chunks)]
@@ -195,8 +199,9 @@ def _kliep_terms(windows, chunks: list, n: int) -> list[np.ndarray]:
 def _chunk_terms(windows, chunks: list, config, alpha) -> list[np.ndarray]:
     """(position, direction) divergence terms of each chunk of ``chunks``,
     (positions, selections) pairs whose positions share the (sigma, lambda)
-    ``selections`` per direction.  KLIEP stacks cut across chunks (see
-    ``_kliep_terms``); least squares fits one chunk at a time."""
+    ``selections`` per direction.  KLIEP streams all chunks' fits into one
+    ``kliep_ascent`` call (see ``_kliep_terms``); least squares fits one
+    chunk at a time."""
     n = config.n
     if config.estimator_kind == KLIEP:
         return _kliep_terms(windows, chunks, n)
@@ -246,17 +251,18 @@ def _worker_count(tasks: int) -> int:
     return min(cpus, _cpu_quota() or cpus, tasks)
 
 
-def _run_length(blocks: int, workers: int, config) -> int:
-    """CV blocks per run: as many as fill one STACK with their KLIEP CV
-    problems, one per (direction, fold, sigma), and with more than one
-    worker few enough that each worker gets RUNS_PER_WORKER runs."""
+def _runs(blocks: list, workers: int, config) -> list[list]:
+    """``blocks`` cut into contiguous runs whose lengths differ by at most 1:
+    one per worker, and more where a run would hold more than RUN_PROBLEMS
+    KLIEP CV problems, one per (direction, fold, sigma), but never more runs
+    than blocks."""
     grid = config.grid
     per_block = (len(_MODE_DIRECTIONS[config.score_mode]) * grid.folds
                  * len(grid.sigma_factors))
-    length = max(1, STACK // per_block)
-    if workers > 1:
-        length = max(1, min(length, blocks // (RUNS_PER_WORKER * workers)))
-    return length
+    most = max(1, RUN_PROBLEMS // per_block)  # blocks per run
+    count = min(len(blocks), max(workers, -(-len(blocks) // most)))
+    cuts = [len(blocks) * r // count for r in range(count + 1)]
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _score_run(windows, blocks: list, config) -> list[float]:
@@ -341,8 +347,7 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     starts = range(1, t_last + 1, config.stride)
     blocks = [starts[b : b + config.cv_stride] for b in range(0, len(starts), config.cv_stride)]
     workers = _worker_count(len(blocks))
-    length = _run_length(len(blocks), workers, config)
-    runs = [blocks[r : r + length] for r in range(0, len(blocks), length)]
+    runs = _runs(blocks, workers, config)
     if workers == 1:
         scores = [score for run in runs for score in _score_blocks(windows, run, config)]
     else:  # one task per run, put back in series order

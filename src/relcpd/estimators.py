@@ -9,13 +9,15 @@ Three fitters share the kernel model g(Y; theta) = sum_l theta_l K(Y, C_l):
 * ``kliep_fit``   -- maximum-likelihood fit of the plain ratio under a
                      normalization constraint; projected gradient ascent.
 
-KLIEP fits run on ``kliep_ascent``, which runs a stack of problems in
-lockstep in the mixture weights w = b * theta (b the mean denominator kernel
-row), whose feasible set is the unit simplex: per round one gradient, one
-batch of candidate steps and one sort-based projection onto the simplex for
-every problem still running, each with its own step size.  A problem stops as
-soon as its certified gap log max_l grad_l, an upper bound on its distance to
-the maximum in nats, is at most ``tolerance`` (1e-3 by default).  The ascent
+KLIEP fits run on ``kliep_ascent``, the one engine for every KLIEP problem
+(``kliep_fit``, CV and the detector's final fits).  It takes a stream of
+problems into a buffer of at most STACK rows and runs them in lockstep in
+the mixture weights w = b * theta (b the mean denominator kernel row), whose
+feasible set is the unit simplex: per round one gradient, one batch of
+candidate steps and one sort-based projection onto the simplex for every
+problem buffered, each with its own step size.  A problem stops as soon as
+its certified gap log max_l grad_l, an upper bound on its distance to the
+maximum in nats, is at most ``tolerance`` (1e-3 by default).  The ascent
 starts at the better of the uniform weights w = 1 / centers and the uniform
 theta, and its trial steps are spectral (Barzilai-Borwein) steps, 1 / max_l
 grad_l at first.  Each round, every problem tries the next
@@ -23,12 +25,12 @@ _SPECULATIVE_HALVINGS halvings of its trial step and keeps the first that
 passes the Armijo test, the step a one-at-a-time search accepts; where none
 passes, it tries the next ones in the next round while the others go on.
 Products are matrix-vector or dot products per candidate, so a problem's
-iterates do not depend on the rest of the stack.  Finished problems leave
-the stack right after the gradient, before the candidates, and compaction
-fills their holes from the end; every round spans the whole stack, so no
-kernel row is gathered.  On one problem the engine is about twice as slow
-as a plain loop, so CV and the detector stream their problems into
-``kliep_stacks``, which packs them into stacks.
+iterates do not depend on the rest of the buffer.  Finished problems leave
+right after the gradient, before the candidates, compaction fills their
+holes from the end, and the next round takes new problems from the stream
+into the rows they freed.  So the buffer stays full until the stream runs
+dry, and only the stream's end runs nearly empty rounds, which cost about as
+much as full ones (numpy call overhead dominates small rounds).
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
@@ -67,8 +69,9 @@ _MAX_HALVINGS = 60
 # trial steps mostly pass at once (83% of accepted steps are the trial
 # itself), so trying more at once wastes candidates: 1 measured faster than 2.
 _SPECULATIVE_HALVINGS = 1
-# most problems per stack of fits (see kliep_stacks); with 50 samples and
-# centers, a KLIEP stack of STACK problems holds 8 MB
+# most problems per stack of fits: the rows of kliep_ascent's buffer, and a
+# cap on least-squares chunks; with 50 samples and centers, a KLIEP buffer of
+# STACK problems holds 8 MB
 STACK = 400
 
 
@@ -237,38 +240,35 @@ def _try_steps(stack, w, grad, objective, steps):
     return hit, cand[hit, pick], cand_objective[hit, pick], cand_g[hit, pick]
 
 
-def _fill(a: np.ndarray, holes, sources, size: int) -> np.ndarray:
-    """The first ``size`` rows of ``a`` after moving rows ``sources`` into
-    rows ``holes``, in place."""
-    a[holes] = a[sources]
-    return a[:size]
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_p . b_p for every row p, one dot product per row."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def kliep_ascent(
-    k_num: np.ndarray,
-    b_vec: np.ndarray,
+    problems,
+    count: int,
     tolerance: float = 1e-3,
     max_iters: int = 500,
     traces: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Projected gradient ascent for a stack of KLIEP problems in lockstep.
+    """Projected gradient ascent for a stream of KLIEP problems, in lockstep.
 
-    Problem p maximizes mean_i log (k_num[p] @ theta)_i subject to
-    b_vec[p] . theta = 1 and theta >= 0; ``k_num`` is (problems, samples,
-    centers) and ``b_vec`` (problems, centers) holds the mean denominator
-    kernel rows.  An entry that underflows to 0 or below the smallest normal
-    double raises ``DegenerateBandwidthError``: with b_l = 0, theta_l is
-    unbounded under b . theta = 1, and so is the objective.
-    The ascent runs in w = b * theta over the unit simplex: ``k_num`` is
-    divided by b in place, and w starts at the uniform weights 1 / centers
-    or at the uniform theta, w = b / sum(b), whichever has the higher
-    objective.  From the uniform theta alone, a center with a tiny b_l
-    starts with almost no weight and a gradient entry near 1 / b_l, too
+    ``problems`` yields ``count`` (k_num, b) pairs of one shape, (samples,
+    centers) and (centers): problem p maximizes mean_i log (k_num @ theta)_i
+    subject to b . theta = 1 and theta >= 0, with b the mean denominator
+    kernel row.  A stream that yields fewer or more than ``count`` problems
+    raises ``ParameterError``.  The engine copies each problem, as it takes
+    it, into a buffer of min(STACK, ``count``) rows, so the caller's arrays
+    are never modified and may be freed at once.
+    An entry of b that underflows to 0 or below the smallest normal double
+    raises ``DegenerateBandwidthError``: with b_l = 0, theta_l is unbounded
+    under b . theta = 1, and so is the objective.
+    The ascent runs in w = b * theta over the unit simplex: the buffered
+    kernel rows are divided by b, and w starts at the uniform weights
+    1 / centers or at the uniform theta, w = b / sum(b), whichever has the
+    higher objective.  From the uniform theta alone, a center with a tiny
+    b_l starts with almost no weight and a gradient entry near 1 / b_l, too
     steep for any halving of the first step to pass (as at b_l = 1.6e-109);
     from the uniform weights alone, a fit could end below the uniform
     theta's objective, by up to its gap.
@@ -287,50 +287,74 @@ def kliep_ascent(
     A problem where no step passes, or that reaches ``max_iters``
     iterations, ends not converged.
 
-    The stack runs in rounds: each takes the gradient of every problem at a
-    new point, drops the problems that are finished, then lets every problem
-    left try its next _SPECULATIVE_HALVINGS candidates, so a problem's search
-    spans as many rounds as it needs while the others go on.  Each problem
-    follows the same iterates as in a one-problem fit.  The stack is
-    compacted in place: the rows of problems that stay, from above the
-    stack's new length, overwrite those of problems that left, below it.
-    ``traces``, when given, holds one list per problem for its start
-    objective and the objective after every accepted step.  Returns (theta,
-    objective, iterations, converged, gap), with theta = w / b and gap the
-    certified gap at theta; a problem's iterations count the gradients its
-    searches started from, plus the one that certified it.
+    Each round takes new problems into the rows that finished ones freed (or
+    up to the buffer's size), takes the gradient of every buffered problem at
+    its new point, drops the problems that are finished, compacting the
+    buffer in place with rows from above its new length, then lets every
+    problem left try its next _SPECULATIVE_HALVINGS candidates, so a
+    problem's search spans as many rounds as it needs while the others go
+    on.  Products are matrix-vector or dot products per problem, so each
+    problem follows the same iterates as in a one-problem fit, whatever else
+    is buffered with it.  ``traces``, when given, holds one list per problem
+    for its start objective and the objective after every accepted step.
+    Returns (theta, objective, iterations, converged, gap) in stream order,
+    with gap the certified gap at theta; a problem's iterations count the
+    gradients its searches started from, plus the one that certified it.
     """
-    count, samples, centers = k_num.shape
-    if not np.all(b_vec >= np.finfo(np.float64).tiny):
-        raise DegenerateBandwidthError(
-            "a center's mean denominator kernel value underflows to 0 at this "
-            "bandwidth, so the KLIEP objective has no finite maximum"
-        )
-    k_num /= b_vec[:, None, :]
-    w = np.full((count, centers), 1.0 / centers)
-    g = (k_num @ w[..., None])[..., 0]
-    uniform_theta = b_vec / b_vec.sum(axis=1, keepdims=True)
-    uniform_theta_g = (k_num @ uniform_theta[..., None])[..., 0]
-    better = _mean_log(uniform_theta_g) > _mean_log(g)
-    w[better], g[better] = uniform_theta[better], uniform_theta_g[better]
-    objective = _mean_log(g)
-    move = np.zeros((count, centers))  # last accepted w_k - w_{k-1}
-    grad = np.zeros((count, centers))  # where the search started
-    trial = np.empty(count)
-    halvings = np.zeros(count, dtype=np.int64)  # of the trial, tried so far
-    taken = np.zeros(count, dtype=np.int64)  # searches started
-    fresh = np.ones(count, dtype=bool)  # at a new point: a step passed
-    out_w = np.empty((count, centers))
-    out_objective = np.empty(count)
-    out_gap = np.empty(count)
-    iterations = np.empty(count, dtype=np.int64)
-    converged = np.zeros(count, dtype=bool)
-    live = np.arange(count)  # original index of each stacked problem
-    if traces is not None:
-        for p in live:
-            traces[p].append(float(objective[p]))
-    stack = k_num
+    if count < 1:
+        raise ParameterError(f"a KLIEP stream needs at least one problem, got {count}")
+    problems = iter(problems)
+    cap = min(STACK, count)
+    admitted = size = 0
     while True:
+        end = min(cap, size + count - admitted)  # rows after this round's intake
+        if not end:
+            break
+        for row in range(size, end):
+            try:
+                k_row, b_row = next(problems)
+            except StopIteration:
+                raise ParameterError(
+                    f"a KLIEP stream of {count} problems ended after {admitted}") from None
+            if not admitted:  # buffers of cap rows, outputs of count
+                samples, centers = np.shape(k_row)
+                bufs = (np.empty((cap, samples, centers)), np.empty((cap, centers)),
+                        np.empty(cap, dtype=np.int64), *np.empty((3, cap, centers)),
+                        *np.empty((2, cap)), *np.empty((2, cap), dtype=np.int64),
+                        np.empty(cap, dtype=bool), np.empty((cap, samples)))
+                out_theta = np.empty((count, centers))
+                out_objective, out_gap = np.empty((2, count))
+                iterations, converged = np.empty(count, dtype=np.int64), np.zeros(count, bool)
+            bufs[0][row], bufs[1][row], bufs[2][row] = k_row, b_row, admitted
+            admitted += 1
+        # w: weights; move: last accepted w_k - w_{k-1}; grad: where the search
+        # started; halvings: of the trial, tried so far; taken: searches
+        # started; fresh: at a new point, a step passed; live: stream index
+        (stack, b_vec, live, w, move, grad, objective, trial, halvings, taken, fresh,
+         g) = (a[:end] for a in bufs)
+        if end > size:  # start the new problems
+            new = slice(size, end)
+            if not np.all(b_vec[new] >= np.finfo(np.float64).tiny):
+                raise DegenerateBandwidthError(
+                    "a center's mean denominator kernel value underflows to 0 at this "
+                    "bandwidth, so the KLIEP objective has no finite maximum"
+                )
+            stack[new] /= b_vec[new, None, :]
+            uniform_w = np.full((end - size, centers), 1.0 / centers)
+            uniform_w_g = (stack[new] @ uniform_w[..., None])[..., 0]
+            uniform_theta = b_vec[new] / b_vec[new].sum(axis=1, keepdims=True)
+            uniform_theta_g = (stack[new] @ uniform_theta[..., None])[..., 0]
+            better = (_mean_log(uniform_theta_g) > _mean_log(uniform_w_g))[:, None]
+            w[new] = np.where(better, uniform_theta, uniform_w)
+            g[new] = np.where(better, uniform_theta_g, uniform_w_g)
+            objective[new] = _mean_log(g[new])
+            move[new] = grad[new] = 0.0
+            halvings[new] = taken[new] = 0
+            fresh[new] = True
+            if traces is not None:
+                for p, start in zip(live[new], objective[new]):
+                    traces[p].append(float(start))
+            size = end
         inv_g = np.where(g > LOG_FLOOR, 1.0 / np.maximum(g, LOG_FLOOR), 0.0)
         new_grad = (stack.swapaxes(1, 2) @ inv_g[..., None])[..., 0] / samples
         top = new_grad.max(axis=1)
@@ -340,26 +364,24 @@ def kliep_ascent(
         done = capped | certified | (halvings >= _MAX_HALVINGS)
         if done.any():
             idx = live[done]
-            out_w[idx], out_objective[idx] = w[done], objective[done]
+            out_theta[idx], out_objective[idx] = w[done] / b_vec[done], objective[done]
             out_gap[idx], converged[idx] = gap[done], certified[done]
             iterations[idx] = taken[done] + certified[done]
-            size = live.size - np.count_nonzero(done)
+            size -= np.count_nonzero(done)
             holes = np.flatnonzero(done[:size])  # filled by the kept rows above size
             sources = size + np.flatnonzero(~done[size:])
-            (stack, live, w, objective, g, move, grad, trial, halvings, taken, fresh,
-             new_grad, top) = (
-                _fill(a, holes, sources, size)
-                for a in (stack, live, w, objective, g, move, grad, trial, halvings,
-                          taken, fresh, new_grad, top))
+            for a in (*bufs, new_grad, top):
+                a[holes] = a[sources]
+            (stack, b_vec, live, w, move, grad, objective, trial, halvings, taken, fresh,
+             g, new_grad, top) = (a[:size] for a in (*bufs, new_grad, top))
             if not size:
-                break
+                continue
         if fresh.any():  # new searches
             curvature = -_row_dot(move, new_grad - grad)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 spectral = _row_dot(move, move) / curvature
             step = np.where((curvature > 0.0) & np.isfinite(spectral), spectral, 1.0 / top)
-            trial = np.where(fresh, step, trial)
-            grad = np.where(fresh[:, None], new_grad, grad)
+            trial[fresh], grad[fresh] = step[fresh], new_grad[fresh]
             halvings[fresh] = 0
             taken += fresh
         # the next _SPECULATIVE_HALVINGS halvings; past the last, the last again
@@ -375,34 +397,10 @@ def kliep_ascent(
             for i in np.flatnonzero(hit):
                 traces[live[i]].append(float(objective[i]))
         halvings[~hit] += _SPECULATIVE_HALVINGS
-        fresh = hit
-    return out_w / b_vec, out_objective, iterations, converged, out_gap
-
-
-def kliep_stacks(problems, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, objective) of each KLIEP problem that ``problems`` yields:
-    (k_num (samples, centers), b (centers)) pairs of one shape, at least one.
-    The one packer of KLIEP problems: each is copied, as it arrives, into a
-    buffer of min(STACK, ``count``) problems (``count``, the number
-    expected, only sizes it), which ``kliep_ascent`` fits each time it is
-    full and once more for the rest.  So a caller may free each problem's
-    source at once, and its arrays are never modified.  A problem's fit does
-    not depend on its stack, so the results equal one fit per problem."""
-    k_num = b_vec = None
-    fitted, size = [], 0
-    for k_row, b_row in problems:
-        if k_num is None:
-            k_num = np.empty((min(STACK, count), *np.shape(k_row)))
-            b_vec = np.empty((len(k_num), *np.shape(b_row)))
-        k_num[size], b_vec[size] = k_row, b_row
-        size += 1
-        if size == len(k_num):  # the ascent overwrites k_num, filled again next
-            fitted.append(kliep_ascent(k_num, b_vec)[:2])
-            size = 0
-    if size:
-        fitted.append(kliep_ascent(k_num[:size], b_vec[:size])[:2])
-    theta, objective = zip(*fitted)
-    return np.concatenate(theta), np.concatenate(objective)
+        fresh[:] = hit
+    if next(problems, None) is not None:
+        raise ParameterError(f"a KLIEP stream of {count} problems yielded more")
+    return out_theta, out_objective, iterations, converged, out_gap
 
 
 def kliep_fit(
@@ -414,7 +412,7 @@ def kliep_fit(
     """Constrained maximum-likelihood ratio fit by projected gradient ascent.
 
     Maximizes mean_i log g(Y_i) subject to mean_j g(Y'_j) = 1 and theta >= 0
-    with ``kliep_ascent`` on a copy of ``design.k_num``: spectral trial steps,
+    with ``kliep_ascent`` on a stream of one problem: spectral trial steps,
     halved until the Armijo test passes, so the objective trace is monotone
     non-decreasing.  ``tolerance`` is the certified gap in nats at which the
     ascent stops as converged.  ``trace``, when given, receives the start
@@ -424,11 +422,7 @@ def kliep_fit(
     """
     b_vec = design.k_den.mean(axis=0)
     theta, objective, iterations, converged, gap = kliep_ascent(
-        design.k_num[None].copy(),
-        b_vec[None],
-        tolerance,
-        max_iters,
-        None if trace is None else [trace],
+        [(design.k_num, b_vec)], 1, tolerance, max_iters, None if trace is None else [trace]
     )
     model = RatioModel(
         centers=design.centers, theta=theta[0], sigma=design.sigma, alpha=0.0

@@ -25,10 +25,10 @@ solved one at a time, so the largest temporary is sigmas x lambdas x
 centers^2 doubles (0.5 MB for the default grid and 50 centers).
 
 The KLIEP grid streams every (sigma, fold) problem, its training rows and
-its fold's mean denominator kernel row, into ``estimators.kliep_stacks``:
-one call per training shape for all of a ``cv_select_many`` call (400
-problems for a detector run of 8 blocks and the default grid).  The
-held-out scores are exactly those of one fit per problem.
+its fold's mean denominator kernel row, into ``estimators.kliep_ascent``:
+one stream per training shape for all of a ``cv_select_many`` call (up to
+3,200 problems for a detector run at its cap, 64 blocks of the default
+grid).  The held-out scores are exactly those of one fit per problem.
 
 Ties are broken toward the larger sigma, then the larger lambda.
 """
@@ -47,8 +47,8 @@ from .estimators import (
     _mean_log,
     _solve_spd,
     gram_system,
+    kliep_ascent,
     kliep_fit,  # noqa: F401 -- only for perfbench/perftrace.py, which wraps it here
-    kliep_stacks,
     pe_terms,
 )
 from .kernel import gaussian_kernels, median_distance
@@ -104,7 +104,7 @@ def _kliep_cv_scores(cases: list) -> list[np.ndarray]:
 
     ``b_vecs[f]`` holds fold f's mean denominator kernel rows (sigma,
     center).  The (sigma, fold) problems of all cases' folds with one
-    training shape go to one ``kliep_stacks`` call.
+    training shape go to one ``kliep_ascent`` stream.
     """
     fold_scores = [np.empty((len(k_num), len(folds))) for k_num, _, folds in cases]
     by_shape: dict[tuple, list] = {}  # (training size, centers): (case, fold)s
@@ -116,7 +116,7 @@ def _kliep_cv_scores(cases: list) -> list[np.ndarray]:
         problems = ((k_num[s, folds[f][0][0]], b_vecs[f][s])
                     for c, f in members for k_num, b_vecs, folds in [cases[c]]
                     for s in range(sigmas))
-        theta = kliep_stacks(problems, len(members) * sigmas)[0]
+        theta = kliep_ascent(problems, len(members) * sigmas)[0]
         theta = theta.reshape(len(members), sigmas, -1, 1)
         for (c, f), fold_theta in zip(members, theta):
             k_num, _, folds = cases[c]
@@ -162,7 +162,7 @@ def cv_select_many(
     """``cv_select`` for each (numerator samples, denominator samples, fold
     seed) triple of ``problems``, on ``grid`` with its seed replaced by the
     problem's.  Each result equals that of its own ``cv_select`` call; KLIEP
-    fits the (sigma, fold) problems of all of them in shared stacks.  The
+    fits the (sigma, fold) problems of all of them in shared streams.  The
     first problem in order that cannot be prepared (too few samples, zero
     median distance) raises."""
     if estimator_kind not in ESTIMATOR_KINDS:

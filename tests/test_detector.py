@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from relcpd import detector, estimators, model_selection, seeding
 from relcpd.detector import (
+    RUN_PROBLEMS,
     SCORE_MODES,
     DetectorConfig,
     change_scores,
@@ -178,30 +180,32 @@ def _scores_loop(series, config):
 
 
 @pytest.mark.parametrize(
-    "mode, stride, cv_stride, n, stack",
+    "mode, stride, cv_stride, n, stack, run_cap",
     [
-        # 12 blocks: runs of 8 and 4
-        pytest.param("symmetric", 5, 2, 20, STACK, id="symmetric-5-2"),
-        # 3 blocks in one run, its 234 final fits in one stack
-        pytest.param("symmetric", 1, 50, 20, STACK, id="symmetric-1-50"),
-        # runs of 2 blocks and 1, final fits in stacks of 100 across chunks
-        pytest.param("symmetric", 1, 50, 20, 100, id="symmetric-1-50-stack100"),
-        # 39 blocks: runs of 16, 16 and 7
-        pytest.param("forward", 3, 1, 20, STACK, id="forward-3-1"),
-        # unequal folds; 19 blocks: runs of 16 and 3
-        pytest.param("backward", 2, 3, 22, STACK, id="backward-2-3-n22"),
-        # unequal folds; 10 blocks: runs of 3, 3, 3 and 1
-        pytest.param("symmetric", 4, 3, 22, 150, id="symmetric-4-3-n22-stack150"),
+        # 12 blocks of 50 CV problems; a cap of 400 cuts runs of 6 and 6
+        pytest.param("symmetric", 5, 2, 20, STACK, 400, id="symmetric-5-2"),
+        # the cap forces one block per run
+        pytest.param("symmetric", 5, 2, 20, STACK, 50, id="symmetric-5-2-cap50"),
+        # 3 blocks in one run, its 234 final fits in one stream
+        pytest.param("symmetric", 1, 50, 20, STACK, RUN_PROBLEMS, id="symmetric-1-50"),
+        # runs of 1 block and 2, final fits through a buffer of 100 across chunks
+        pytest.param("symmetric", 1, 50, 20, 100, 100, id="symmetric-1-50-stack100"),
+        # 39 blocks of 25 CV problems in one run
+        pytest.param("forward", 3, 1, 20, STACK, RUN_PROBLEMS, id="forward-3-1"),
+        # unequal folds; 19 blocks in one run
+        pytest.param("backward", 2, 3, 22, STACK, RUN_PROBLEMS, id="backward-2-3-n22"),
+        # unequal folds; 10 blocks: runs of 2, 3, 2 and 3
+        pytest.param("symmetric", 4, 3, 22, 150, 150, id="symmetric-4-3-n22-stack150"),
     ],
 )
 def test_kliep_block_fits_match_per_position_loop(monkeypatch, mode, stride, cv_stride, n,
-                                                  stack):
-    # a run's CV problems are fitted as stacks, one per training size, and
-    # its final fits as stacks of up to the cap that cut across chunks and
-    # CV refreshes
-    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # runs of many blocks
-    monkeypatch.setattr(detector, "STACK", stack)  # runs and chunks
-    monkeypatch.setattr(estimators, "STACK", stack)  # the stacks of kliep_stacks
+                                                  stack, run_cap):
+    # a run's CV problems are fitted as one stream per training size, and its
+    # final fits as one stream that cuts across chunks and CV refreshes
+    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # runs split by the cap
+    monkeypatch.setattr(detector, "RUN_PROBLEMS", run_cap)
+    monkeypatch.setattr(detector, "STACK", stack)  # chunks
+    monkeypatch.setattr(estimators, "STACK", stack)  # the buffer of kliep_ascent
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(
         n=n, estimator_kind="kliep", score_mode=mode, stride=stride, cv_stride=cv_stride,
@@ -286,43 +290,44 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
     pytest.param(stride, STACK, id=str(stride)) for stride in (1, 7, 30, 45)
 ] + [pytest.param(1, 60, id="1-stack60"), pytest.param(7, 30, id="7-stack30")])
 def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
-    # the band kernel spans at most 4n windows at any stride, and every stack
-    # of fits, CV or final, KLIEP or least squares, holds at most STACK
-    # problems
+    # the band kernel spans at most 4n windows at any stride, every KLIEP
+    # buffer, CV or final, holds at most STACK problems, and so does every
+    # least-squares stack
     monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # calls counted here
-    monkeypatch.setattr(detector, "STACK", stack)  # runs and chunks
-    monkeypatch.setattr(estimators, "STACK", stack)  # the stacks of kliep_stacks
-    spans, stacks, cv_stacks, solves = [], [], [], []
+    monkeypatch.setattr(detector, "STACK", stack)  # chunks
+    monkeypatch.setattr(estimators, "STACK", stack)  # the buffer of kliep_ascent
+    spans, streams, cv_streams, buffers, solves = [], [], [], [], []
     kernels, solve = detector.gaussian_kernels, detector._solve_spd
-    ascent = estimators.kliep_ascent
-    into = []  # the size list of the kliep_stacks call running: final or CV
+    try_steps = estimators._try_steps
 
     def recording_kernels(samples, centers, sigmas):
         spans.append(len(samples))
         return kernels(samples, centers, sigmas)
 
-    def recording(kliep_stacks, stack_sizes):
-        def recording_stacks(problems, count):
-            into.append(stack_sizes)
-            try:
-                return kliep_stacks(problems, count)
-            finally:
-                into.pop()
-        return recording_stacks
+    def recording(ascent, stream_sizes):
+        def recording_ascent(problems, count):
+            stream_sizes.append(0)
 
-    def recording_ascent(k_num, b_vec):
-        into[-1].append(len(k_num))
-        return ascent(k_num, b_vec)
+            def counted():  # the problems the engine takes, one at a time
+                for problem in problems:
+                    stream_sizes[-1] += 1
+                    yield problem
+            return ascent(counted(), count)
+        return recording_ascent
+
+    def recording_try_steps(stack_rows, *args):
+        buffers.append(len(stack_rows.base))  # the rows of the engine's buffer
+        return try_steps(stack_rows, *args)
 
     def recording_solve(h_mat, lam, rhs):
         solves.append(len(h_mat))
         return solve(h_mat, lam, rhs)
 
     monkeypatch.setattr(detector, "gaussian_kernels", recording_kernels)
-    monkeypatch.setattr(estimators, "kliep_ascent", recording_ascent)
-    monkeypatch.setattr(detector, "kliep_stacks", recording(detector.kliep_stacks, stacks))
-    monkeypatch.setattr(model_selection, "kliep_stacks",
-                        recording(model_selection.kliep_stacks, cv_stacks))
+    monkeypatch.setattr(estimators, "_try_steps", recording_try_steps)
+    monkeypatch.setattr(detector, "kliep_ascent", recording(detector.kliep_ascent, streams))
+    monkeypatch.setattr(model_selection, "kliep_ascent",
+                        recording(model_selection.kliep_ascent, cv_streams))
     monkeypatch.setattr(detector, "_solve_spd", recording_solve)
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="kliep", stride=stride, cv_stride=100)
@@ -332,11 +337,11 @@ def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
     chunks = sum(-(-size // per_chunk) for size in blocks)
     assert len(spans) == chunks  # one band kernel per chunk
     assert max(spans) == (per_chunk - 1) * stride + 2 * cfg.n <= 4 * cfg.n
-    assert sum(stacks) == 2 * positions  # each final fit once
-    assert sum(cv_stacks) == 2 * len(blocks) * cfg.grid.folds * len(cfg.grid.sigma_factors)
-    assert max(stacks + cv_stacks) <= stack
-    if stack == STACK:  # every fit of the sweep's one run in one stack
-        assert len(stacks) == len(cv_stacks) == 1
+    assert sum(streams) == 2 * positions  # each final fit taken once
+    assert sum(cv_streams) == 2 * len(blocks) * cfg.grid.folds * len(cfg.grid.sigma_factors)
+    assert set(buffers) == {min(stack, size) for size in streams + cv_streams}
+    assert max(buffers) <= stack
+    assert len(streams) == len(cv_streams) == 1  # the sweep's one run, one stream each
 
     # least squares solves each chunk's fits as one stack per direction
     spans.clear()
@@ -443,6 +448,51 @@ def test_worker_count_is_one_unless_workers_fork(monkeypatch):
     assert detector._worker_count(500) == 4
 
 
+@settings(max_examples=200, deadline=None)
+@given(blocks=st.integers(1, 300), workers=st.integers(1, 8),
+       mode=st.sampled_from(SCORE_MODES), folds=st.integers(2, 6),
+       sigmas=st.integers(1, 12), run_cap=st.sampled_from((1, 50, 400, RUN_PROBLEMS)))
+def test_runs_are_even_contiguous_and_capped(blocks, workers, mode, folds, sigmas, run_cap):
+    # one run per worker, more only where a run would hold more KLIEP CV
+    # problems than the cap; a block that alone exceeds it runs alone
+    cfg = DetectorConfig(n=10, score_mode=mode,
+                         grid=CvGrid(sigma_factors=range(1, sigmas + 1), folds=folds))
+    per_block = len(detector._MODE_DIRECTIONS[mode]) * folds * sigmas
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "RUN_PROBLEMS", run_cap)
+        runs = detector._runs(list(range(blocks)), workers, cfg)
+    assert [block for run in runs for block in run] == list(range(blocks))
+    lengths = [len(run) for run in runs]
+    assert min(lengths) >= max(lengths) - 1 >= 0
+    assert max(lengths) * per_block <= max(run_cap, per_block)
+    assert len(runs) >= min(workers, blocks)
+    if len(runs) > min(workers, blocks):  # one run fewer would break the cap
+        assert -(-blocks // (len(runs) - 1)) * per_block > run_cap
+
+
+def test_kliep_run_memory_peak_is_bounded_by_the_run_cap(monkeypatch):
+    # 128 blocks of 50 KLIEP CV problems, two runs at the cap; one run of all
+    # of them peaked at 1.4 times the bound.  A run's CV problem holds its
+    # share of the kernels, n^2 / folds doubles, and at n = 20 about as much
+    # again in its b row, theta and fold indices; a third share is headroom.
+    # The engine adds one buffer of at most STACK problems of n^2 doubles.
+    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)
+    n, folds = 20, 5
+    cfg = DetectorConfig(n=n, k=3, estimator_kind="kliep", stride=1, cv_stride=1,
+                         grid=CvGrid(folds=folds, seed=3))
+    series = _series(seed=5, t_len=128 + minimum_length(cfg) - 1, step_at=80)
+    change_scores(_series(seed=5, t_len=60), cfg)  # first-call allocations
+    tracemalloc.start()
+    try:
+        positions = len(change_scores(series, cfg).scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert positions * 2 * folds * len(cfg.grid.sigma_factors) == 2 * RUN_PROBLEMS
+    bound = (3 * RUN_PROBLEMS * n * n // folds + STACK * n * n) * 8
+    assert peak <= bound, f"peak {peak / 1024:.0f} KiB, bound {bound / 1024:.0f} KiB"
+
+
 class _RecordingPool(ProcessPoolExecutor):
     started: list = []
 
@@ -476,22 +526,26 @@ def test_one_worker_starts_no_pool_and_more_shut_theirs_down(monkeypatch):
     cv_stride=st.integers(1, 30),
     clip=st.booleans(),
     cpus=st.integers(1, 3),
+    run_cap=st.sampled_from((50, 200, RUN_PROBLEMS)),
     n=st.integers(10, 12),  # 11 and 12 give folds of unequal size
     t_len=st.integers(27, 120),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_parallel_sweep_is_bit_identical_to_serial(kind, mode, stride, cv_stride, clip,
-                                                   cpus, n, t_len, seed):
+                                                   cpus, run_cap, n, t_len, seed):
     # short series and long blocks give fewer blocks than workers; the serial
-    # sweep scores runs of up to 8 or 16 blocks, the workers mostly one block each
+    # sweep scores one run, or several where the drawn cap on a run's CV
+    # problems forces them, and the workers one run each, or as many as the cap
     series = _series(seed=seed, t_len=t_len, step_at=t_len // 2)
     cfg = DetectorConfig(n=n, k=3, estimator_kind=kind, score_mode=mode, stride=stride,
                          cv_stride=cv_stride, clip_negative=clip, grid=CvGrid(seed=seed))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detector, "_worker_count", lambda blocks: 1)
+        mp.setattr(detector, "RUN_PROBLEMS", run_cap)
         serial = change_scores(series, cfg)
     with pytest.MonkeyPatch.context() as mp:
         _with_cpus(mp, cpus)
+        mp.setattr(detector, "RUN_PROBLEMS", run_cap)
         parallel = change_scores(series, cfg)
     assert parallel.boundaries == serial.boundaries
     np.testing.assert_array_equal(parallel.scores, serial.scores)
@@ -537,7 +591,7 @@ def test_kliep_zero_denominator_kernel_fails_at_the_same_position_at_any_worker_
 
 
 def test_earlier_final_fit_error_wins_over_a_later_cv_error_in_one_run(monkeypatch):
-    # the serial sweep's run of blocks t=217..224 holds t=222, whose CV fails
+    # the serial sweep's run of blocks t=185..246 holds t=222, whose CV fails
     # on the flat stretch, and t=219, whose final fits are made to fail; a
     # sweep one block at a time reaches t=219's final fits first
     monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)

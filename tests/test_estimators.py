@@ -223,12 +223,12 @@ def _kliep_problems(seed, count, samples=40, centers=50, dim=4):
 
 
 def _assert_ascent_matches_loop(k_nums, k_dens, max_iters=500):
-    """Runs one lockstep stack and checks every problem against the loop
+    """Runs one lockstep stream and checks every problem against the loop
     oracle; returns the oracle's (theta, objective, iterations, converged)."""
     traces = [[] for _ in k_nums]
     theta, objective, iterations, converged, _ = kliep_ascent(
-        np.stack(k_nums),
-        np.stack([k.mean(axis=0) for k in k_dens]),
+        zip(k_nums, [k.mean(axis=0) for k in k_dens]),
+        len(k_nums),
         max_iters=max_iters,
         traces=traces,
     )
@@ -255,10 +255,10 @@ def test_ascent_result_does_not_depend_on_the_stack(
     seed, count, stop, flat, certified, tiny, data
 ):
     # a problem's (theta, objective, iterations, converged, gap) is
-    # bit-identical whether it is fitted alone, in a stack of other problems
-    # or in a permuted stack, so callers may pack problems into stacks as
-    # they like; problems leave the stack out of order (certified at the
-    # start, or, at tolerance -inf, when no step passes), and the stack is
+    # bit-identical whether it is fitted alone, in a stream of other problems
+    # or in a permuted stream, so callers may order their streams as they
+    # like; problems leave the buffer out of order (certified at the start,
+    # or, at tolerance -inf, when no step passes), and the buffer is
     # compacted around them
     tolerance, max_iters = stop
     k_nums, k_dens = _kliep_problems(seed, count, samples=20, centers=25, dim=3)
@@ -274,8 +274,8 @@ def test_ascent_result_does_not_depend_on_the_stack(
     b_vec = np.stack([k.mean(axis=0) for k in k_dens])
     order = np.array(data.draw(st.permutations(range(len(k_num)))))
 
-    def ascent(rows):  # indexing copies k_num, which the ascent overwrites
-        return kliep_ascent(k_num[rows], b_vec[rows], tolerance, max_iters)
+    def ascent(rows):
+        return kliep_ascent(zip(k_num[rows], b_vec[rows]), len(rows), tolerance, max_iters)
 
     stacked, permuted = ascent(np.arange(len(k_num))), ascent(order)
     for p in range(len(k_num)):
@@ -285,33 +285,78 @@ def test_ascent_result_does_not_depend_on_the_stack(
             np.testing.assert_array_equal(in_permuted[at], alone[0])
 
 
-@pytest.mark.parametrize("count", [1, 6, 7, 8, 20])
-def test_kliep_stacks_matches_one_stack(monkeypatch, count):
-    # the packer fits its stream in stacks of at most STACK problems, bit-equal
-    # to one kliep_ascent call on all of them, and leaves the caller's arrays
-    # as they were; an understated count only shrinks the stacks
-    monkeypatch.setattr(estimators, "STACK", 7)
+def _mixed_stream(count):
+    """(k_num, b) of ``count`` small KLIEP problems: by index mod 4, drawn
+    ones, ones certified at their start (every kernel row is b, so the
+    gradient is 1 everywhere), ones with two tiny b_l, and flat ones (every
+    feasible point has the same objective)."""
     k_nums, k_dens = _kliep_problems(14, count, samples=20, centers=25, dim=3)
-    b_vecs = [k.mean(axis=0) for k in k_dens]
+    for p in range(count):
+        if p % 4 == 1:
+            k_nums[p] = np.tile(k_dens[p].mean(axis=0), (20, 1))
+        elif p % 4 == 2:
+            k_dens[p][:, [3, 11]] = (1e-9, 1e-13)
+        elif p % 4 == 3:
+            k_nums[p], k_dens[p] = np.ones((20, 25)), np.ones((20, 25))
+    return k_nums, [k.mean(axis=0) for k in k_dens]
+
+
+@pytest.mark.parametrize("count", [1, 6, 7, 8, 20, 50])
+def test_stream_fits_equal_one_problem_fits(monkeypatch, count):
+    # with a buffer of at most STACK = 7 rows, refilled as problems finish,
+    # each problem of a stream, in stream order or permuted, gets the
+    # (theta, objective, iterations, converged, gap) and the trace of its
+    # one-problem fit, bit for bit: converged, certified at the start, cut
+    # by max_iters, and, at tolerance -inf, ended where no step passes; the
+    # caller's arrays stay as they were
+    monkeypatch.setattr(estimators, "STACK", 7)
+    k_nums, b_vecs = _mixed_stream(count)
     k_before, b_before = [k.copy() for k in k_nums], [b.copy() for b in b_vecs]
-    ascent, sizes = estimators.kliep_ascent, []
+    try_steps, buffers = estimators._try_steps, []
 
-    def recording_ascent(k_num, b_vec):
-        sizes.append(len(k_num))
-        return ascent(k_num, b_vec)
+    def recording_try_steps(stack, *args):
+        buffers.append(len(stack.base))  # the rows of the buffer stack is a view of
+        return try_steps(stack, *args)
 
-    want = ascent(np.stack(k_nums), np.stack(b_vecs))[:2]
-    monkeypatch.setattr(estimators, "kliep_ascent", recording_ascent)
-    got = estimators.kliep_stacks(zip(k_nums, b_vecs), count)
-    assert sum(sizes) == count and max(sizes) <= 7 and len(sizes) == -(-count // 7)
-    sizes.clear()
-    understated = estimators.kliep_stacks(zip(k_nums, b_vecs), 1)
-    assert sizes == [1] * count
-    for result in (got, understated):
-        for part, want_part in zip(result, want):
-            np.testing.assert_array_equal(part, want_part)
+    monkeypatch.setattr(estimators, "_try_steps", recording_try_steps)
+    permuted = np.random.default_rng(count).permutation(count)
+    for tolerance, max_iters in ((1e-3, 500), (1e-3, 6), (-np.inf, 30)):
+        alone = []
+        for k_num, b_vec in zip(k_nums, b_vecs):
+            trace = []
+            fit = kliep_ascent([(k_num, b_vec)], 1, tolerance, max_iters, [trace])
+            alone.append(([part[0] for part in fit], trace))
+        for order in (np.arange(count), permuted):
+            traces = [[] for _ in range(count)]
+            buffers.clear()
+            got = kliep_ascent(((k_nums[p], b_vecs[p]) for p in order), count,
+                               tolerance, max_iters, traces)
+            assert set(buffers) == {min(7, count)}
+            for at, p in enumerate(order):
+                for part, want in zip(got, alone[p][0]):
+                    np.testing.assert_array_equal(part[at], want)
+                assert traces[at] == alone[p][1]
+        exits = set(zip(got[2].tolist(), got[3].tolist()))
+        if tolerance == -np.inf:  # no step passes before the cap
+            assert any(it < max_iters and not c for it, c in exits)
+        elif count > 1:
+            assert (1, True) in exits  # certified at the start
+        if max_iters == 6:
+            assert (6, False) in exits  # cut by max_iters
     for array, before in zip(k_nums + b_vecs, k_before + b_before):
         np.testing.assert_array_equal(array, before)
+
+
+def test_stream_count_must_match_the_stream():
+    # ``count`` sizes the buffer and the results, so a stream that yields
+    # fewer or more problems than it says is an error, as is an empty one
+    k_nums, b_vecs = _mixed_stream(3)
+    with pytest.raises(ParameterError, match="of 4 problems ended after 3"):
+        kliep_ascent(zip(k_nums, b_vecs), 4)
+    with pytest.raises(ParameterError, match="of 2 problems yielded more"):
+        kliep_ascent(zip(k_nums, b_vecs), 2)
+    with pytest.raises(ParameterError, match="at least one problem"):
+        kliep_ascent([], 0)
 
 
 class TestKliepAscent:
@@ -405,7 +450,7 @@ def test_gap_bounds_the_distance_to_the_em_optimum(seed, max_iters):
        tiny=st.lists(st.floats(1e-14, 1e-4), max_size=3),
        max_iters=st.sampled_from((3, 30, 500)))
 def test_converged_fits_are_certified(seed, count, tiny, max_iters):
-    # a stack of drawn problems, some with a center far from every
+    # a stream of drawn problems, some with a center far from every
     # denominator sample, so that its mean denominator kernel b_l is tiny
     k_nums, k_dens = _kliep_problems(seed, count, samples=20, centers=25, dim=3)
     for p, b_l in enumerate(tiny):
@@ -413,7 +458,7 @@ def test_converged_fits_are_certified(seed, count, tiny, max_iters):
     b_vec = np.stack([k.mean(axis=0) for k in k_dens])
     tolerance = 1e-3
     _, objective, iterations, converged, gap = kliep_ascent(
-        np.stack(k_nums), b_vec, tolerance, max_iters)
+        zip(k_nums, b_vec), count, tolerance, max_iters)
     for p, (k_num, k_den) in enumerate(zip(k_nums, k_dens)):
         design = DesignMatrices(k_num=k_num, k_den=k_den, centers=np.zeros((25, 3)),
                                 sigma=1.0)
@@ -441,7 +486,7 @@ def test_returned_gap_is_the_gap_at_theta(tolerance, max_iters):
     b_vec = np.stack([k.mean(axis=0) for k in k_dens])
     traces = [[] for _ in k_nums]
     theta, _, iterations, converged, gap = kliep_ascent(
-        np.stack(k_nums), b_vec, tolerance, max_iters, traces)
+        zip(k_nums, b_vec), len(k_nums), tolerance, max_iters, traces)
     for p, (k_num, k_den) in enumerate(zip(k_nums, k_dens)):
         design = DesignMatrices(k_num=k_num, k_den=k_den, centers=np.zeros((25, 3)),
                                 sigma=1.0)
@@ -495,7 +540,7 @@ def test_zero_mean_denominator_kernel_raises(b_l):
     b_vec = k_den.mean(axis=0)
     b_vec[3] = b_l
     with pytest.raises(DegenerateBandwidthError, match="underflows to 0"):
-        kliep_ascent(k_num[None].copy(), b_vec[None])
+        kliep_ascent([(k_num, b_vec)], 1)
 
 
 @settings(max_examples=200, deadline=None)

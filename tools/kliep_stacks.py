@@ -1,21 +1,19 @@
-"""Measure the KLIEP ascent on the stacks that fixed sweeps send it.
+"""Measure the KLIEP ascent on the streams that fixed sweeps send it.
 
 Runs one fixed-seed 2000-point KLIEP sweep of each generator (datasets 1-4)
 with the benchmark's detector setting (n=50, k=10, stride 5, cv_stride 5) in
-one process, and records every ``kliep_ascent`` stack that
-``estimators.kliep_stacks`` fits, tagged CV or final by the module that
-called it.  For each checkout and each kind of stack (CV, final) it prints:
+one process, and records every stream of problems that CV and the final
+fits send ``estimators.kliep_ascent``, tagged CV or final by the module that
+called it.  For each checkout and each kind of stream (CV, final) it prints:
 
 * the time spent in ``kliep_ascent`` (counting included; it varied by about
-  25% between processes on one 2-core machine, so compare the counts first)
-  and the problem count;
-* problem-iterations (summed over problems) and lockstep iterations (the
-  longest problem of each stack, summed over stacks);
-* the candidate steps tried, the backtracking rounds (calls of
-  ``estimators._try_steps``) and the kernel rows they gathered: a round
-  passed the indices of pending problems gathers their rows unless they are
-  the whole stack, and a round passed none spans the whole stack;
-* the fits not reported converged;
+  25% between processes on one 2-core machine, so compare the counts first),
+  the stream count and the problem count;
+* problem-iterations (summed over problems) and their median;
+* the rounds (calls of ``estimators._try_steps``), the mean rows (problems)
+  per round, and the tail rounds, those after the stream ran dry, when no
+  new problem can take a finished one's row;
+* the candidate steps tried and the fits not reported converged;
 * the certified gap log max_l (grad_theta f)_l / b_l at the returned theta,
   as the ascent returns it, its median, 99th percentile and maximum;
 * the shortfall f_EM - f against EM_UPDATES multiplicative EM updates on
@@ -24,10 +22,10 @@ called it.  For each checkout and each kind of stack (CV, final) it prints:
     python3 tools/kliep_stacks.py <checkout> [<checkout> ...] [--seed 3]
 
 Each checkout runs in a child process that imports the package from its
-``src``, which must have ``estimators.kliep_stacks`` and a ``kliep_ascent``
-that returns the gap.  CV stacks are the same in every checkout; final-fit
-stacks follow the bandwidths CV selects, so they can differ where the fits
-do.  Not a test; pytest does not collect it.
+``src``, which must have the streaming ``kliep_ascent(problems, count)``.
+CV streams are the same in every checkout; final-fit streams follow the
+bandwidths CV selects, so they can differ where the fits do.  Not a test;
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -63,65 +61,66 @@ def em_objectives(k_num: np.ndarray, b_vec: np.ndarray, updates: int) -> np.ndar
 
 
 def measure(checkout: str, seed: int) -> dict:
-    """Child process: sweep, record every stack, return the per-kind totals."""
+    """Child process: sweep, record every stream, return the per-kind totals."""
     sys.path.insert(0, str(Path(checkout) / "src"))
     from relcpd import (CvGrid, DetectorConfig, SynthSpec, change_scores, detector,
                         estimators, generate, model_selection)
     from relcpd.seeding import mix_seed
 
-    stats = {kind: {"time_s": 0.0, "stacks": 0, "problems": 0, "problem_iterations": 0,
-                    "lockstep_iterations": 0, "candidates": 0, "rounds": 0,
-                    "rows_gathered": 0, "nonconverged": 0,
-                    "iterations": [], "gaps": [], "shortfalls": []} for kind in ("cv", "final")}
-    current = []
+    stats = {kind: {"time_s": 0.0, "streams": 0, "problems": 0, "problem_iterations": 0,
+                    "rounds": 0, "rows": 0, "tail_rounds": 0, "candidates": 0,
+                    "nonconverged": 0, "iterations": [], "gaps": [], "shortfalls": []}
+             for kind in ("cv", "final")}
+    current = []  # the stream running: [kind, problems taken, count]
     try_steps = estimators._try_steps
 
-    def counting_try_steps(stack, w, grad, objective, steps, *pending):
-        s = stats[current[-1]]
+    def counting_try_steps(stack, w, grad, objective, steps):
+        kind, taken, count = current[-1]
+        s = stats[kind]
         s["candidates"] += int(steps.size)
         s["rounds"] += 1
-        if pending and pending[0].size < len(stack):
-            s["rows_gathered"] += int(pending[0].size)
-        return try_steps(stack, w, grad, objective, steps, *pending)
+        s["rows"] += len(stack)
+        s["tail_rounds"] += taken == count
+        return try_steps(stack, w, grad, objective, steps)
 
-    def tagging(kind, kliep_stacks):
-        def wrapper(problems, count):
-            current.append(kind)
+    def recording(kind, ascent):
+        def wrapper(problems, count, *args, **kwargs):
+            s = stats[kind]
+            first = s["problems"]  # stream indices within the kind
+            picked = []  # copies of every EM_EVERY-th problem, for EM
+
+            def counted():
+                for problem in problems:
+                    if (first + current[-1][1]) % EM_EVERY == 0:
+                        picked.append((np.array(problem[0]), np.array(problem[1])))
+                    current[-1][1] += 1
+                    yield problem
+
+            current.append([kind, 0, count])
+            start = time.perf_counter()
             try:
-                return kliep_stacks(problems, count)
+                out = ascent(counted(), count, *args, **kwargs)
             finally:
                 current.pop()
-        return wrapper
-
-    def recording(ascent):
-        def wrapper(k_num, b_vec, *args, **kwargs):
-            k_orig, b_orig = k_num.copy(), b_vec.copy()
-            start = time.perf_counter()
-            out = ascent(k_num, b_vec, *args, **kwargs)
-            elapsed = time.perf_counter() - start
+            s["time_s"] += time.perf_counter() - start
             theta, objective, iterations, converged, gap = out
-            s = stats[current[-1]]
-            s["time_s"] += elapsed
-            s["stacks"] += 1
+            s["streams"] += 1
             s["problems"] += len(theta)
             s["problem_iterations"] += int(iterations.sum())
-            s["lockstep_iterations"] += int(iterations.max())
             s["nonconverged"] += int((~converged).sum())
             s["gaps"] += gap.tolist()
             s["iterations"] += iterations.tolist()
-            index = s["problems"] - len(theta) + np.arange(len(theta))  # within the kind
-            picked = np.flatnonzero(index % EM_EVERY == 0)
-            if picked.size:
-                f_em = em_objectives(k_orig[picked], b_orig[picked], EM_UPDATES)
-                s["shortfalls"] += (f_em - objective[picked]).tolist()
+            if picked:
+                k_num, b_vec = (np.stack(part) for part in zip(*picked))
+                f_em = em_objectives(k_num, b_vec, EM_UPDATES)
+                s["shortfalls"] += (f_em - objective[-first % EM_EVERY :: EM_EVERY]).tolist()
             return out
         return wrapper
 
     estimators._try_steps = counting_try_steps
-    estimators.kliep_ascent = recording(estimators.kliep_ascent)
-    model_selection.kliep_stacks = tagging("cv", model_selection.kliep_stacks)
-    detector.kliep_stacks = tagging("final", detector.kliep_stacks)
-    detector._worker_count = lambda tasks: 1  # every stack in this process
+    model_selection.kliep_ascent = recording("cv", model_selection.kliep_ascent)
+    detector.kliep_ascent = recording("final", detector.kliep_ascent)
+    detector._worker_count = lambda tasks: 1  # every stream in this process
     start = time.perf_counter()
     for dataset in DATASETS:
         series = generate(SynthSpec(dataset_id=dataset, length=LENGTH,
@@ -134,6 +133,7 @@ def measure(checkout: str, seed: int) -> dict:
     for kind, s in stats.items():
         gaps, shortfalls = np.array(s.pop("gaps")), np.array(s.pop("shortfalls"))
         s.update(iterations_median=float(np.median(s.pop("iterations"))),
+                 rows_per_round=s.pop("rows") / max(1, s["rounds"]),
                  gap_median=float(np.median(gaps)), gap_p99=float(np.quantile(gaps, 0.99)),
                  gap_max=float(gaps.max()), em_problems=int(shortfalls.size),
                  shortfall_max=float(shortfalls.max()),
@@ -152,10 +152,10 @@ def main(argv=None) -> None:
     if args.child:
         print(json.dumps(measure(args.checkouts[0], args.seed)))
         return
-    print(f"{'checkout':<24} {'stacks':<6} {'time s':>7} {'problems':>8} {'prob-it':>8} "
-          f"{'it med':>6} {'lockstep':>8} {'cands':>8} {'rounds':>6} {'gathered':>8} "
-          f"{'unconv':>6} {'gap med':>8} "
-          f"{'gap p99':>8} {'gap max':>8} {'short max':>9} {'>1e-3':>5}")
+    print(f"{'checkout':<24} {'kind':<6} {'time s':>7} {'streams':>7} {'problems':>8} "
+          f"{'prob-it':>8} {'it med':>6} {'rounds':>6} {'rows/rd':>7} {'tail rd':>7} "
+          f"{'cands':>8} {'unconv':>6} {'gap med':>8} {'gap p99':>8} {'gap max':>8} "
+          f"{'short max':>9} {'>1e-3':>5}")
     for checkout in args.checkouts:
         out = subprocess.run(
             [sys.executable, __file__, checkout, "--child", "--seed", str(args.seed)],
@@ -164,10 +164,9 @@ def main(argv=None) -> None:
         for kind in ("cv", "final"):
             s = summary[kind]
             print(f"{Path(checkout).name[-24:]:<24} {kind:<6} {s['time_s']:7.2f} "
-                  f"{s['problems']:8d} {s['problem_iterations']:8d} "
-                  f"{s['iterations_median']:6.0f} "
-                  f"{s['lockstep_iterations']:8d} {s['candidates']:8d} "
-                  f"{s['rounds']:6d} {s['rows_gathered']:8d} "
+                  f"{s['streams']:7d} {s['problems']:8d} {s['problem_iterations']:8d} "
+                  f"{s['iterations_median']:6.0f} {s['rounds']:6d} "
+                  f"{s['rows_per_round']:7.1f} {s['tail_rounds']:7d} {s['candidates']:8d} "
                   f"{s['nonconverged']:6d} {s['gap_median']:8.1e} {s['gap_p99']:8.1e} "
                   f"{s['gap_max']:8.1e} {s['shortfall_max']:9.1e} "
                   f"{s['shortfalls_above_1e3']:5d}")
