@@ -44,7 +44,7 @@ import numpy as np
 # imported only for perfbench/perftrace.py, which counts its calls here by
 # getattr, until that tracer reads per-layer counters instead
 from scipy.linalg import cho_factor  # noqa: F401
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
 from .errors import (
     DegenerateBandwidthError,
@@ -105,32 +105,41 @@ class FitDiagnostics:
 
 
 def _solve_spd(h_mat: np.ndarray, lam, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve (LAPACK potrf/potrs) of (H + lam I) theta = rhs for one
-    system or each of a stack: H (..., b, b), ``lam`` (...) and rhs (..., b)
-    broadcast to one stack shape, built in one copy.  A system that is not
-    positive definite is factored once more with its diagonal raised by
-    1e-10 trace(H) / b of its own H, then raises ``SingularSystemError``."""
+    """Cholesky solve of (H + lam I) theta = rhs for one system or each of a
+    stack: H (..., b, b), ``lam`` (...) and rhs (..., b) broadcast to one stack
+    shape and copied once, the systems H + lam I and the right-hand sides.
+    Each system is solved by one LAPACK posv call in place on its transpose, a
+    Fortran-order view of the copy that is the system itself only because H
+    is exactly symmetric (``gram_system``'s H is).  A system that is not
+    positive definite is rebuilt from its own H, then lam, then a diagonal
+    jitter of 1e-10 trace(H) / b and solved once more, then raises
+    ``SingularSystemError``.  The arguments are left unmodified."""
     width = h_mat.shape[-1]
     shape = np.broadcast_shapes(h_mat.shape[:-2], np.shape(lam), rhs.shape[:-1])
+    # one copy of the whole stack: copied 512 KiB at a time, serial sweeps ran
+    # 15-20% slower, as glibc's mmap threshold then stayed below the 0.4 MB
+    # arrays of the fold-stacked CV, which were mapped and faulted in anew
     systems = np.empty(shape + (width, width))
     systems[...] = h_mat
     systems = systems.reshape(-1, width, width)
     diagonals = systems.reshape(len(systems), -1)[:, :: width + 1]
-    diagonals += np.broadcast_to(lam, shape).reshape(-1, 1)
-    h_mats = np.broadcast_to(h_mat, shape + (width, width))
-    rhs = np.broadcast_to(rhs, shape + (width,)).reshape(-1, width)
-    theta = np.empty((len(systems), width))
-    for i, (a, b) in enumerate(zip(systems, rhs)):
-        factor, info = dpotrf(a, lower=1, clean=0)
-        if info:
-            h_own = h_mats[np.unravel_index(i, shape)]
+    lams = np.broadcast_to(lam, shape).reshape(-1, 1)
+    diagonals += lams
+    theta = np.empty(shape + (width,))
+    theta[...] = rhs
+    theta = theta.reshape(-1, width)
+    for i, (a, b) in enumerate(zip(systems, theta)):
+        if dposv(a.T, b, lower=1, overwrite_a=1, overwrite_b=1)[2]:
+            index = np.unravel_index(i, shape)
+            h_own = np.broadcast_to(h_mat, shape + (width, width))[index]
+            a[...] = h_own
+            diagonals[i] += lams[i]
             diagonals[i] += 1e-10 * float(np.trace(h_own)) / width
-            factor, info = dpotrf(a, lower=1, clean=0)
-            if info:
+            b[...] = np.broadcast_to(rhs, shape + (width,))[index]
+            if dposv(a.T, b, lower=1, overwrite_a=1, overwrite_b=1)[2]:
                 raise SingularSystemError(
                     "H + lambda I is not positive definite; use lambda > 0"
                 )
-        theta[i] = dpotrs(factor, b, lower=1)[0]
     return theta.reshape(shape + (width,))
 
 
@@ -144,12 +153,14 @@ def gram_system(
     h[l] = mean_i K(Y_i, C_l).
 
     Takes (samples, centers) kernels or stacks of them, (..., samples,
-    centers); H is then (..., centers, centers) and h (..., centers).
+    centers); H is then (..., centers, centers) and h (..., centers).  H is
+    exactly symmetric, as ``_solve_spd`` needs: numpy computes K' K of one
+    array with BLAS syrk, which fills one triangle and mirrors it, or else
+    adds the same products in the same order for [l, l'] and [l', l].
     """
     h_mat = ((1.0 - alpha) / k_den.shape[-2]) * (k_den.swapaxes(-1, -2) @ k_den)
     if alpha:  # uLSIF (alpha = 0) skips the numerator Gram product
         h_mat += (alpha / k_num.shape[-2]) * (k_num.swapaxes(-1, -2) @ k_num)
-    h_mat = 0.5 * (h_mat + h_mat.swapaxes(-1, -2))
     return h_mat, k_num.mean(axis=-2)
 
 

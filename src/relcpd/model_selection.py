@@ -17,12 +17,16 @@ Held-out criteria:
   per-sigma score across lambda so the table stays exhaustive.
 
 The least-squares grid runs on stacked (sigma, sample, center) kernels and on
-the final fits' solve.  Per fold, one ``estimators.gram_system`` call builds H
-and h for every sigma, and one ``estimators._solve_spd`` call solves all
-(sigma, lambda) systems H + lambda I by Cholesky factorization, retrying a
-system that is not positive definite with jitter on its own.  Folds are
-solved one at a time, so the largest temporary is sigmas x lambdas x
-centers^2 doubles (0.5 MB for the default grid and 50 centers).
+the final fits' solve.  The folds of one problem whose (training, held-out)
+sizes agree (all of them where the fold count divides the sample counts)
+form one stack: one ``estimators.gram_system`` call builds H and h for every
+(sigma, fold), and one ``estimators._solve_spd`` call solves all (sigma,
+fold, lambda) systems H + lambda I by Cholesky factorization, retrying a
+system that is not positive definite with jitter on its own.  The folds'
+criteria are summed in fold order, so the table equals that of a loop over
+folds bit for bit.  Problems are not stacked together.  The largest
+temporary is folds x sigmas x lambdas x centers^2 doubles (2.5 MB for the
+default grid and 50 centers).
 
 The KLIEP grid streams every (sigma, fold) problem, its training rows and
 its fold's mean denominator kernel row, into ``estimators.kliep_ascent``:
@@ -126,15 +130,25 @@ def _kliep_cv_scores(cases: list) -> list[np.ndarray]:
 
 
 def _least_squares_scores(k_num, k_den, folds: list, lambdas, alpha: float) -> np.ndarray:
-    """Held-out squared-loss criterion per (sigma, lambda), averaged over folds."""
-    scores = np.zeros((len(k_num), len(lambdas)))
-    for (num_tr, num_ho), (den_tr, den_ho) in folds:
+    """Held-out squared-loss criterion per (sigma, lambda), averaged over
+    folds: one (sigma, fold, lambda) stack per fold size, summed in fold order."""
+    by_size: dict[tuple, list] = {}  # sizes of the four index sets: folds
+    for f, fold in enumerate(folds):
+        by_size.setdefault(tuple(len(part) for side in fold for part in side), []).append(f)
+    fold_scores = np.empty((len(folds), len(k_num), len(lambdas)))
+    for members in by_size.values():
+        num_tr, num_ho, den_tr, den_ho = (
+            np.stack([folds[f][side][part] for f in members])
+            for side in (0, 1) for part in (0, 1))
         h_mat, h_vec = gram_system(k_num[:, num_tr], k_den[:, den_tr], alpha)
-        # theta (sigma, lambda, center), g (sigma, lambda, held-out sample)
-        theta = _solve_spd(h_mat[:, None], lambdas, h_vec[:, None])
+        # theta (sigma, fold, lambda, center), g (sigma, fold, lambda, held-out sample)
+        theta = _solve_spd(h_mat[:, :, None], lambdas, h_vec[:, :, None])
         g_num = theta @ k_num[:, num_ho].swapaxes(-1, -2)
         g_den = theta @ k_den[:, den_ho].swapaxes(-1, -2)
-        scores -= pe_terms(g_num, g_den, alpha) + 0.5
+        fold_scores[members] = pe_terms(g_num, g_den, alpha).swapaxes(0, 1)
+    scores = np.zeros((len(k_num), len(lambdas)))
+    for fold_score in fold_scores:
+        scores -= fold_score + 0.5
     scores /= len(folds)
     return scores
 

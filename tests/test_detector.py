@@ -249,7 +249,7 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="rulsif", stride=1, cv_stride=24)
     expected = change_scores(series, cfg).scores
-    potrf, chunk_terms = estimators.dpotrf, detector._chunk_terms
+    posv, chunk_terms = estimators.dposv, detector._chunk_terms
     systems = []
     in_chunk = [False]  # CV's factorizations are neither recorded nor failed
 
@@ -260,15 +260,15 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
         finally:
             in_chunk[0] = False
 
-    def failing_third_potrf(a, **kwargs):
-        factor, info = potrf(a, **kwargs)
+    def failing_third_posv(a, b, **kwargs):
         if not in_chunk[0]:
-            return factor, info
+            return posv(a, b, **kwargs)
         systems.append(a.copy())
-        return factor, 1 if len(systems) == 3 else info
+        factor, x, info = posv(a, b, **kwargs)
+        return factor, x, 1 if len(systems) == 3 else info
 
     monkeypatch.setattr(detector, "_chunk_terms", flagged_chunk_terms)
-    monkeypatch.setattr(estimators, "dpotrf", failing_third_potrf)
+    monkeypatch.setattr(estimators, "dposv", failing_third_posv)
     got = change_scores(series, cfg).scores
     # one factorization per position and direction, plus the one retry; the
     # third system is the forward fit of position 2
@@ -280,8 +280,8 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
     np.testing.assert_array_equal(np.delete(got, 2), np.delete(expected, 2))
     assert got[2] == pytest.approx(expected[2], rel=1e-6)
 
-    monkeypatch.setattr(estimators, "dpotrf",
-                        lambda a, **kwargs: (a, 1) if in_chunk[0] else potrf(a, **kwargs))
+    monkeypatch.setattr(estimators, "dposv",
+                        lambda a, b, **kwargs: (a, b, 1) if in_chunk[0] else posv(a, b, **kwargs))
     with pytest.raises(SingularSystemError):
         change_scores(series, cfg)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcpd import estimators
+from relcpd import detector, estimators
 from relcpd.embedding import TimeSeries, build_windows, segment_pair
 from relcpd.errors import DegenerateBandwidthError, DimensionMismatchError, ParameterError
 from relcpd.kernel import DesignMatrices, design_matrices, median_distance
@@ -16,6 +16,8 @@ from relcpd.estimators import (
     LOG_FLOOR,
     RatioModel,
     _simplex_project,
+    _solve_spd,
+    gram_system,
     kl_estimate,
     kliep_ascent,
     kliep_fit,
@@ -204,6 +206,63 @@ class TestKliep:
                 fd[i] = (kliep_objective(d, up) - kliep_objective(d, dn)) / (2 * h)
             rel = np.linalg.norm(fd - grad) / np.linalg.norm(grad)
             assert rel <= 1e-4
+
+
+def _band_views(n=20, stride=3):
+    """(k_num, k_den) stacks of both directions of a detector chunk: strided
+    views into one band kernel each."""
+    windows = build_windows(generate(SynthSpec(dataset_id=2, length=400, seed=4)), 5)
+    sigma = median_distance(windows.vectors[: 2 * n])
+    selections = {0: (sigma, 0.1), 1: (1.3 * sigma, 0.1)}
+    return detector._chunk_kernels(windows, range(1, 40, stride), selections, n)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["contiguous", "fold gathers", "band views"])
+def test_gram_matrix_is_exactly_symmetric(kind, alpha):
+    # _solve_spd solves on the transpose of H + lam I, so H must equal its
+    # transpose bit for bit
+    rng = np.random.default_rng(7)
+    if kind == "contiguous":
+        stacks = [(rng.random((4, 30, 25)), rng.random((4, 30, 25)))]
+    elif kind == "fold gathers":  # (sigma, fold, training sample, center)
+        k_num, k_den = rng.random((2, 5, 53, 53))
+        folds = np.stack([rng.permutation(53)[:42] for _ in range(5)])
+        stacks = [(k_num[:, folds], k_den[:, folds]), (k_num[0, folds[0]], k_den[0, folds[0]])]
+    else:
+        stacks = _band_views()
+    for k_num, k_den in stacks:
+        h_mat, _ = gram_system(k_num, k_den, alpha)
+        np.testing.assert_array_equal(h_mat, h_mat.swapaxes(-1, -2))
+
+
+def test_solve_leaves_its_arguments_unmodified_and_retries_one_system_alone(monkeypatch):
+    rng = np.random.default_rng(5)
+    k_den = rng.random((4, 30, 12))
+    h_mat = k_den.swapaxes(-1, -2) @ k_den / 30
+    h_mat[1] = 1.0  # rank one: its second pivot is exactly 0 at lam = 1e-300
+    lam = np.array([0.1, 1e-300, 1.0, 1e-300])
+    rhs = rng.random(12)  # broadcast to every system
+    arguments = [h_mat.copy(), lam.copy(), rhs.copy()]
+    posv, calls = estimators.dposv, []
+
+    def counted_posv(a, b, **kwargs):
+        calls.append(a.copy())
+        return posv(a, b, **kwargs)
+
+    monkeypatch.setattr(estimators, "dposv", counted_posv)
+    theta = _solve_spd(h_mat, lam, rhs)
+    assert len(calls) == 5  # one solve per system, plus the retry of system 1
+    # the retry is rebuilt from its own H, then lam, then 1e-10 trace(H) / 12
+    retried = h_mat[1].copy()
+    retried[np.diag_indices(12)] += 1e-300
+    np.testing.assert_array_equal(calls[1], retried)
+    retried[np.diag_indices(12)] += 1e-10
+    np.testing.assert_array_equal(calls[2], retried)
+    for i in range(4):
+        np.testing.assert_array_equal(theta[i], _solve_spd(h_mat[i], lam[i], rhs))
+    for got, before in zip((h_mat, lam, rhs), arguments):
+        np.testing.assert_array_equal(got, before)
 
 
 def _kliep_problems(seed, count, samples=40, centers=50, dim=4):

@@ -14,13 +14,14 @@ from relcpd.errors import (
     ParameterError,
     SingularSystemError,
 )
-from relcpd.estimators import _solve_spd
-from relcpd.kernel import median_distance
+from relcpd.estimators import _solve_spd, gram_system, pe_terms
+from relcpd.kernel import gaussian_kernels, median_distance
 from relcpd.model_selection import (
     DEFAULT_LAMBDAS,
     DEFAULT_SIGMA_FACTORS,
     CvGrid,
     cv_select,
+    cv_select_many,
 )
 from relcpd.synthgen import SynthSpec, generate
 
@@ -225,23 +226,23 @@ def test_failed_factorization_is_retried_with_jitter_for_that_cv_system_alone(mo
     num, den = _samples(seed=6)
     grid = CvGrid(seed=11)
     expected = cv_select(num, den, grid, "rulsif", 0.1).score_table
-    potrf = estimators.dpotrf
+    posv = estimators.dposv
     systems = []
 
-    def failing_eighth_potrf(a, **kwargs):
+    def failing_twenty_eighth_posv(a, b, **kwargs):
         systems.append(a.copy())
-        factor, info = potrf(a, **kwargs)
-        return factor, 1 if len(systems) == 8 else info
+        factor, x, info = posv(a, b, **kwargs)
+        return factor, x, 1 if len(systems) == 28 else info
 
-    monkeypatch.setattr(estimators, "dpotrf", failing_eighth_potrf)
+    monkeypatch.setattr(estimators, "dposv", failing_twenty_eighth_posv)
     got = cv_select(num, den, grid, "rulsif", 0.1).score_table
-    # one factorization per (fold, sigma, lambda), plus the one retry; the
-    # eighth system is (sigma 1, lambda 2) of the first fold
+    # one factorization per (sigma, fold, lambda), plus the one retry; the
+    # twenty-eighth system is (sigma 1, lambda 2) of the first fold
     assert len(systems) == grid.folds * len(expected) + 1
-    jitter = systems[8] - systems[7]
+    jitter = systems[28] - systems[27]
     np.testing.assert_array_equal(jitter, np.diag(np.diag(jitter)))
     width = len(num)
-    own_trace = np.trace(systems[7]) - width * grid.lambdas[2]  # trace of its H
+    own_trace = np.trace(systems[27]) - width * grid.lambdas[2]  # trace of its H
     np.testing.assert_allclose(np.diag(jitter), 1e-10 * own_trace / width, rtol=1e-3)
     moved = list(expected)[7]
     assert moved == (sorted({s for s, _ in expected})[1], grid.lambdas[2])
@@ -251,9 +252,52 @@ def test_failed_factorization_is_retried_with_jitter_for_that_cv_system_alone(mo
         k: v for k, v in expected.items() if k != moved
     }
 
-    monkeypatch.setattr(estimators, "dpotrf", lambda a, **kwargs: (a, 1))
+    monkeypatch.setattr(estimators, "dposv", lambda a, b, **kwargs: (a, b, 1))
     with pytest.raises(SingularSystemError):
         cv_select(num, den, grid, "rulsif", 0.1)
+
+
+def _per_fold_scores(num, den, grid, alpha):
+    """The least-squares CV table as a loop over folds computes it: one
+    ``gram_system`` and one ``_solve_spd`` call per fold, the fold criteria
+    summed as they come."""
+    d_med = median_distance(np.vstack([num, den]))
+    sigmas = [f * d_med for f in grid.sigma_factors]
+    rng = seeding.rng_from(grid.seed)
+    num_folds = model_selection._fold_blocks(len(num), grid.folds, rng)
+    folds = zip(num_folds, model_selection._fold_blocks(len(den), grid.folds, rng))
+    k_num, k_den = gaussian_kernels(num, num, sigmas), gaussian_kernels(den, num, sigmas)
+    scores = np.zeros((len(sigmas), len(grid.lambdas)))
+    for (num_tr, num_ho), (den_tr, den_ho) in folds:
+        h_mat, h_vec = gram_system(k_num[:, num_tr], k_den[:, den_tr], alpha)
+        theta = _solve_spd(h_mat[:, None], grid.lambdas, h_vec[:, None])
+        g_num = theta @ k_num[:, num_ho].swapaxes(-1, -2)
+        g_den = theta @ k_den[:, den_ho].swapaxes(-1, -2)
+        scores -= pe_terms(g_num, g_den, alpha) + 0.5
+    scores /= grid.folds
+    return scores
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("n", [50, 52, 53])
+def test_fold_stacked_cv_equals_the_per_fold_loop(n, alpha):
+    # 5 folds of 52 or 53 samples have unequal sizes, so their systems are
+    # solved in one stack per size
+    series = generate(SynthSpec(dataset_id=1, length=600, seed=n))
+    windows = build_windows(series, 10)
+    problems = []
+    for t in (1, 151, 301):
+        pair = segment_pair(windows, t, n)
+        problems += [(pair.reference, pair.test, seeding.mix_seed(29, t, 0)),
+                     (pair.test, pair.reference, seeding.mix_seed(29, t, 1))]
+    kind = "rulsif" if alpha else "ulsif"
+    many = cv_select_many(problems, CvGrid(), kind, alpha)
+    for (num, den, seed), res_many in zip(problems, many):
+        grid = CvGrid(seed=seed)
+        expected = _per_fold_scores(num, den, grid, alpha)
+        for res in (cv_select(num, den, grid, kind, alpha), res_many):
+            table = np.array(list(res.score_table.values())).reshape(expected.shape)
+            np.testing.assert_array_equal(table, expected)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,9 @@ called it.  For each checkout and each kind of stream (CV, final) it prints:
 * problem-iterations (summed over problems) and their median;
 * the rounds (calls of ``estimators._try_steps``), the mean rows (problems)
   per round, and the tail rounds, those after the stream ran dry, when no
-  new problem can take a finished one's row;
+  new problem can take a finished one's row, with their time and mean rows
+  (a round's time runs from the previous round's candidates to its own, and
+  the stream's last stretch, after its last candidates, counts as tail);
 * the candidate steps tried and the fits not reported converged;
 * the certified gap log max_l (grad_theta f)_l / b_l at the returned theta,
   as the ascent returns it, its median, 99th percentile and maximum;
@@ -68,19 +70,25 @@ def measure(checkout: str, seed: int) -> dict:
     from relcpd.seeding import mix_seed
 
     stats = {kind: {"time_s": 0.0, "streams": 0, "problems": 0, "problem_iterations": 0,
-                    "rounds": 0, "rows": 0, "tail_rounds": 0, "candidates": 0,
+                    "rounds": 0, "rows": 0, "tail_rounds": 0, "tail_rows": 0,
+                    "tail_s": 0.0, "candidates": 0,
                     "nonconverged": 0, "iterations": [], "gaps": [], "shortfalls": []}
              for kind in ("cv", "final")}
-    current = []  # the stream running: [kind, problems taken, count]
+    current = []  # the stream running: [kind, problems taken, count, round start]
     try_steps = estimators._try_steps
 
     def counting_try_steps(stack, w, grad, objective, steps):
-        kind, taken, count = current[-1]
+        kind, taken, count, round_start = current[-1]
+        now = time.perf_counter()
         s = stats[kind]
         s["candidates"] += int(steps.size)
         s["rounds"] += 1
         s["rows"] += len(stack)
-        s["tail_rounds"] += taken == count
+        if taken == count:
+            s["tail_rounds"] += 1
+            s["tail_rows"] += len(stack)
+            s["tail_s"] += now - round_start
+        current[-1][3] = now
         return try_steps(stack, w, grad, objective, steps)
 
     def recording(kind, ascent):
@@ -96,13 +104,15 @@ def measure(checkout: str, seed: int) -> dict:
                     current[-1][1] += 1
                     yield problem
 
-            current.append([kind, 0, count])
             start = time.perf_counter()
+            current.append([kind, 0, count, start])
             try:
                 out = ascent(counted(), count, *args, **kwargs)
             finally:
-                current.pop()
-            s["time_s"] += time.perf_counter() - start
+                round_start = current.pop()[3]
+            end = time.perf_counter()
+            s["time_s"] += end - start
+            s["tail_s"] += end - round_start  # the last gradients, after the last round
             theta, objective, iterations, converged, gap = out
             s["streams"] += 1
             s["problems"] += len(theta)
@@ -134,6 +144,7 @@ def measure(checkout: str, seed: int) -> dict:
         gaps, shortfalls = np.array(s.pop("gaps")), np.array(s.pop("shortfalls"))
         s.update(iterations_median=float(np.median(s.pop("iterations"))),
                  rows_per_round=s.pop("rows") / max(1, s["rounds"]),
+                 tail_rows_per_round=s.pop("tail_rows") / max(1, s["tail_rounds"]),
                  gap_median=float(np.median(gaps)), gap_p99=float(np.quantile(gaps, 0.99)),
                  gap_max=float(gaps.max()), em_problems=int(shortfalls.size),
                  shortfall_max=float(shortfalls.max()),
@@ -154,6 +165,7 @@ def main(argv=None) -> None:
         return
     print(f"{'checkout':<24} {'kind':<6} {'time s':>7} {'streams':>7} {'problems':>8} "
           f"{'prob-it':>8} {'it med':>6} {'rounds':>6} {'rows/rd':>7} {'tail rd':>7} "
+          f"{'tail s':>6} {'rows/tr':>7} "
           f"{'cands':>8} {'unconv':>6} {'gap med':>8} {'gap p99':>8} {'gap max':>8} "
           f"{'short max':>9} {'>1e-3':>5}")
     for checkout in args.checkouts:
@@ -166,7 +178,8 @@ def main(argv=None) -> None:
             print(f"{Path(checkout).name[-24:]:<24} {kind:<6} {s['time_s']:7.2f} "
                   f"{s['streams']:7d} {s['problems']:8d} {s['problem_iterations']:8d} "
                   f"{s['iterations_median']:6.0f} {s['rounds']:6d} "
-                  f"{s['rows_per_round']:7.1f} {s['tail_rounds']:7d} {s['candidates']:8d} "
+                  f"{s['rows_per_round']:7.1f} {s['tail_rounds']:7d} {s['tail_s']:6.2f} "
+                  f"{s['tail_rows_per_round']:7.1f} {s['candidates']:8d} "
                   f"{s['nonconverged']:6d} {s['gap_median']:8.1e} {s['gap_p99']:8.1e} "
                   f"{s['gap_max']:8.1e} {s['shortfall_max']:9.1e} "
                   f"{s['shortfalls_above_1e3']:5d}")

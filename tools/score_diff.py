@@ -1,11 +1,16 @@
-"""Compare change-point scores between two checkouts of this repository.
+"""Compare change-point scores and CV tables between two checkouts of this
+repository.
 
 Runs a fixed list of sweeps in each checkout -- every estimator on datasets
 1-4, two fixed-seed 2000-point series each, with the benchmark's detector
-setting (n=50, k=10, stride 5, cv_stride 5) -- and prints, per sweep, the
-sha256 of the scores in each checkout (its first 16 hex digits), the largest
-|score difference| and both AUCs.  Like ``diff``, it exits 1 when any
-digest differs and 0 when all are equal.
+setting (n=50, k=10, stride 5, cv_stride 5), and uLSIF on one series per
+dataset at the ``ulsif-dense-cli`` setting (stride 1, cv_stride 500) -- and
+the least-squares CV grid (RuLSIF at alpha 0.1, uLSIF) on a fixed list of
+segment pairs of one series per dataset, at n=50 and n=53 (folds of unequal
+size).  It prints, per sweep, the sha256 of the scores in each checkout (its
+first 16 hex digits), the largest |score difference| and both AUCs, and per
+CV set the same for its score tables, all pairs' in order.  Like ``diff``,
+it exits 1 when any digest differs and 0 when all are equal.
 
     python3 tools/score_diff.py <checkout A> <checkout B>
 
@@ -33,27 +38,54 @@ SERIES = (1, 2)
 LENGTH = 2000
 MASTER_SEED = 12012
 DETECTOR = {"n": 50, "k": 10, "stride": 5, "cv_stride": 5}
+DENSE = {"n": 50, "k": 10, "stride": 1, "cv_stride": 500}
+# least-squares CV sets: (estimator, alpha), segment lengths and pair starts
+CV_KINDS = (("rulsif", 0.1), ("ulsif", 0.0))
+CV_LENGTHS = (50, 53)
+CV_STARTS = range(1, 1850, 96)
 
 
-def settings() -> list[tuple[str, int, int]]:
-    return [(e, d, s) for e in ESTIMATORS for d in DATASETS for s in SERIES]
+def settings() -> list[tuple]:
+    """(label, what, estimator, dataset, series or segment length) per digest."""
+    sweeps = [(f"{e} ds{d} series {s}", "sweep", e, d, s)
+              for e in ESTIMATORS for d in DATASETS for s in SERIES]
+    dense = [(f"ulsif dense ds{d} series 1", "dense", "ulsif", d, 1) for d in DATASETS]
+    cv = [(f"cv {e} ds{d} n{n}", "cv", e, d, n)
+          for e, _ in CV_KINDS for d in DATASETS for n in CV_LENGTHS]
+    return sweeps + dense + cv
 
 
 def sweep_all(checkout: str) -> None:
-    """Child process: one JSON line per setting with its scores and AUC."""
+    """Child process: one JSON line per setting with its values (scores or
+    CV tables) and, for sweeps, the AUC."""
     sys.path.insert(0, str(Path(checkout) / "src"))
     from relcpd import (CvGrid, DetectorConfig, SynthSpec, change_scores, find_peaks,
                         generate, roc_curve)
+    from relcpd.embedding import build_windows, segment_pair
+    from relcpd.model_selection import cv_select_many
     from relcpd.seeding import mix_seed
 
-    for estimator, dataset, series_index in settings():
+    for _, what, estimator, dataset, index in settings():
+        series_index = index if what == "sweep" else 1
         series = generate(SynthSpec(dataset_id=dataset, length=LENGTH,
                                     seed=mix_seed(MASTER_SEED, 1, dataset, series_index)))
-        config = DetectorConfig(**DETECTOR, estimator_kind=estimator,
-                                grid=CvGrid(seed=mix_seed(MASTER_SEED, 2, dataset, series_index)))
+        grid = CvGrid(seed=mix_seed(MASTER_SEED, 2, dataset, series_index))
+        if what == "cv":
+            windows = build_windows(series, DETECTOR["k"])
+            problems = []
+            for t in CV_STARTS:
+                pair = segment_pair(windows, t, index)
+                problems += [(pair.reference, pair.test, mix_seed(grid.seed, t, 0)),
+                             (pair.test, pair.reference, mix_seed(grid.seed, t, 1))]
+            results = cv_select_many(problems, grid, estimator, dict(CV_KINDS)[estimator])
+            values = [v for res in results for v in res.score_table.values()]
+            print(json.dumps({"values": values, "auc": None}), flush=True)
+            continue
+        config = DetectorConfig(**(DETECTOR if what == "sweep" else DENSE),
+                                estimator_kind=estimator, grid=grid)
         scores = change_scores(series, config)
         curve = roc_curve(find_peaks(scores), series.change_points, len(series.change_points))
-        print(json.dumps({"scores": [float(v) for v in scores.scores], "auc": curve.auc}),
+        print(json.dumps({"values": [float(v) for v in scores.scores], "auc": curve.auc}),
               flush=True)
 
 
@@ -75,20 +107,20 @@ def main(argv=None) -> None:
     if args.checkout_b is None:
         parser.error("two checkouts are needed")
     side_a, side_b = run_checkout(args.checkout_a), run_checkout(args.checkout_b)
-    print(f"{'setting':<22} {'sha256 A':<16} {'sha256 B':<16} {'max |d|':>9} "
+    print(f"{'setting':<26} {'sha256 A':<16} {'sha256 B':<16} {'max |d|':>9} "
           f"{'AUC A':>6} {'AUC B':>6}")
     worst, differing = {}, 0
-    for (estimator, dataset, series_index), a, b in zip(settings(), side_a, side_b):
-        scores_a, scores_b = np.array(a["scores"]), np.array(b["scores"])
-        diff = float(np.max(np.abs(scores_a - scores_b)))
-        worst[estimator] = max(worst.get(estimator, 0.0), diff)
-        digest_a, digest_b = score_digest(scores_a), score_digest(scores_b)
+    for (label, what, estimator, *_), a, b in zip(settings(), side_a, side_b):
+        values_a, values_b = np.array(a["values"]), np.array(b["values"])
+        diff = float(np.max(np.abs(values_a - values_b)))
+        key = f"{estimator} CV tables" if what == "cv" else f"{estimator} scores"
+        worst[key] = max(worst.get(key, 0.0), diff)
+        digest_a, digest_b = score_digest(values_a), score_digest(values_b)
         differing += digest_a != digest_b
-        setting = f"{estimator} ds{dataset} series {series_index}"
-        print(f"{setting:<22} {digest_a[:16]} {digest_b[:16]} {diff:9.2e} "
-              f"{a['auc']:6.3f} {b['auc']:6.3f}")
-    for estimator, diff in worst.items():
-        print(f"largest |d| {estimator}: {diff:.3e}")
+        aucs = "" if a["auc"] is None else f" {a['auc']:6.3f} {b['auc']:6.3f}"
+        print(f"{label:<26} {digest_a[:16]} {digest_b[:16]} {diff:9.2e}{aucs}")
+    for key, diff in worst.items():
+        print(f"largest |d| {key}: {diff:.3e}")
     print(f"{differing} of {len(settings())} digests differ")
     if differing:
         sys.exit(1)
