@@ -47,10 +47,11 @@ run's CV and final-fit arrays on top of the copy of this process it forks
 from: with the default grid at n = 50, up to 13 MB of CV kernels for a run
 at the cap.
 
-STACK problems is the one cap on every stack of fits but least-squares CV's
-(see ``model_selection``): the KLIEP engine's buffer, CV or final, and each
-least-squares final-fit stack.  Final fits run in chunks, the positions of
-one CV block whose pairs share one span of at most 4n windows: at most
+STACK problems is the one cap on every stack of fits: the KLIEP engine's
+buffer, CV or final, each least-squares final-fit stack and each
+least-squares CV stack, which holds at least one fold's sigmas x lambdas
+systems (see ``model_selection``).  Final fits run in chunks, the positions
+of one CV block whose pairs share one span of at most 4n windows: at most
 min(1 + 2n // stride, STACK // directions) positions.
 One ``cdist`` over a chunk's span and one ``exp`` per direction give the
 band kernel; each pair's (2n, 2n) kernel is a diagonal block of it, taken as

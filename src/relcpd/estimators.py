@@ -10,27 +10,8 @@ Three fitters share the kernel model g(Y; theta) = sum_l theta_l K(Y, C_l):
                      normalization constraint; projected gradient ascent.
 
 KLIEP fits run on ``kliep_ascent``, the one engine for every KLIEP problem
-(``kliep_fit``, CV and the detector's final fits).  It takes a stream of
-problems into a buffer of at most STACK rows and runs them in lockstep in
-the mixture weights w = b * theta (b the mean denominator kernel row), whose
-feasible set is the unit simplex: per round one gradient, one batch of
-candidate steps and one sort-based projection onto the simplex for every
-problem buffered, each with its own step size.  A problem stops as soon as
-its certified gap log max_l grad_l, an upper bound on its distance to the
-maximum in nats, is at most ``tolerance`` (1e-3 by default).  The ascent
-starts at the better of the uniform weights w = 1 / centers and the uniform
-theta, and its trial steps are spectral (Barzilai-Borwein) steps, 1 / max_l
-grad_l at first.  Each round, every problem tries the next
-_SPECULATIVE_HALVINGS halvings of its trial step and keeps the first that
-passes the Armijo test, the step a one-at-a-time search accepts; where none
-passes, it tries the next ones in the next round while the others go on.
-Products are matrix-vector or dot products per candidate, so a problem's
-iterates do not depend on the rest of the buffer.  Finished problems leave
-right after the gradient, before the candidates, compaction fills their
-holes from the end, and the next round takes new problems from the stream
-into the rows they freed.  So the buffer stays full until the stream runs
-dry, and only the stream's end runs nearly empty rounds, which cost about as
-much as full ones (numpy call overhead dominates small rounds).
+(``kliep_fit``, CV and the detector's final fits); its docstring describes
+the engine.
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
@@ -65,13 +46,9 @@ LOG_FLOOR = 1e-12
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-# halvings of its trial step a searching problem tries per round.  Spectral
-# trial steps mostly pass at once (83% of accepted steps are the trial
-# itself), so trying more at once wastes candidates: 1 measured faster than 2.
-_SPECULATIVE_HALVINGS = 1
 # most problems per stack of fits: the rows of kliep_ascent's buffer, and a
-# cap on least-squares chunks; with 50 samples and centers, a KLIEP buffer of
-# STACK problems holds 8 MB
+# cap on least-squares chunks and CV stacks; with 50 samples and centers, a
+# KLIEP buffer of STACK problems holds 8 MB
 STACK = 400
 
 
@@ -210,50 +187,45 @@ def kliep_gradient(design, theta: np.ndarray) -> np.ndarray:
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection of every row of ``v`` (..., m) onto the unit
-    simplex {x >= 0, sum x = 1} (Duchi et al., ICML 2008): x = max(v - tau,
-    0), where, with the row sorted in descending order u, tau = (u_1 + ... +
-    u_r - 1) / r at the last r with u_r above it.  Cheaper heuristics (clamp
-    then rescale) stall the ascent at points that are not KKT points.  The
-    rescaling pins sum x = 1; a degenerate all-zero candidate stays unscaled
-    and the line search rejects it.
+    """Exact Euclidean projection of every row of ``v`` (problems, m) onto
+    the unit simplex {x >= 0, sum x = 1} (Duchi et al., ICML 2008): x =
+    max(v - tau, 0), where, with the row sorted in descending order u, tau =
+    (u_1 + ... + u_r - 1) / r at the last r with u_r above it.  Cheaper
+    heuristics (clamp then rescale) stall the ascent at points that are not
+    KKT points.  The rescaling pins sum x = 1; a degenerate all-zero
+    candidate stays unscaled and the line search rejects it.
     """
-    width = v.shape[-1]
-    desc = np.sort(v, axis=-1)[..., ::-1]
-    level = np.cumsum(desc, axis=-1)
+    width = v.shape[1]
+    desc = np.sort(v, axis=1)[:, ::-1]
+    level = np.cumsum(desc, axis=1)
     level -= 1.0
     level /= np.arange(1, width + 1)
-    last = (width - 1) - np.argmax((desc > level)[..., ::-1], axis=-1)
-    rows = np.arange(0, level.size, width).reshape(last.shape)
-    out = v - level.reshape(-1)[rows + last][..., None]
+    last = (width - 1) - np.argmax((desc > level)[:, ::-1], axis=1)
+    out = v - level[np.arange(len(v)), last][:, None]
     np.maximum(out, 0.0, out=out)
     s = np.ones(width) @ out[..., None]  # sum by dot product, row by row
     out /= np.where(s > 0.0, s, 1.0)
     return out
 
 
-def _try_steps(stack, w, grad, objective, steps):
-    """One backtracking round for every problem of the stack: project
-    w + step * grad for each of its ``steps`` (problems, tried) and find the
-    first candidate that passes the Armijo test.  Returns the mask of
-    problems with a passing step, and the candidate with its objective and
-    model values g, for the masked problems."""
-    base, direction = w[:, None], grad[:, None]
-    cand = _simplex_project(base + steps[..., None] * direction)
-    # products per candidate (matrix-vector and dot, not matrix-matrix), so
-    # each value is computed as in a one-problem fit
-    gain = ((cand - base)[..., None, :] @ direction[..., None])[..., 0, 0]
-    cand_g = (stack[:, None] @ cand[..., None])[..., 0]  # (problems, tried, samples)
-    cand_objective = _mean_log(cand_g)
-    passed = (gain > 0.0) & (cand_objective >= objective[:, None] + _ARMIJO * gain)
-    hit = passed.any(axis=1)
-    pick = passed.argmax(axis=1)[hit]
-    return hit, cand[hit, pick], cand_objective[hit, pick], cand_g[hit, pick]
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_p . b_p for every row p, one dot product per row."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _try_steps(stack, w, grad, objective, steps):
+    """One backtracking round for every problem of the stack: project
+    w + step * grad for its one entry of ``steps`` (problems,) and apply the
+    Armijo test.  Returns the mask of problems whose step passed, and their
+    candidates with their objectives and model values g."""
+    cand = _simplex_project(w + steps[:, None] * grad)
+    # products per candidate (matrix-vector and dot, not matrix-matrix), so
+    # each value is computed as in a one-problem fit
+    gain = _row_dot(cand - w, grad)
+    cand_g = (stack @ cand[..., None])[..., 0]  # (problems, samples)
+    cand_objective = _mean_log(cand_g)
+    hit = (gain > 0.0) & (cand_objective >= objective + _ARMIJO * gain)
+    return hit, cand[hit], cand_objective[hit], cand_g[hit]
 
 
 def kliep_ascent(
@@ -302,15 +274,18 @@ def kliep_ascent(
     up to the buffer's size), takes the gradient of every buffered problem at
     its new point, drops the problems that are finished, compacting the
     buffer in place with rows from above its new length, then lets every
-    problem left try its next _SPECULATIVE_HALVINGS candidates, so a
-    problem's search spans as many rounds as it needs while the others go
-    on.  Products are matrix-vector or dot products per problem, so each
-    problem follows the same iterates as in a one-problem fit, whatever else
-    is buffered with it.  ``traces``, when given, holds one list per problem
-    for its start objective and the objective after every accepted step.
-    Returns (theta, objective, iterations, converged, gap) in stream order,
-    with gap the certified gap at theta; a problem's iterations count the
-    gradients its searches started from, plus the one that certified it.
+    problem left try one candidate, its trial step halved as often as its
+    search has missed, so a search spans as many rounds as it needs while
+    the others go on.  The buffer stays full until the stream runs dry; only
+    the stream's end runs nearly empty rounds, which cost about as much as
+    full ones (numpy call overhead dominates small rounds).  Products are
+    matrix-vector or dot products per problem, so each problem follows the
+    same iterates as in a one-problem fit, whatever else is buffered with it.
+    ``traces``, when given, holds one list per problem for its start
+    objective and the objective after every accepted step.  Returns (theta,
+    objective, iterations, converged, gap) in stream order, with gap the
+    certified gap at theta; a problem's iterations count the gradients its
+    searches started from, plus the one that certified it.
     """
     if count < 1:
         raise ParameterError(f"a KLIEP stream needs at least one problem, got {count}")
@@ -395,11 +370,8 @@ def kliep_ascent(
             trial[fresh], grad[fresh] = step[fresh], new_grad[fresh]
             halvings[fresh] = 0
             taken += fresh
-        # the next _SPECULATIVE_HALVINGS halvings; past the last, the last again
-        tried = np.minimum(halvings[:, None] + np.arange(_SPECULATIVE_HALVINGS),
-                           _MAX_HALVINGS - 1)
         hit, cand, cand_objective, cand_g = _try_steps(
-            stack, w, grad, objective, trial[:, None] * 0.5 ** tried)
+            stack, w, grad, objective, trial * 0.5 ** halvings)
         move[hit] = cand - w[hit]
         w[hit], objective[hit], g[hit] = cand, cand_objective, cand_g
         if not np.all(np.isfinite(cand_objective)):
@@ -407,7 +379,7 @@ def kliep_ascent(
         if traces is not None:
             for i in np.flatnonzero(hit):
                 traces[live[i]].append(float(objective[i]))
-        halvings[~hit] += _SPECULATIVE_HALVINGS
+        halvings[~hit] += 1
         fresh[:] = hit
     if next(problems, None) is not None:
         raise ParameterError(f"a KLIEP stream of {count} problems yielded more")

@@ -19,14 +19,16 @@ Held-out criteria:
 The least-squares grid runs on stacked (sigma, sample, center) kernels and on
 the final fits' solve.  The folds of one problem whose (training, held-out)
 sizes agree (all of them where the fold count divides the sample counts)
-form one stack: one ``estimators.gram_system`` call builds H and h for every
-(sigma, fold), and one ``estimators._solve_spd`` call solves all (sigma,
-fold, lambda) systems H + lambda I by Cholesky factorization, retrying a
-system that is not positive definite with jitter on its own.  The folds'
-criteria are summed in fold order, so the table equals that of a loop over
-folds bit for bit.  Problems are not stacked together.  The largest
-temporary is folds x sigmas x lambdas x centers^2 doubles (2.5 MB for the
-default grid and 50 centers).
+form stacks of max(1, STACK // (sigmas x lambdas)) folds: one
+``estimators.gram_system`` call builds H and h for every (sigma, fold) of a
+stack, and one ``estimators._solve_spd`` call solves all its (sigma, fold,
+lambda) systems H + lambda I by Cholesky factorization, retrying a system
+that is not positive definite with jitter on its own.  So a stack holds at
+most max(STACK, sigmas x lambdas) systems, and the largest temporary that
+many centers^2 doubles (the default grid's 125 systems, one stack, take
+2.5 MB at 50 centers).  The folds' criteria are summed in fold order, so the
+table equals that of a loop over folds bit for bit.  Problems are not
+stacked together.
 
 The KLIEP grid streams every (sigma, fold) problem, its training rows and
 its fold's mean denominator kernel row, into ``estimators.kliep_ascent``:
@@ -48,6 +50,7 @@ from .errors import DimensionMismatchError, ParameterError, integer
 from .estimators import (
     ESTIMATOR_KINDS,
     KLIEP,
+    STACK,
     _mean_log,
     _solve_spd,
     gram_system,
@@ -131,12 +134,16 @@ def _kliep_cv_scores(cases: list) -> list[np.ndarray]:
 
 def _least_squares_scores(k_num, k_den, folds: list, lambdas, alpha: float) -> np.ndarray:
     """Held-out squared-loss criterion per (sigma, lambda), averaged over
-    folds: one (sigma, fold, lambda) stack per fold size, summed in fold order."""
+    folds: (sigma, fold, lambda) stacks of folds of one size, summed in fold
+    order."""
     by_size: dict[tuple, list] = {}  # sizes of the four index sets: folds
     for f, fold in enumerate(folds):
         by_size.setdefault(tuple(len(part) for side in fold for part in side), []).append(f)
+    per_stack = max(1, STACK // (len(k_num) * len(lambdas)))
+    stacks = [same[i : i + per_stack] for same in by_size.values()
+              for i in range(0, len(same), per_stack)]
     fold_scores = np.empty((len(folds), len(k_num), len(lambdas)))
-    for members in by_size.values():
+    for members in stacks:
         num_tr, num_ho, den_tr, den_ho = (
             np.stack([folds[f][side][part] for f in members])
             for side in (0, 1) for part in (0, 1))
@@ -146,11 +153,7 @@ def _least_squares_scores(k_num, k_den, folds: list, lambdas, alpha: float) -> n
         g_num = theta @ k_num[:, num_ho].swapaxes(-1, -2)
         g_den = theta @ k_den[:, den_ho].swapaxes(-1, -2)
         fold_scores[members] = pe_terms(g_num, g_den, alpha).swapaxes(0, 1)
-    scores = np.zeros((len(k_num), len(lambdas)))
-    for fold_score in fold_scores:
-        scores -= fold_score + 0.5
-    scores /= len(folds)
-    return scores
+    return -(fold_scores + 0.5).sum(axis=0) / len(folds)
 
 
 def _best(sigmas: list, lambdas, scores: np.ndarray, estimator_kind: str) -> CvResult:

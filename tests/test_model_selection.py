@@ -280,9 +280,10 @@ def _per_fold_scores(num, den, grid, alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 @pytest.mark.parametrize("n", [50, 52, 53])
-def test_fold_stacked_cv_equals_the_per_fold_loop(n, alpha):
-    # 5 folds of 52 or 53 samples have unequal sizes, so their systems are
-    # solved in one stack per size
+def test_fold_stacked_cv_equals_the_per_fold_loop(monkeypatch, n, alpha):
+    # 5 folds of 52 or 53 samples have unequal sizes (3 of one, 2 of the
+    # other), so their systems are solved in one stack per size, or in
+    # stacks of at most two folds' 25 (sigma, lambda) systems where STACK is 60
     series = generate(SynthSpec(dataset_id=1, length=600, seed=n))
     windows = build_windows(series, 10)
     problems = []
@@ -291,13 +292,24 @@ def test_fold_stacked_cv_equals_the_per_fold_loop(n, alpha):
         problems += [(pair.reference, pair.test, seeding.mix_seed(29, t, 0)),
                      (pair.test, pair.reference, seeding.mix_seed(29, t, 1))]
     kind = "rulsif" if alpha else "ulsif"
-    many = cv_select_many(problems, CvGrid(), kind, alpha)
-    for (num, den, seed), res_many in zip(problems, many):
-        grid = CvGrid(seed=seed)
-        expected = _per_fold_scores(num, den, grid, alpha)
-        for res in (cv_select(num, den, grid, kind, alpha), res_many):
-            table = np.array(list(res.score_table.values())).reshape(expected.shape)
-            np.testing.assert_array_equal(table, expected)
+    expected = [_per_fold_scores(num, den, CvGrid(seed=seed), alpha)
+                for num, den, seed in problems]
+    solve, stacks = model_selection._solve_spd, []
+
+    def recording_solve(h_mat, lam, rhs):
+        stacks.append(h_mat.shape[0] * h_mat.shape[1] * len(lam))  # (sigma, fold, lambda)
+        return solve(h_mat, lam, rhs)
+
+    monkeypatch.setattr(model_selection, "_solve_spd", recording_solve)
+    for stack, largest in ((model_selection.STACK, 125 if n == 50 else 75), (60, 50)):
+        monkeypatch.setattr(model_selection, "STACK", stack)
+        stacks.clear()
+        many = cv_select_many(problems, CvGrid(), kind, alpha)
+        for (num, den, seed), res_many, want in zip(problems, many, expected):
+            for res in (cv_select(num, den, CvGrid(seed=seed), kind, alpha), res_many):
+                table = np.array(list(res.score_table.values())).reshape(want.shape)
+                np.testing.assert_array_equal(table, want)
+        assert max(stacks) == largest
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,6 +392,27 @@ def test_kliep_cv_kernels_match_elementwise_formula(monkeypatch):
             np.testing.assert_allclose(
                 b_vecs[f][s], k_den[den_tr].mean(axis=0), rtol=1e-12, atol=0
             )
+
+
+def test_least_squares_cv_memory_peak_is_bounded_by_stack():
+    # 10 sigmas x 10 lambdas x 10 folds make 1,000 systems per problem; in
+    # stacks of at most STACK of them, the peak is about the one copy of a
+    # stack's systems that _solve_spd makes, STACK x centers^2 doubles (the
+    # stack's H and the kernels take less than half as much again)
+    rng = np.random.default_rng(7)
+    centers = 60
+    num, den = rng.normal(size=(centers, 20)), rng.normal(0.3, 1.0, size=(centers, 20))
+    grid = CvGrid(sigma_factors=tuple(0.5 + 0.1 * i for i in range(10)),
+                  lambdas=tuple(10.0 ** (i / 2 - 3) for i in range(10)), folds=10, seed=3)
+    cv_select(num, den, grid, "rulsif", 0.1)  # first-call allocations of numpy/scipy
+    tracemalloc.start()
+    try:
+        cv_select(num, den, grid, "rulsif", 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 1.5 * model_selection.STACK * centers**2 * 8
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_kliep_grid_memory_peak():

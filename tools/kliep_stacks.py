@@ -10,12 +10,13 @@ called it.  For each checkout and each kind of stream (CV, final) it prints:
   25% between processes on one 2-core machine, so compare the counts first),
   the stream count and the problem count;
 * problem-iterations (summed over problems) and their median;
-* the rounds (calls of ``estimators._try_steps``), the mean rows (problems)
-  per round, and the tail rounds, those after the stream ran dry, when no
-  new problem can take a finished one's row, with their time and mean rows
-  (a round's time runs from the previous round's candidates to its own, and
-  the stream's last stretch, after its last candidates, counts as tail);
-* the candidate steps tried and the fits not reported converged;
+* the rounds (calls of ``estimators._try_steps``), the mean rows (problems,
+  each trying one candidate step) per round, and the tail rounds, those
+  after the stream ran dry, when no new problem can take a finished one's
+  row, with their time and mean rows (a round's time runs from the previous
+  round's candidates to its own, and the stream's last stretch, after its
+  last candidates, counts as tail);
+* the fits not reported converged;
 * the certified gap log max_l (grad_theta f)_l / b_l at the returned theta,
   as the ascent returns it, its median, 99th percentile and maximum;
 * the shortfall f_EM - f against EM_UPDATES multiplicative EM updates on
@@ -71,8 +72,8 @@ def measure(checkout: str, seed: int) -> dict:
 
     stats = {kind: {"time_s": 0.0, "streams": 0, "problems": 0, "problem_iterations": 0,
                     "rounds": 0, "rows": 0, "tail_rounds": 0, "tail_rows": 0,
-                    "tail_s": 0.0, "candidates": 0,
-                    "nonconverged": 0, "iterations": [], "gaps": [], "shortfalls": []}
+                    "tail_s": 0.0, "nonconverged": 0,
+                    "iterations": [], "gaps": [], "shortfalls": []}
              for kind in ("cv", "final")}
     current = []  # the stream running: [kind, problems taken, count, round start]
     try_steps = estimators._try_steps
@@ -81,7 +82,6 @@ def measure(checkout: str, seed: int) -> dict:
         kind, taken, count, round_start = current[-1]
         now = time.perf_counter()
         s = stats[kind]
-        s["candidates"] += int(steps.size)
         s["rounds"] += 1
         s["rows"] += len(stack)
         if taken == count:
@@ -166,7 +166,7 @@ def main(argv=None) -> None:
     print(f"{'checkout':<24} {'kind':<6} {'time s':>7} {'streams':>7} {'problems':>8} "
           f"{'prob-it':>8} {'it med':>6} {'rounds':>6} {'rows/rd':>7} {'tail rd':>7} "
           f"{'tail s':>6} {'rows/tr':>7} "
-          f"{'cands':>8} {'unconv':>6} {'gap med':>8} {'gap p99':>8} {'gap max':>8} "
+          f"{'unconv':>6} {'gap med':>8} {'gap p99':>8} {'gap max':>8} "
           f"{'short max':>9} {'>1e-3':>5}")
     for checkout in args.checkouts:
         out = subprocess.run(
@@ -179,7 +179,7 @@ def main(argv=None) -> None:
                   f"{s['streams']:7d} {s['problems']:8d} {s['problem_iterations']:8d} "
                   f"{s['iterations_median']:6.0f} {s['rounds']:6d} "
                   f"{s['rows_per_round']:7.1f} {s['tail_rounds']:7d} {s['tail_s']:6.2f} "
-                  f"{s['tail_rows_per_round']:7.1f} {s['candidates']:8d} "
+                  f"{s['tail_rows_per_round']:7.1f} "
                   f"{s['nonconverged']:6d} {s['gap_median']:8.1e} {s['gap_p99']:8.1e} "
                   f"{s['gap_max']:8.1e} {s['shortfall_max']:9.1e} "
                   f"{s['shortfalls_above_1e3']:5d}")

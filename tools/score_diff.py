@@ -5,12 +5,13 @@ Runs a fixed list of sweeps in each checkout -- every estimator on datasets
 1-4, two fixed-seed 2000-point series each, with the benchmark's detector
 setting (n=50, k=10, stride 5, cv_stride 5), and uLSIF on one series per
 dataset at the ``ulsif-dense-cli`` setting (stride 1, cv_stride 500) -- and
-the least-squares CV grid (RuLSIF at alpha 0.1, uLSIF) on a fixed list of
-segment pairs of one series per dataset, at n=50 and n=53 (folds of unequal
-size).  It prints, per sweep, the sha256 of the scores in each checkout (its
-first 16 hex digits), the largest |score difference| and both AUCs, and per
-CV set the same for its score tables, all pairs' in order.  Like ``diff``,
-it exits 1 when any digest differs and 0 when all are equal.
+the CV grid (RuLSIF at alpha 0.1, uLSIF, KLIEP) on a fixed list of segment
+pairs of one series per dataset, at n=50 and n=53 (folds of unequal size,
+and for KLIEP two training shapes).  It prints, per sweep, the sha256 of
+the scores in each checkout (its first 16 hex digits), the largest |score
+difference| and both AUCs, and per CV set the same for its score tables,
+all pairs' in order.  Like ``diff``, it exits 1 when any digest differs and
+0 when all are equal.
 
     python3 tools/score_diff.py <checkout A> <checkout B>
 
@@ -39,8 +40,8 @@ LENGTH = 2000
 MASTER_SEED = 12012
 DETECTOR = {"n": 50, "k": 10, "stride": 5, "cv_stride": 5}
 DENSE = {"n": 50, "k": 10, "stride": 1, "cv_stride": 500}
-# least-squares CV sets: (estimator, alpha), segment lengths and pair starts
-CV_KINDS = (("rulsif", 0.1), ("ulsif", 0.0))
+# CV sets: (estimator, alpha), segment lengths and pair starts
+CV_KINDS = (("rulsif", 0.1), ("ulsif", 0.0), ("kliep", 0.0))
 CV_LENGTHS = (50, 53)
 CV_STARTS = range(1, 1850, 96)
 
