@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 from . import seeding
-from .detector import DetectorConfig, change_scores
+from .detector import DetectorConfig, _close_workers, change_scores
 from .errors import ChangePointError, ParameterError, integer
 from .evaluation import MATCH_WINDOW, MIN_ALARM_SPACING
 from .evaluation import find_peaks, roc_curve, summarize_runs
@@ -84,9 +84,10 @@ def run_bench(
     Every run's config, the dataset ids, ``runs``, ``jobs``, ``seed``,
     ``length`` and ``segment_len`` are checked before the first sweep; each
     of these must be an integer.  With ``jobs`` > 1 the cells run on that many
-    worker processes and each sweep runs inside its worker; with ``jobs`` = 1
-    they run here, one after another, and each sweep spreads its CV blocks
-    over the CPUs (see ``detector``).
+    worker processes and each sweep runs inside its worker; the detector's
+    sweep pool, if an earlier sweep left one, is joined before they fork.
+    With ``jobs`` = 1 they run here, one after another, and each sweep
+    spreads its CV blocks over the CPUs (see ``detector``).
     """
     runs, jobs, seed = integer("runs", runs), integer("jobs", jobs), integer("seed", seed)
     length, segment_len = integer("length", length), integer("segment_len", segment_len)
@@ -103,6 +104,7 @@ def run_bench(
         run_config = replace(config, estimator_kind=e, grid=grid)
         tasks.append((d, r, seed, length, segment_len, run_config))
     if jobs > 1 and len(tasks) > 1:
+        _close_workers()  # fork the cells from a process with no pool threads
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_task, tasks))
     else:

@@ -32,20 +32,29 @@ A sweep runs on ``min(available CPUs, CPU quota, runs)`` worker processes.
 The available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count``
 where that is missing; ``taskset`` limits them); the quota is that of the
 cgroup v2 file CPU_MAX, ``<quota> <period>`` rounded up to whole CPUs, and a
-file that reads ``max`` or is missing sets none.  Memory grows with the
-count.  Workers fork from this process; where the start method is not
-``fork`` (spawn on macOS and Windows, forkserver on Linux from Python 3.14),
-or inside any multiprocessing child (a ``bench --jobs`` worker for
-instance), the count is 1, so pools never nest and no worker re-imports the
-caller's ``__main__``.  With one worker the sweep runs in this process and
-starts no pool.  Otherwise a ``ProcessPoolExecutor`` scores one run per
-task, with the same function as the in-process path; the parent joins the
-runs in series order, shuts the pool down before returning and checks that
-every score is finite.  Each worker gets the window vectors and the config
-once, when it starts, and each task only its blocks; it holds them and one
-run's CV and final-fit arrays on top of the copy of this process it forks
-from: with the default grid at n = 50, up to 13 MB of CV kernels for a run
-at the cap.
+file that reads ``max`` or is missing sets none.  Workers fork from this
+process; where the start method is not ``fork`` (spawn on macOS and
+Windows, forkserver on Linux from Python 3.14), or inside any
+multiprocessing child (a ``bench --jobs`` worker for instance), the count
+is 1, so pools never nest and no worker re-imports the caller's
+``__main__``.  With one worker the sweep runs in this process and starts no
+pool.  Otherwise it runs on the process's one sweep pool, a fork
+``ProcessPoolExecutor`` of ``min(available CPUs, CPU quota)`` workers.  The
+first sweep that needs two or more workers forks it, and every later sweep
+reuses it, so a sweep with fewer runs than workers leaves the others idle.
+It is forked anew when that count changes or after a worker died (the
+sweep that finds the pool broken is tried once more on the new one), and
+concurrent.futures' exit hook joins it when the interpreter exits.  Each
+task is one run, scored by the same function as the in-process path: it
+carries the (standardized) series values, 8 x d x T bytes, the config
+and its blocks, and the worker builds the window vectors from the values.
+The parent joins the runs in series order, cancels the tasks that have not
+started when one fails, and checks that every score is finite.  A worker
+holds one run's CV and final-fit arrays on top of the copy of this process
+it forked from (with the default grid at n = 50, up to 13 MB of CV kernels
+for a run at the cap), and an idle worker keeps its heap: after two rounds
+of 8 ``kliep-cv``-sized sweeps (2000 points, 2 workers) each worker held
+71-77 MB RSS, shared pages included.
 
 STACK problems is the one cap on every stack of fits: the KLIEP engine's
 buffer, CV or final, each least-squares final-fit stack and each
@@ -67,7 +76,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,11 +244,10 @@ def _cpu_quota() -> int | None:
         return None
 
 
-def _worker_count(tasks: int) -> int:
-    """Worker processes for a sweep of ``tasks`` runs: one per CPU this
-    process may run on, at most the cgroup CPU quota and one per task, and 1
-    where workers would not fork or inside any multiprocessing child, so
-    that pools never nest."""
+def _pool_size() -> int:
+    """Worker processes of the sweep pool: one per CPU this process may run
+    on, at most the cgroup CPU quota, and 1 where workers would not fork or
+    inside any multiprocessing child, so that pools never nest."""
     if multiprocessing.parent_process() is not None:
         return 1
     # the default start method is the first one listed; asked this way, the
@@ -250,7 +260,13 @@ def _worker_count(tasks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform
         cpus = os.cpu_count() or 1
-    return min(cpus, _cpu_quota() or cpus, tasks)
+    return min(cpus, _cpu_quota() or cpus)
+
+
+def _worker_count(tasks: int) -> int:
+    """Worker processes for a sweep of ``tasks`` runs: those of the pool, at
+    most one per task."""
+    return min(_pool_size(), tasks)
 
 
 def _runs(blocks: list, workers: int, config) -> list[list]:
@@ -316,21 +332,58 @@ def _score_blocks(windows, blocks: list, config) -> list[float]:
     return [score for block in blocks for score in _score_blocks(windows, [block], config)]
 
 
-# The sweep a worker process serves, set once per worker by _serve_sweep, so
-# that tasks carry only their blocks and the caller does not pickle the
-# windows for every task (workers fork, so they are not pickled at all).
-# Never set in the calling process.
-_SWEEP: tuple = ()
+# The sweep pool of this process, (size, executor): forked by the first sweep
+# that needs two or more workers, reused by every later one, and joined by
+# _close_workers or by concurrent.futures' exit hook.
+_POOL: tuple | None = None
+_POOL_LOCK = threading.RLock()
 
 
-def _serve_sweep(windows, config) -> None:
-    global _SWEEP
-    _SWEEP = (windows, config)
+def _workers(size: int) -> ProcessPoolExecutor:
+    """The sweep pool, forked anew where it has not ``size`` workers."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[0] != size:
+            _close_workers()
+        if _POOL is None:
+            _POOL = (size, ProcessPoolExecutor(
+                max_workers=size, mp_context=multiprocessing.get_context("fork")))
+        return _POOL[1]
 
 
-def _score_task(blocks: list) -> list[float]:
-    windows, config = _SWEEP
-    return _score_blocks(windows, blocks, config)
+def _close_workers() -> None:
+    """Join the sweep pool's workers, if there is a pool; the next parallel
+    sweep forks a new one."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None:
+            _POOL[1].shutdown()
+            _POOL = None
+
+
+def _score_task(values: np.ndarray, config, blocks: list) -> list[float]:
+    """``_score_blocks`` in a worker, on windows built from the series values."""
+    return _score_blocks(build_windows(TimeSeries(values), config.k), blocks, config)
+
+
+def _pool_scores(values: np.ndarray, config, runs: list, size: int) -> list[float]:
+    """Scores of ``runs``, one task each on the sweep pool of ``size``
+    workers, joined in series order.  Tasks that have not started when a
+    sweep fails are cancelled.  A pool that lost a worker (killed, or out of
+    memory) is forked anew and the sweep tried once more."""
+    for retry in (False, True):
+        futures = []
+        try:
+            pool = _workers(size)
+            futures = [pool.submit(_score_task, values, config, run) for run in runs]
+            return [score for future in futures for score in future.result()]
+        except BrokenProcessPool:
+            _close_workers()
+            if retry:
+                raise
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
@@ -344,20 +397,16 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
         )
     if config.standardize:
         series = _standardized(series)
-    windows = build_windows(series, config.k)
     t_last = t_len - 2 * config.n - config.k + 2
     starts = range(1, t_last + 1, config.stride)
     blocks = [starts[b : b + config.cv_stride] for b in range(0, len(starts), config.cv_stride)]
     workers = _worker_count(len(blocks))
     runs = _runs(blocks, workers, config)
     if workers == 1:
+        windows = build_windows(series, config.k)
         scores = [score for run in runs for score in _score_blocks(windows, run, config)]
-    else:  # one task per run, put back in series order
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_serve_sweep,
-                                 initargs=(windows, config)) as pool:
-            scores = [score for part in pool.map(_score_task, runs) for score in part]
+    else:
+        scores = _pool_scores(series.values, config, runs, _pool_size())
 
     arr = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(arr)):

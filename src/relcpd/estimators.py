@@ -174,18 +174,6 @@ def _mean_log(g: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(g, LOG_FLOOR)).sum(axis=-1) / g.shape[-1]
 
 
-def kliep_objective(design, theta: np.ndarray) -> float:
-    """Mean log model value over numerator samples, floored at LOG_FLOOR."""
-    return float(_mean_log(design.k_num @ theta))
-
-
-def kliep_gradient(design, theta: np.ndarray) -> np.ndarray:
-    """Analytic gradient of ``kliep_objective`` (zero where the floor binds)."""
-    g = design.k_num @ theta
-    w = np.where(g > LOG_FLOOR, 1.0 / np.maximum(g, LOG_FLOOR), 0.0)
-    return design.k_num.T @ w / design.k_num.shape[0]
-
-
 def _simplex_project(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection of every row of ``v`` (problems, m) onto
     the unit simplex {x >= 0, sum x = 1} (Duchi et al., ICML 2008): x =

@@ -1,13 +1,15 @@
 """Gaussian kernel evaluation, design matrices, and the median-distance
-bandwidth heuristic.  ``gaussian_kernels`` evaluates every kernel matrix of
-the fitters, the ratio model and CV; ``gaussian_kernel`` is a scalar reference."""
+bandwidth heuristic.  ``kernels_of`` turns squared distances into every
+kernel matrix of the fitters, the ratio model and CV, whether they come from
+``gaussian_kernels`` or from one ``pooled_distances`` matrix;
+``gaussian_kernel`` is a scalar reference."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DegenerateBandwidthError, DimensionMismatchError, ParameterError
 
@@ -56,8 +58,15 @@ def gaussian_kernels(samples: np.ndarray, centers: np.ndarray, sigmas) -> np.nda
     """exp(-||Y_i - C_l||^2 / (2 sigma^2)) for every sigma in ``sigmas``: a
     (sigma, sample, center) stack from one ``cdist`` of the 2-D float arrays
     ``samples`` and ``centers``."""
+    return kernels_of(cdist(samples, centers, "sqeuclidean"), sigmas)
+
+
+def kernels_of(sqdist: np.ndarray, sigmas) -> np.ndarray:
+    """exp(-d / (2 sigma^2)) of the squared distances ``sqdist`` (a 2-D
+    array or a view into one) for every sigma in ``sigmas``: a (sigma, row,
+    column) stack."""
     scales = np.array([2.0 * sigma**2 for sigma in sigmas])[:, None, None]
-    return np.exp(-cdist(samples, centers, "sqeuclidean") / scales)
+    return np.exp(-sqdist / scales)
 
 
 def median_distance(samples: np.ndarray) -> float:
@@ -72,12 +81,35 @@ def median_distance(samples: np.ndarray) -> float:
         raise ParameterError(
             f"median distance needs at least 2 samples, got {arr.shape[0]}"
         )
-    med = float(np.median(pdist(arr)))
-    if med == 0.0:
+    return _nonzero_median(float(np.median(pdist(arr))))
+
+
+def _nonzero_median(med: float) -> float:
+    if med == 0.0:  # a zero median would collapse the bandwidth grid
         raise DegenerateBandwidthError(
             "median pairwise distance is zero (samples nearly all identical)"
         )
     return med
+
+
+def pooled_distances(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared Euclidean distances among the rows of ``first`` stacked on
+    ``second``, from one ``cdist``, and their ``median_distance``.
+
+    Entry (i, j) equals ``cdist`` of rows i and j of the pooled rows alone,
+    so any block of the matrix is that of its two row sets, and the median,
+    the square root of the two middle order statistics of the upper
+    triangle (or of the middle one), equals ``np.median(pdist(pooled))`` bit
+    for bit: the square root of a squared distance is its distance.
+    """
+    pooled = np.vstack([first, second])
+    sqdist = cdist(pooled, pooled, "sqeuclidean")
+    pairs = squareform(sqdist, checks=False)  # the upper triangle, row by row
+    half = len(pairs) // 2
+    if len(pairs) % 2:
+        return sqdist, _nonzero_median(float(np.sqrt(np.partition(pairs, half)[half])))
+    low, high = np.sqrt(np.partition(pairs, (half - 1, half))[half - 1 : half + 1])
+    return sqdist, _nonzero_median(float((low + high) / 2.0))
 
 
 def design_matrices(

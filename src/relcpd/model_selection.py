@@ -2,7 +2,11 @@
 
 The bandwidth grid is expressed as factors of the median pairwise distance
 of the pooled numerator + denominator samples, so both fit directions of a
-segment pair share one candidate set.  Fold assignment is one seeded shuffle
+segment pair share one candidate set.  One squared-distance matrix of the
+pooled samples per CV block (``kernel.pooled_distances``, one ``cdist``)
+gives that median and both directions' kernel blocks; the second direction
+reuses the first's when ``cv_select_many`` gets the two back to back, as
+the detector passes them.  Fold assignment is one seeded shuffle
 of sample indices followed by contiguous blocks; numerator and denominator
 sets are folded independently.
 
@@ -58,7 +62,8 @@ from .estimators import (
     kliep_fit,  # noqa: F401 -- only for perfbench/perftrace.py, which wraps it here
     pe_terms,
 )
-from .kernel import gaussian_kernels, median_distance
+from .kernel import kernels_of, pooled_distances
+from .kernel import median_distance  # noqa: F401 -- for perfbench/perftrace.py
 
 DEFAULT_SIGMA_FACTORS = (0.6, 0.8, 1.0, 1.2, 1.4)
 DEFAULT_LAMBDAS = (1e-3, 1e-2, 1e-1, 1e0, 1e1)
@@ -179,15 +184,18 @@ def cv_select_many(
     """``cv_select`` for each (numerator samples, denominator samples, fold
     seed) triple of ``problems``, on ``grid`` with its seed replaced by the
     problem's.  Each result equals that of its own ``cv_select`` call; KLIEP
-    fits the (sigma, fold) problems of all of them in shared streams.  The
-    first problem in order that cannot be prepared (too few samples, zero
-    median distance) raises."""
+    fits the (sigma, fold) problems of all of them in shared streams.  A
+    problem whose sample sets are the last one's swapped (the detector's
+    backward direction after its forward one) reuses that problem's
+    distance matrix and median.  The first problem in order that cannot be
+    prepared (too few samples, zero median distance) raises."""
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ParameterError(f"unknown estimator kind {estimator_kind!r}")
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:  # rulsif_fit's rule; also rejects nan
         raise ParameterError(f"alpha must lie in [0, 1), got {alpha}")
     sigma_sets, tables, cases = [], [], []
+    last = None  # (num, den, squared distances of [num; den], median distance)
     for numerator_samples, denominator_samples, seed in problems:
         num = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
         den = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
@@ -199,15 +207,23 @@ def cv_select_many(
                 f"sample sets of sizes {num.shape[0]}/{den.shape[0]} are smaller "
                 f"than the fold count {grid.folds}"
             )
-        d_med = median_distance(np.vstack([num, den]))
+        # the other direction of the last problem's pair: its matrix, rows
+        # and columns in [den; num] order
+        swapped = (last is not None and np.array_equal(num, last[1])
+                   and np.array_equal(den, last[0]))
+        if not swapped:
+            last = (num, den, *pooled_distances(num, den))
+        sqdist, d_med = last[2:]
         sigmas = [f * d_med for f in grid.sigma_factors]
         sigma_sets.append(sigmas)
         rng = seeding.rng_from(seed)
         num_folds = _fold_blocks(num.shape[0], grid.folds, rng)  # drawn before den's
         folds = list(zip(num_folds, _fold_blocks(den.shape[0], grid.folds, rng)))
-        centers = num
-        k_num = gaussian_kernels(num, centers, sigmas)  # (sigma, sample, center)
-        k_den = gaussian_kernels(den, centers, sigmas)
+        # the numerator samples are the centers: (sigma, sample, center) stacks
+        first, second = slice(0, len(last[0])), slice(len(last[0]), None)
+        num_rows, den_rows = (second, first) if swapped else (first, second)
+        k_num = kernels_of(sqdist[num_rows, num_rows], sigmas)
+        k_den = kernels_of(sqdist[den_rows, num_rows], sigmas)
         if estimator_kind == KLIEP:
             # the ascent needs only each fold's mean denominator kernel rows
             b_vecs = [k_den[:, den_tr].mean(axis=1) for _, (den_tr, _) in folds]

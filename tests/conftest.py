@@ -2,6 +2,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 # One OpenBLAS thread per process, set before numpy is imported: c07's two
 # worker processes and the rest of the suite share a 2-core machine, and
 # more BLAS threads than cores only add contention.
@@ -9,6 +11,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # make the shared oracle helpers importable from any test module
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def _sweep_pool_closed_after_each_test():
+    """Join the detector's sweep pool after every test, so that no worker
+    forked under one test's monkeypatches serves the next test."""
+    yield
+    from relcpd import detector
+
+    detector._close_workers()
+
 
 _CRITERIA = {
     "test_c01": "1  analytic-solution residuals",

@@ -201,6 +201,19 @@ def _kliep_objective_loop(k_num, theta, floor=1e-12):
     return float(np.mean(np.log(np.maximum(g, floor))))
 
 
+def kliep_objective(design, theta, floor=1e-12):
+    """KLIEP's objective at ``theta``: the mean log model value over the
+    numerator samples of ``design``, each floored at ``floor``."""
+    return _kliep_objective_loop(design.k_num, theta, floor)
+
+
+def kliep_gradient(design, theta, floor=1e-12):
+    """Analytic gradient of ``kliep_objective`` (zero where the floor binds)."""
+    g = design.k_num @ theta
+    w = np.where(g > floor, 1.0 / np.maximum(g, floor), 0.0)
+    return design.k_num.T @ w / design.k_num.shape[0]
+
+
 def _simplex_project_loop(v):
     """Exact Euclidean projection onto the unit simplex {x >= 0, sum x = 1}:
     x = max(v - tau, 0), where tau = (u_1 + ... + u_r - 1) / r over the

@@ -26,14 +26,18 @@ from relcpd.synthgen import SynthSpec, generate, switching_covariance_schedule
 from relcpd.estimators import (
     kl_estimate,
     kliep_fit,
-    kliep_gradient,
-    kliep_objective,
     pe_alpha_estimate,
     rulsif_fit,
     ulsif_fit,
 )
 
-from oracles import brute_force_roc, gaussian_pdf, true_pe_alpha
+from oracles import (
+    brute_force_roc,
+    gaussian_pdf,
+    kliep_gradient,
+    kliep_objective,
+    true_pe_alpha,
+)
 
 GRID_LAMBDAS = (1e-3, 1e-2, 1e-1, 1e0, 1e1)
 

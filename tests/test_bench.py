@@ -1,9 +1,13 @@
+import multiprocessing
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from relcpd import bench
-from relcpd.detector import DetectorConfig
+from relcpd.cli import main
+from relcpd.detector import DetectorConfig, change_scores
+from relcpd.embedding import TimeSeries
 from relcpd.errors import ParameterError
 from relcpd.model_selection import CvGrid
 from relcpd.seeding import mix_seed
@@ -68,3 +72,19 @@ def test_non_integral_counts_and_seeds_rejected_before_any_run(monkeypatch, name
                   segment_len=100, config=DetectorConfig(n=10, k=3), jobs=1)
     with pytest.raises(ParameterError, match="must be an integer"):
         bench.run_bench(**{**kwargs, name: value})
+
+
+def test_bench_jobs_two_after_a_parallel_sweep_writes_the_serial_report(tmp_path):
+    # the sweep leaves the detector's pool running; bench --jobs 2 joins it
+    # before forking its cells, so no pool thread lives in the forking process
+    flags = [  # c10's bench
+        "--datasets", "1", "--estimators", "rulsif,kliep", "--runs", "2",
+        "--length", "800", "--segment-len", "100", "--n", "30", "--k", "5",
+        "--stride", "10", "--cv-stride", "10", "--seed", "99",
+    ]
+    series = TimeSeries(np.random.default_rng(3).normal(size=300))
+    change_scores(series, DetectorConfig(n=20, k=3, stride=5, cv_stride=2))
+    assert main(["bench", "--out", str(tmp_path / "parallel"), "--jobs", "2"] + flags) == 0
+    assert multiprocessing.active_children() == []
+    assert main(["bench", "--out", str(tmp_path / "serial"), "--jobs", "1"] + flags) == 0
+    assert (tmp_path / "parallel.json").read_bytes() == (tmp_path / "serial.json").read_bytes()

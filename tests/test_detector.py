@@ -1,14 +1,19 @@
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcpd import detector, estimators, model_selection, seeding
+from relcpd import dataio, detector, estimators, model_selection, seeding
 from relcpd.detector import (
     RUN_PROBLEMS,
     SCORE_MODES,
@@ -513,9 +518,116 @@ def test_one_worker_starts_no_pool_and_more_shut_theirs_down(monkeypatch):
     assert _RecordingPool.started == []
     parallel = change_scores(series, cfg)
     assert _RecordingPool.started == [2]
-    assert multiprocessing.active_children() == []  # workers joined on return
+    detector._close_workers()
+    assert multiprocessing.active_children() == []
     assert parallel.boundaries == serial.boundaries == single_block.boundaries
     np.testing.assert_array_equal(parallel.scores, serial.scores)
+
+
+def _serial_scores(series, cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "_worker_count", lambda tasks: 1)
+        return change_scores(series, cfg)
+
+
+def _recording_pools(monkeypatch, cpus):
+    monkeypatch.setattr(detector, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    _with_cpus(monkeypatch, cpus)
+
+
+def test_parallel_sweeps_share_one_pool_until_the_cpu_count_changes(monkeypatch):
+    series = _series(seed=9, t_len=160, step_at=80)
+    cfg = _config(stride=3, cv_stride=4)  # 8 blocks
+    serial = _serial_scores(series, cfg)
+    _recording_pools(monkeypatch, 2)
+    first = change_scores(series, cfg)
+    workers = set(multiprocessing.active_children())
+    second = change_scores(_series(seed=9, t_len=160, step_at=80), cfg)
+    assert _RecordingPool.started == [2]  # the second sweep reused the first's pool
+    assert set(multiprocessing.active_children()) == workers and len(workers) == 2
+    change_scores(series, _config(stride=3, cv_stride=100))  # one block: no pool needed
+    _with_cpus(monkeypatch, 3)
+    third = change_scores(series, cfg)
+    assert _RecordingPool.started == [2, 3]
+    assert not workers & set(multiprocessing.active_children())  # the old pool joined
+    for scores in (first, second, third):
+        np.testing.assert_array_equal(scores.scores, serial.scores)
+
+
+def test_a_killed_worker_is_replaced_on_the_next_sweep(monkeypatch):
+    series = _series(seed=4, t_len=160, step_at=70)
+    cfg = _config(stride=2, cv_stride=3)
+    serial = _serial_scores(series, cfg)
+    _recording_pools(monkeypatch, 2)
+    change_scores(series, cfg)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=60)
+    again = change_scores(series, cfg)
+    assert _RecordingPool.started == [2, 2]
+    assert victim.pid not in {child.pid for child in multiprocessing.active_children()}
+    np.testing.assert_array_equal(again.scores, serial.scores)
+
+
+_TASK_LOG = None  # a file each worker task appends its series length to
+_score_task = detector._score_task
+
+
+def _logging_task(values, config, blocks):
+    with open(_TASK_LOG, "a") as log:
+        log.write(f"{values.shape[1]}\n")
+    return _score_task(values, config, blocks)
+
+
+def test_a_failing_parallel_sweep_leaves_the_pool_serving_the_next(monkeypatch, tmp_path):
+    # the flat stretch fails in its 24th of 50 runs; the tasks not yet
+    # started are cancelled, and the next sweep runs on the same pool
+    cfg = DetectorConfig(stride=5, cv_stride=2)
+    good = _series(seed=2, t_len=500, step_at=250)
+    serial = _serial_scores(good, cfg)
+    with pytest.raises(DegenerateBandwidthError) as serial_error:
+        _serial_scores(_flat_stretch_series(), cfg)
+    _recording_pools(monkeypatch, 2)
+    monkeypatch.setattr(detector, "RUN_PROBLEMS", 50)  # a run per block
+    monkeypatch.setattr(sys.modules[__name__], "_TASK_LOG", str(tmp_path / "tasks"))
+    monkeypatch.setattr(detector, "_score_task", _logging_task)
+    with pytest.raises(DegenerateBandwidthError) as error:
+        change_scores(_flat_stretch_series(), cfg)
+    assert str(error.value) == str(serial_error.value)
+    parallel = change_scores(good, cfg)
+    assert _RecordingPool.started == [2]
+    assert parallel.boundaries == serial.boundaries
+    np.testing.assert_array_equal(parallel.scores, serial.scores)
+    started = (tmp_path / "tasks").read_text().split()
+    assert started.count("500") == 40  # every task of the good sweep's 40 blocks
+    assert started.count("600") < 50  # here 29 of 50 started
+
+
+def test_cli_with_two_workers_exits_and_leaves_no_process(tmp_path):
+    # the pool is alive when main returns; the interpreter's exit joins it
+    if detector._pool_size() < 2:
+        pytest.skip("the sweep pool needs two CPUs here")
+    csv = tmp_path / "series.csv"
+    dataio.write_series_csv(csv, _series(seed=1, t_len=400, step_at=200))
+    src = str(Path(detector.__file__).resolve().parents[1])
+    run = ("import multiprocessing, sys\n"
+           "from relcpd.cli import main\n"
+           "code = main(sys.argv[1:])\n"
+           "print(*[child.pid for child in multiprocessing.active_children()])\n"
+           "sys.exit(code)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", run, "detect", str(csv), "--out", str(tmp_path / "out"),
+         "--stride", "5", "--cv-stride", "5"],
+        capture_output=True, text=True, timeout=120, check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])})
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.splitlines()[-1].split()]
+    assert len(pids) == detector._pool_size()  # the pool's workers, alive after main
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @settings(max_examples=25, deadline=None)

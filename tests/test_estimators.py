@@ -21,8 +21,6 @@ from relcpd.estimators import (
     kl_estimate,
     kliep_ascent,
     kliep_fit,
-    kliep_gradient,
-    kliep_objective,
     pe_alpha_estimate,
     rulsif_fit,
     ulsif_fit,
@@ -34,6 +32,8 @@ from oracles import (
     gaussian_pdf,
     kliep_em_objective,
     kliep_fit_loop,
+    kliep_gradient,
+    kliep_objective,
     true_pe_alpha,
 )
 

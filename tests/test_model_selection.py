@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcpd import estimators, model_selection, seeding
+from relcpd import estimators, kernel, model_selection, seeding
 from relcpd.embedding import build_windows, segment_pair
 from relcpd.errors import (
     DegenerateBandwidthError,
@@ -392,6 +392,56 @@ def test_kliep_cv_kernels_match_elementwise_formula(monkeypatch):
             np.testing.assert_allclose(
                 b_vecs[f][s], k_den[den_tr].mean(axis=0), rtol=1e-12, atol=0
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from((11, 12)), extra=st.integers(0, 1), dim=st.sampled_from((1, 3, 10)),
+       kind=st.sampled_from(("rulsif", "kliep")), copies=st.booleans(),
+       ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_one_distance_matrix_per_block_gives_the_separate_kernels(
+        n, extra, dim, kind, copies, ties, seed):
+    # a block's two directions, (a, b) then (b, a), take their median and
+    # their four kernel blocks from one pooled distance matrix; each equals
+    # median_distance and gaussian_kernels of its own sets, bit for bit.
+    # 2n + extra pooled samples give odd (n = 11, 2n + 1 = 25) and even pair
+    # counts, ties put equal distances at the middle order statistics, and
+    # n = 11 and 12 give folds of unequal size
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(n, dim)), rng.normal(0.5, 1.5, size=(n + extra, dim))
+    if ties:
+        a, b = np.round(a), np.round(b)
+    d_med = median_distance(np.vstack([a, b]))
+    grid = CvGrid(sigma_factors=(0.5, 1.0, 1.7), lambdas=(0.1, 1.0), seed=seed)
+    sigmas = [f * d_med for f in grid.sigma_factors]
+    kernels, pooled = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_selection, "kernels_of",
+                   lambda sq, s: kernels.append(kernel.kernels_of(sq, s)) or kernels[-1])
+        mp.setattr(model_selection, "pooled_distances",
+                   lambda x, y: pooled.append(1) or kernel.pooled_distances(x, y))
+        swapped = (b.copy(), a.copy()) if copies else (b, a)  # equal values suffice
+        results = cv_select_many([(a, b, seed), (*swapped, seed + 1)], grid, kind, 0.1)
+    assert len(pooled) == 1
+    for result in results:  # factor 1.0 gives the median itself
+        assert sorted({sigma for sigma, _ in result.score_table}) == sigmas
+    want = [(a, a), (b, a), (b, b), (a, b)]  # (samples, centers) of k_num, k_den per direction
+    assert len(kernels) == len(want)
+    for got, (samples, centers) in zip(kernels, want):
+        np.testing.assert_array_equal(got, gaussian_kernels(samples, centers, sigmas))
+
+
+def test_zero_median_block_raises_the_median_distance_error():
+    # 21 of 24 pooled samples identical: 210 of the 276 pairs are at distance 0
+    x = np.zeros((12, 2))
+    y = np.zeros((12, 2))
+    x[:3] = [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]
+    with pytest.raises(DegenerateBandwidthError) as want:
+        median_distance(np.vstack([x, y]))
+    assert str(want.value) == "median pairwise distance is zero (samples nearly all identical)"
+    for kind in ("ulsif", "kliep"):
+        with pytest.raises(DegenerateBandwidthError) as got:
+            cv_select_many([(x, y, 0), (y, x, 1)], CvGrid(), kind)
+        assert str(got.value) == str(want.value)
 
 
 def test_least_squares_cv_memory_peak_is_bounded_by_stack():

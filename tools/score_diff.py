@@ -10,8 +10,11 @@ pairs of one series per dataset, at n=50 and n=53 (folds of unequal size,
 and for KLIEP two training shapes).  It prints, per sweep, the sha256 of
 the scores in each checkout (its first 16 hex digits), the largest |score
 difference| and both AUCs, and per CV set the same for its score tables,
-all pairs' in order.  Like ``diff``, it exits 1 when any digest differs and
-0 when all are equal.
+all pairs' in order.  Each child scores every sweep setting twice, the
+second pass on the worker pool the first one left warm, and the tool prints
+per checkout how many second passes differ from the first.  Like ``diff``,
+it exits 1 when any digest differs, between the checkouts or between two
+passes, and 0 when all are equal.
 
     python3 tools/score_diff.py <checkout A> <checkout B>
 
@@ -58,7 +61,8 @@ def settings() -> list[tuple]:
 
 def sweep_all(checkout: str) -> None:
     """Child process: one JSON line per setting with its values (scores or
-    CV tables) and, for sweeps, the AUC."""
+    CV tables) and, for sweeps, the AUC; then one line with the labels of
+    the sweeps whose second pass gives other scores than the first."""
     sys.path.insert(0, str(Path(checkout) / "src"))
     from relcpd import (CvGrid, DetectorConfig, SynthSpec, change_scores, find_peaks,
                         generate, roc_curve)
@@ -66,7 +70,8 @@ def sweep_all(checkout: str) -> None:
     from relcpd.model_selection import cv_select_many
     from relcpd.seeding import mix_seed
 
-    for _, what, estimator, dataset, index in settings():
+    sweeps = []  # (label, series, config, digest of the first pass)
+    for label, what, estimator, dataset, index in settings():
         series_index = index if what == "sweep" else 1
         series = generate(SynthSpec(dataset_id=dataset, length=LENGTH,
                                     seed=mix_seed(MASTER_SEED, 1, dataset, series_index)))
@@ -85,15 +90,21 @@ def sweep_all(checkout: str) -> None:
         config = DetectorConfig(**(DETECTOR if what == "sweep" else DENSE),
                                 estimator_kind=estimator, grid=grid)
         scores = change_scores(series, config)
+        sweeps.append((label, series, config, score_digest(scores.scores)))
         curve = roc_curve(find_peaks(scores), series.change_points, len(series.change_points))
         print(json.dumps({"values": [float(v) for v in scores.scores], "auc": curve.auc}),
               flush=True)
+    differ = [label for label, series, config, digest in sweeps
+              if score_digest(change_scores(series, config).scores) != digest]
+    print(json.dumps({"second_pass_differs": differ, "sweeps": len(sweeps)}), flush=True)
 
 
-def run_checkout(checkout: str) -> list[dict]:
+def run_checkout(checkout: str) -> tuple[list[dict], dict]:
+    """Each setting's line of the child's output, and its second-pass line."""
     out = subprocess.run([sys.executable, __file__, "--sweep", checkout],
                          check=True, capture_output=True, text=True).stdout
-    return [json.loads(line) for line in out.splitlines()]
+    *lines, second_pass = [json.loads(line) for line in out.splitlines()]
+    return lines, second_pass
 
 
 def main(argv=None) -> None:
@@ -107,7 +118,8 @@ def main(argv=None) -> None:
         return
     if args.checkout_b is None:
         parser.error("two checkouts are needed")
-    side_a, side_b = run_checkout(args.checkout_a), run_checkout(args.checkout_b)
+    (side_a, second_a), (side_b, second_b) = (run_checkout(args.checkout_a),
+                                              run_checkout(args.checkout_b))
     print(f"{'setting':<26} {'sha256 A':<16} {'sha256 B':<16} {'max |d|':>9} "
           f"{'AUC A':>6} {'AUC B':>6}")
     worst, differing = {}, 0
@@ -122,8 +134,12 @@ def main(argv=None) -> None:
         print(f"{label:<26} {digest_a[:16]} {digest_b[:16]} {diff:9.2e}{aucs}")
     for key, diff in worst.items():
         print(f"largest |d| {key}: {diff:.3e}")
+    for side, second in (("A", second_a), ("B", second_b)):
+        print(f"second pass {side}: {len(second['second_pass_differs'])} of "
+              f"{second['sweeps']} sweeps differ from the first"
+              + "".join(f"\n  {label}" for label in second["second_pass_differs"]))
     print(f"{differing} of {len(settings())} digests differ")
-    if differing:
+    if differing or second_a["second_pass_differs"] or second_b["second_pass_differs"]:
         sys.exit(1)
 
 
