@@ -37,20 +37,24 @@ def _parse_cell(cell: str) -> float | None:
         return None
 
 
-def ingest_csv(path) -> TimeSeries:
-    """Read a d x T series from CSV; attaches ``<stem>.truth`` if present."""
-    path = Path(path)
+def _data_rows(path: Path) -> tuple[list, int]:
+    """The non-empty CSV rows of ``path`` and the index of the first data row:
+    1 after a header (a first row with a non-numeric cell), else 0.  A file
+    without data rows raises ``EmptyInputError``."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
+    start = 1 if any(_parse_cell(cell) is None for cell in rows[0]) else 0
+    if start == len(rows):
+        raise EmptyInputError(f"{path}: header only, no data rows")
+    return rows, start
 
-    start = 0
-    if any(_parse_cell(cell) is None for cell in rows[0]):
-        start = 1  # header row
-        if len(rows) == 1:
-            raise EmptyInputError(f"{path}: header only, no data rows")
 
+def ingest_csv(path) -> TimeSeries:
+    """Read a d x T series from CSV; attaches ``<stem>.truth`` if present."""
+    path = Path(path)
+    rows, start = _data_rows(path)
     width = len(rows[start])
     data = np.empty((len(rows) - start, width))
     for i, row in enumerate(rows[start:], start=start + 1):
@@ -114,11 +118,7 @@ def read_scores_csv(path) -> tuple[tuple[int, ...], np.ndarray]:
     """(boundaries, scores) of a ``boundary,score`` CSV, optionally headed;
     boundaries must be integers that increase strictly, scores finite."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise EmptyInputError(f"{path}: no data rows")
-    start = 1 if any(_parse_cell(cell) is None for cell in rows[0]) else 0  # header
+    rows, start = _data_rows(path)
     boundaries = []
     scores = []
     for i, row in enumerate(rows[start:], start=start + 1):  # rows as ingest_csv counts

@@ -18,15 +18,15 @@ any grouping or evaluation order gives the same scores, bit for bit.
 The unit of work is a run of consecutive CV blocks, scored in two phases:
 first the CV refresh of every block, in one ``cv_select_many`` call, then
 the final fits of all the blocks.  A sweep's blocks are cut into contiguous
-runs whose lengths differ by at most 1: one run per worker, and more only
-where a run would hold more than RUN_PROBLEMS KLIEP CV problems, one per
-(direction, fold, sigma).  For KLIEP each phase streams its problems into
-``estimators.kliep_ascent``, CV one stream per training size (one where the
-fold count divides n), so a run pays for about two stream ends, where rounds
-run nearly empty.  The same runs serve uLSIF and RuLSIF, which compute each
-block as on their own.  A run of several blocks that fails is scored again
-one block at a time, so the first failing block in series order raises,
-with the serial sweep's error.
+runs whose lengths differ by at most 1, in whole rounds of one run per
+worker: one round, and more only where a run's KLIEP CV would hold more
+kernels than the memory budget allows (below).  For KLIEP each phase
+streams its problems into ``estimators.kliep_ascent``, CV one stream per
+training size (one where the fold count divides n), so a run pays for about
+two stream ends, where rounds run nearly empty.  The same runs serve uLSIF
+and RuLSIF, which compute each block as on their own.  A run of several
+blocks that fails is scored again one block at a time, so the first failing
+block in series order raises, with the serial sweep's error.
 
 A sweep runs on ``min(available CPUs, CPU quota, runs)`` worker processes.
 The available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count``
@@ -45,23 +45,27 @@ reuses it, so a sweep with fewer runs than workers leaves the others idle.
 It is forked anew when that count changes or after a worker died (the
 sweep that finds the pool broken is tried once more on the new one), and
 concurrent.futures' exit hook joins it when the interpreter exits.  Each
-task is one run, scored by the same function as the in-process path: it
-carries the (standardized) series values, 8 x d x T bytes, the config
-and its blocks, and the worker builds the window vectors from the values.
+task is one run, scored by the same function as each run of the in-process
+path: it carries the (standardized) series values, 8 x d x T bytes, the
+config and its blocks, and builds the window vectors from the values.
 The parent joins the runs in series order, cancels the tasks that have not
 started when one fails, and checks that every score is finite.  A worker
 holds one run's CV and final-fit arrays on top of the copy of this process
-it forked from (with the default grid at n = 50, up to 13 MB of CV kernels
-for a run at the cap), and an idle worker keeps its heap: after two rounds
-of 8 ``kliep-cv``-sized sweeps (2000 points, 2 workers) each worker held
+it forked from, and an idle worker keeps its heap: after two rounds of 8
+``kliep-cv``-sized sweeps (2000 points, 2 workers) each worker held
 71-77 MB RSS, shared pages included.
 
-STACK problems is the one cap on every stack of fits: the KLIEP engine's
-buffer, CV or final, each least-squares final-fit stack and each
-least-squares CV stack, which holds at least one fold's sigmas x lambdas
-systems (see ``model_selection``).  Final fits run in chunks, the positions
-of one CV block whose pairs share one span of at most 4n windows: at most
-min(1 + 2n // stride, STACK // directions) positions.
+One memory budget, ``estimators.BUDGET`` bytes, sizes every group of fits:
+a group holds at most U = ``estimators.budget_units(n)`` n x n arrays of
+doubles (400 at n = 50, 25 at n = 200).  The KLIEP engine's buffer, CV or
+final, holds U problems; a least-squares CV stack U systems, or one fold's
+sigmas x lambdas where that is more (see ``model_selection``); a final-fit
+chunk U (position, direction) pairs; and a run's KLIEP CV U (block,
+direction, sigma) kernels, so a run holds at most max(1, U // (directions x
+sigmas)) blocks (40 at n = 50 with the default grid, 2 at n = 200).  Final
+fits run in chunks, the positions of one CV block whose pairs share one
+span of at most 4n windows: at most min(1 + 2n // stride, max(1, U //
+directions)) positions.
 One ``cdist`` over a chunk's span and one ``exp`` per direction give the
 band kernel; each pair's (2n, 2n) kernel is a diagonal block of it, taken as
 a strided view.  The distance and kernel matrices hold at most (4n)^2
@@ -95,7 +99,8 @@ from .errors import (
     integer,
 )
 from .estimators import (
-    ESTIMATOR_KINDS, KLIEP, RULSIF, STACK, _solve_spd, gram_system, kliep_ascent, pe_terms,
+    ESTIMATOR_KINDS, KLIEP, RULSIF, _solve_spd, budget_units, gram_system, kliep_ascent,
+    pe_terms,
 )
 # Imported only for perfbench/perftrace.py, which wraps these names here by
 # getattr; they stay until that tracer reads per-layer counters instead.
@@ -115,7 +120,6 @@ SCORE_MODES = (SYMMETRIC, FORWARD, BACKWARD)
 _ROLES = ((0, 1), (1, 0))
 _MODE_DIRECTIONS = {SYMMETRIC: (0, 1), FORWARD: (0,), BACKWARD: (1,)}
 
-RUN_PROBLEMS = 8 * STACK  # most KLIEP CV problems per run (13 MB of kernels at n = 50)
 CPU_MAX = "/sys/fs/cgroup/cpu.max"  # the cgroup v2 CPU quota, read only
 
 
@@ -263,22 +267,14 @@ def _pool_size() -> int:
     return min(cpus, _cpu_quota() or cpus)
 
 
-def _worker_count(tasks: int) -> int:
-    """Worker processes for a sweep of ``tasks`` runs: those of the pool, at
-    most one per task."""
-    return min(_pool_size(), tasks)
-
-
 def _runs(blocks: list, workers: int, config) -> list[list]:
-    """``blocks`` cut into contiguous runs whose lengths differ by at most 1:
-    one per worker, and more where a run would hold more than RUN_PROBLEMS
-    KLIEP CV problems, one per (direction, fold, sigma), but never more runs
-    than blocks."""
-    grid = config.grid
-    per_block = (len(_MODE_DIRECTIONS[config.score_mode]) * grid.folds
-                 * len(grid.sigma_factors))
-    most = max(1, RUN_PROBLEMS // per_block)  # blocks per run
-    count = min(len(blocks), max(workers, -(-len(blocks) // most)))
+    """``blocks`` cut into contiguous runs whose lengths differ by at most 1,
+    in whole rounds of ``workers`` runs: one round, and more where a run
+    would hold more than ``budget_units(n)`` KLIEP CV kernels, one per
+    (block, direction, sigma), but never more runs than blocks."""
+    per_block = len(_MODE_DIRECTIONS[config.score_mode]) * len(config.grid.sigma_factors)
+    most = max(1, budget_units(config.n) // per_block)  # blocks per run
+    count = min(len(blocks), workers * -(-len(blocks) // (workers * most)))
     cuts = [len(blocks) * r // count for r in range(count + 1)]
     return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
@@ -298,7 +294,7 @@ def _score_run(windows, blocks: list, config) -> list[float]:
             num, den = ((pair.reference, pair.test)[i] for i in _ROLES[direction])
             problems.append((num, den, seeding.mix_seed(config.grid.seed, t, direction)))
     results = cv_select_many(problems, config.grid, config.estimator_kind, alpha)
-    per_chunk = min(1 + 2 * n // config.stride, STACK // len(directions))
+    per_chunk = min(1 + 2 * n // config.stride, max(1, budget_units(n) // len(directions)))
     chunks = []
     for b, block in enumerate(blocks):
         block_results = results[b * len(directions) : (b + 1) * len(directions)]
@@ -362,7 +358,8 @@ def _close_workers() -> None:
 
 
 def _score_task(values: np.ndarray, config, blocks: list) -> list[float]:
-    """``_score_blocks`` in a worker, on windows built from the series values."""
+    """``_score_blocks`` on windows built from the series values: the one
+    scoring entry of a run, in a worker or in this process."""
     return _score_blocks(build_windows(TimeSeries(values), config.k), blocks, config)
 
 
@@ -400,13 +397,13 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     t_last = t_len - 2 * config.n - config.k + 2
     starts = range(1, t_last + 1, config.stride)
     blocks = [starts[b : b + config.cv_stride] for b in range(0, len(starts), config.cv_stride)]
-    workers = _worker_count(len(blocks))
+    size = _pool_size()
+    workers = min(size, len(blocks))
     runs = _runs(blocks, workers, config)
     if workers == 1:
-        windows = build_windows(series, config.k)
-        scores = [score for run in runs for score in _score_blocks(windows, run, config)]
+        scores = [score for run in runs for score in _score_task(series.values, config, run)]
     else:
-        scores = _pool_scores(series.values, config, runs, _pool_size())
+        scores = _pool_scores(series.values, config, runs, size)
 
     arr = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(arr)):

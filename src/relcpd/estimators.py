@@ -19,6 +19,7 @@ Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,19 @@ LOG_FLOOR = 1e-12
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-# most problems per stack of fits: the rows of kliep_ascent's buffer, and a
-# cap on least-squares chunks and CV stacks; with 50 samples and centers, a
-# KLIEP buffer of STACK problems holds 8 MB
-STACK = 400
+# bytes that one group of fits may hold: see budget_units
+BUDGET = 8_000_000
+
+
+def budget_units(centers: int) -> int:
+    """How many centers x centers arrays of doubles fit in BUDGET, at least 1:
+    the size of every group of fits, read at call time.  kliep_ascent's buffer
+    holds that many problems (a problem's samples never exceed its centers in
+    any caller), a least-squares CV stack that many (sigma, fold, lambda)
+    systems, a final-fit chunk that many (position, direction) pairs, and a
+    detector run's KLIEP CV that many (block, direction, sigma) kernels; with
+    50 centers that is 400, with 200 it is 25."""
+    return max(1, BUDGET // (8 * centers * centers))
 
 
 @dataclass(frozen=True)
@@ -230,8 +240,8 @@ def kliep_ascent(
     subject to b . theta = 1 and theta >= 0, with b the mean denominator
     kernel row.  A stream that yields fewer or more than ``count`` problems
     raises ``ParameterError``.  The engine copies each problem, as it takes
-    it, into a buffer of min(STACK, ``count``) rows, so the caller's arrays
-    are never modified and may be freed at once.
+    it, into a buffer of min(``budget_units(centers)``, ``count``) rows, so the
+    caller's arrays are never modified and may be freed at once.
     An entry of b that underflows to 0 or below the smallest normal double
     raises ``DegenerateBandwidthError``: with b_l = 0, theta_l is unbounded
     under b . theta = 1, and so is the objective.
@@ -278,7 +288,19 @@ def kliep_ascent(
     if count < 1:
         raise ParameterError(f"a KLIEP stream needs at least one problem, got {count}")
     problems = iter(problems)
-    cap = min(STACK, count)
+    first = next(problems, None)
+    if first is None:
+        raise ParameterError(f"a KLIEP stream of {count} problems ended after 0")
+    samples, centers = np.shape(first[0])
+    cap = min(budget_units(centers), count)  # buffers of cap rows, outputs of count
+    bufs = (np.empty((cap, samples, centers)), np.empty((cap, centers)),
+            np.empty(cap, dtype=np.int64), *np.empty((3, cap, centers)),
+            *np.empty((2, cap)), *np.empty((2, cap), dtype=np.int64),
+            np.empty(cap, dtype=bool), np.empty((cap, samples)))
+    out_theta = np.empty((count, centers))
+    out_objective, out_gap = np.empty((2, count))
+    iterations, converged = np.empty(count, dtype=np.int64), np.zeros(count, bool)
+    problems = itertools.chain([first], problems)
     admitted = size = 0
     while True:
         end = min(cap, size + count - admitted)  # rows after this round's intake
@@ -290,15 +312,6 @@ def kliep_ascent(
             except StopIteration:
                 raise ParameterError(
                     f"a KLIEP stream of {count} problems ended after {admitted}") from None
-            if not admitted:  # buffers of cap rows, outputs of count
-                samples, centers = np.shape(k_row)
-                bufs = (np.empty((cap, samples, centers)), np.empty((cap, centers)),
-                        np.empty(cap, dtype=np.int64), *np.empty((3, cap, centers)),
-                        *np.empty((2, cap)), *np.empty((2, cap), dtype=np.int64),
-                        np.empty(cap, dtype=bool), np.empty((cap, samples)))
-                out_theta = np.empty((count, centers))
-                out_objective, out_gap = np.empty((2, count))
-                iterations, converged = np.empty(count, dtype=np.int64), np.zeros(count, bool)
             bufs[0][row], bufs[1][row], bufs[2][row] = k_row, b_row, admitted
             admitted += 1
         # w: weights; move: last accepted w_k - w_{k-1}; grad: where the search

@@ -23,22 +23,24 @@ Held-out criteria:
 The least-squares grid runs on stacked (sigma, sample, center) kernels and on
 the final fits' solve.  The folds of one problem whose (training, held-out)
 sizes agree (all of them where the fold count divides the sample counts)
-form stacks of max(1, STACK // (sigmas x lambdas)) folds: one
-``estimators.gram_system`` call builds H and h for every (sigma, fold) of a
-stack, and one ``estimators._solve_spd`` call solves all its (sigma, fold,
-lambda) systems H + lambda I by Cholesky factorization, retrying a system
-that is not positive definite with jitter on its own.  So a stack holds at
-most max(STACK, sigmas x lambdas) systems, and the largest temporary that
-many centers^2 doubles (the default grid's 125 systems, one stack, take
-2.5 MB at 50 centers).  The folds' criteria are summed in fold order, so the
-table equals that of a loop over folds bit for bit.  Problems are not
-stacked together.
+form stacks of max(1, U // (sigmas x lambdas)) folds, with U =
+``estimators.budget_units(centers)``: one ``estimators.gram_system`` call
+builds H and h for every (sigma, fold) of a stack, and one
+``estimators._solve_spd`` call solves all its (sigma, fold, lambda) systems
+H + lambda I by Cholesky factorization, retrying a system that is not
+positive definite with jitter on its own.  So a stack holds at most
+max(U, sigmas x lambdas) systems, and its largest temporary, the one copy of
+them, at most ``estimators.BUDGET`` bytes unless one fold's systems alone
+exceed it (the default grid's 125 systems, one stack, take 2.5 MB at 50
+centers; at 200 centers a stack is one fold's 25 systems, 8 MB).  The folds'
+criteria are summed in fold order, so the table equals that of a loop over
+folds bit for bit.  Problems are not stacked together.
 
 The KLIEP grid streams every (sigma, fold) problem, its training rows and
 its fold's mean denominator kernel row, into ``estimators.kliep_ascent``:
 one stream per training shape for all of a ``cv_select_many`` call (up to
-3,200 problems for a detector run at its cap, 64 blocks of the default
-grid).  The held-out scores are exactly those of one fit per problem.
+2,000 problems for a detector run at its cap at n = 50, 40 blocks of the
+default grid).  The held-out scores are exactly those of one fit per problem.
 
 Ties are broken toward the larger sigma, then the larger lambda.
 """
@@ -54,9 +56,9 @@ from .errors import DimensionMismatchError, ParameterError, integer
 from .estimators import (
     ESTIMATOR_KINDS,
     KLIEP,
-    STACK,
     _mean_log,
     _solve_spd,
+    budget_units,
     gram_system,
     kliep_ascent,
     kliep_fit,  # noqa: F401 -- only for perfbench/perftrace.py, which wraps it here
@@ -144,7 +146,7 @@ def _least_squares_scores(k_num, k_den, folds: list, lambdas, alpha: float) -> n
     by_size: dict[tuple, list] = {}  # sizes of the four index sets: folds
     for f, fold in enumerate(folds):
         by_size.setdefault(tuple(len(part) for side in fold for part in side), []).append(f)
-    per_stack = max(1, STACK // (len(k_num) * len(lambdas)))
+    per_stack = max(1, budget_units(k_num.shape[2]) // (len(k_num) * len(lambdas)))
     stacks = [same[i : i + per_stack] for same in by_size.values()
               for i in range(0, len(same), per_stack)]
     fold_scores = np.empty((len(folds), len(k_num), len(lambdas)))

@@ -252,6 +252,17 @@ class TestScoreDetectEval:
         assert captured.out == ""
         assert sorted(path.name for path in tmp_path.iterdir()) == ["s.csv", "t.truth"]
 
+    def test_eval_rejects_a_header_only_scores_file_as_ingest_does(self, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text("boundary,score\n")
+        (tmp_path / "t.truth").write_text("2\n")
+        assert main(["eval", str(tmp_path / "s.csv"), "--truth", str(tmp_path / "t.truth"),
+                     "--out", str(tmp_path / "e")]) == 2
+        expected = f"error: empty-input: {tmp_path / 's.csv'}: header only, no data rows\n"
+        assert capsys.readouterr().err == expected
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.csv", "t.truth"]
+        with pytest.raises(EmptyInputError, match="header only, no data rows"):
+            dataio.ingest_csv(tmp_path / "s.csv")
+
     @pytest.mark.parametrize("truth", ["100\n100\n", "0\n-5\n"])
     def test_eval_rejects_truth_that_detect_rejects(self, tmp_path, capsys, truth):
         p = _make_input(tmp_path)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from relcpd import dataio, detector, estimators, model_selection, seeding
 from relcpd.detector import (
-    RUN_PROBLEMS,
     SCORE_MODES,
     DetectorConfig,
     change_scores,
@@ -29,7 +28,7 @@ from relcpd.errors import (
     ParameterError,
     SingularSystemError,
 )
-from relcpd.estimators import ESTIMATOR_KINDS, STACK
+from relcpd.estimators import ESTIMATOR_KINDS
 from relcpd.kernel import design_matrices
 from relcpd.model_selection import CvGrid, cv_select
 
@@ -48,6 +47,18 @@ def _config(**kw):
     base = dict(n=20, k=5, stride=5, cv_stride=2, grid=CvGrid(seed=7))
     base.update(kw)
     return DetectorConfig(**base)
+
+
+def _budget(monkeypatch, n, units):
+    """Set the memory budget to ``units`` n x n arrays of doubles; None keeps
+    the default."""
+    if units is not None:
+        monkeypatch.setattr(estimators, "BUDGET", units * 8 * n * n)
+
+
+def _serial(monkeypatch):
+    """Let every sweep run in this process."""
+    monkeypatch.setattr(detector, "_pool_size", lambda: 1)
 
 
 def test_minimum_length_values():
@@ -185,32 +196,32 @@ def _scores_loop(series, config):
 
 
 @pytest.mark.parametrize(
-    "mode, stride, cv_stride, n, stack, run_cap",
+    "mode, stride, cv_stride, n, units",
     [
-        # 12 blocks of 50 CV problems; a cap of 400 cuts runs of 6 and 6
-        pytest.param("symmetric", 5, 2, 20, STACK, 400, id="symmetric-5-2"),
-        # the cap forces one block per run
-        pytest.param("symmetric", 5, 2, 20, STACK, 50, id="symmetric-5-2-cap50"),
-        # 3 blocks in one run, its 234 final fits in one stream
-        pytest.param("symmetric", 1, 50, 20, STACK, RUN_PROBLEMS, id="symmetric-1-50"),
-        # runs of 1 block and 2, final fits through a buffer of 100 across chunks
-        pytest.param("symmetric", 1, 50, 20, 100, 100, id="symmetric-1-50-stack100"),
-        # 39 blocks of 25 CV problems in one run
-        pytest.param("forward", 3, 1, 20, STACK, RUN_PROBLEMS, id="forward-3-1"),
+        # 12 blocks of 10 CV kernels (direction, sigma); 80 units cut runs of
+        # 6 and 6
+        pytest.param("symmetric", 5, 2, 20, 80, id="symmetric-5-2"),
+        # 10 units force one block per run
+        pytest.param("symmetric", 5, 2, 20, 10, id="symmetric-5-2-cap50"),
+        # the default budget: 3 blocks in one run, its 234 final fits in one stream
+        pytest.param("symmetric", 1, 50, 20, None, id="symmetric-1-50"),
+        # runs of 1 block and 2, final fits through a buffer of 20 across
+        # chunks of 10 positions
+        pytest.param("symmetric", 1, 50, 20, 20, id="symmetric-1-50-stack100"),
+        # 39 blocks of 5 CV kernels in one run
+        pytest.param("forward", 3, 1, 20, None, id="forward-3-1"),
         # unequal folds; 19 blocks in one run
-        pytest.param("backward", 2, 3, 22, STACK, RUN_PROBLEMS, id="backward-2-3-n22"),
+        pytest.param("backward", 2, 3, 22, None, id="backward-2-3-n22"),
         # unequal folds; 10 blocks: runs of 2, 3, 2 and 3
-        pytest.param("symmetric", 4, 3, 22, 150, 150, id="symmetric-4-3-n22-stack150"),
+        pytest.param("symmetric", 4, 3, 22, 30, id="symmetric-4-3-n22-stack150"),
     ],
 )
 def test_kliep_block_fits_match_per_position_loop(monkeypatch, mode, stride, cv_stride, n,
-                                                  stack, run_cap):
+                                                  units):
     # a run's CV problems are fitted as one stream per training size, and its
     # final fits as one stream that cuts across chunks and CV refreshes
-    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # runs split by the cap
-    monkeypatch.setattr(detector, "RUN_PROBLEMS", run_cap)
-    monkeypatch.setattr(detector, "STACK", stack)  # chunks
-    monkeypatch.setattr(estimators, "STACK", stack)  # the buffer of kliep_ascent
+    _serial(monkeypatch)  # runs split by the budget alone
+    _budget(monkeypatch, n, units)
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(
         n=n, estimator_kind="kliep", score_mode=mode, stride=stride, cv_stride=cv_stride,
@@ -250,7 +261,7 @@ def test_least_squares_chunks_match_per_position_loop(kind, mode, stride, cv_str
 
 
 def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monkeypatch):
-    monkeypatch.setattr(detector, "_worker_count", lambda blocks: 1)  # calls counted here
+    _serial(monkeypatch)  # calls counted here
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="rulsif", stride=1, cv_stride=24)
     expected = change_scores(series, cfg).scores
@@ -291,16 +302,16 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
         change_scores(series, cfg)
 
 
-@pytest.mark.parametrize("stride, stack", [
-    pytest.param(stride, STACK, id=str(stride)) for stride in (1, 7, 30, 45)
+@pytest.mark.parametrize("stride, units", [
+    pytest.param(stride, None, id=str(stride)) for stride in (1, 7, 30, 45)
 ] + [pytest.param(1, 60, id="1-stack60"), pytest.param(7, 30, id="7-stack30")])
-def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
+def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, units):
     # the band kernel spans at most 4n windows at any stride, every KLIEP
-    # buffer, CV or final, holds at most STACK problems, and so does every
-    # least-squares stack
-    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)  # calls counted here
-    monkeypatch.setattr(detector, "STACK", stack)  # chunks
-    monkeypatch.setattr(estimators, "STACK", stack)  # the buffer of kliep_ascent
+    # buffer, CV or final, holds at most the budget's units of problems, and
+    # every least-squares final-fit chunk as many (position, direction) pairs
+    _serial(monkeypatch)  # calls counted here
+    _budget(monkeypatch, 20, units)
+    units = estimators.budget_units(20)
     spans, streams, cv_streams, buffers, solves = [], [], [], [], []
     kernels, solve = detector.gaussian_kernels, detector._solve_spd
     try_steps = estimators._try_steps
@@ -337,15 +348,15 @@ def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(estimator_kind="kliep", stride=stride, cv_stride=100)
     positions = len(change_scores(series, cfg).scores)
-    per_chunk = min(1 + 2 * cfg.n // stride, stack // 2)
+    per_chunk = min(1 + 2 * cfg.n // stride, units // 2)
     blocks = [min(cfg.cv_stride, positions - b) for b in range(0, positions, cfg.cv_stride)]
     chunks = sum(-(-size // per_chunk) for size in blocks)
     assert len(spans) == chunks  # one band kernel per chunk
     assert max(spans) == (per_chunk - 1) * stride + 2 * cfg.n <= 4 * cfg.n
     assert sum(streams) == 2 * positions  # each final fit taken once
     assert sum(cv_streams) == 2 * len(blocks) * cfg.grid.folds * len(cfg.grid.sigma_factors)
-    assert set(buffers) == {min(stack, size) for size in streams + cv_streams}
-    assert max(buffers) <= stack
+    assert set(buffers) == {min(units, size) for size in streams + cv_streams}
+    assert max(buffers) <= units
     assert len(streams) == len(cv_streams) == 1  # the sweep's one run, one stream each
 
     # least squares solves each chunk's fits as one stack per direction
@@ -354,7 +365,7 @@ def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, stack):
     assert len(spans) == chunks and len(solves) == 2 * chunks
     chunk_stacks = [fwd + bwd for fwd, bwd in zip(solves[::2], solves[1::2])]
     assert sum(chunk_stacks) == 2 * positions  # each final fit once
-    assert max(chunk_stacks) <= stack
+    assert max(chunk_stacks) <= units
 
 
 def test_step_change_produces_peak_near_change():
@@ -407,34 +418,46 @@ def _with_cpus(monkeypatch, cpus):
 
 def test_worker_count_is_capped_by_cpus_and_blocks(monkeypatch):
     _with_cpus(monkeypatch, 3)
-    assert [detector._worker_count(b) for b in (1, 2, 3, 4, 500)] == [1, 2, 3, 3, 3]
+    assert detector._pool_size() == 3
+    # a sweep of 1, 2 and 12 blocks takes 1, 2 and 3 workers; the pool's
+    # scoring is left out, as only the worker count is recorded
+    runs, workers = detector._runs, []
+
+    def recording_runs(blocks, count, config):
+        workers.append(count)
+        return runs(blocks, count, config)
+
+    monkeypatch.setattr(detector, "_runs", recording_runs)
+    monkeypatch.setattr(detector, "_pool_scores", lambda values, config, runs, size: [
+        0.0 for run in runs for block in run for _ in block])
+    for cv_stride in (24, 12, 2):  # 24 positions
+        change_scores(_series(), _config(cv_stride=cv_stride))
+    assert workers == [1, 2, 3]
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # where it is missing
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert [detector._worker_count(b) for b in (1, 4, 500)] == [1, 4, 5]
+    assert detector._pool_size() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert detector._worker_count(500) == 1
+    assert detector._pool_size() == 1
 
 
 def test_worker_count_is_capped_by_the_cgroup_cpu_quota(monkeypatch, tmp_path):
     _with_cpus(monkeypatch, 4)
     cpu_max = tmp_path / "cpu.max"
     monkeypatch.setattr(detector, "CPU_MAX", str(cpu_max))
-    assert detector._worker_count(500) == 4  # no file: no quota
+    assert detector._pool_size() == 4  # no file: no quota
     for text, workers in (("150000 100000\n", 2), ("50000 100000\n", 1),
                           ("200000 100000\n", 2), ("800000 100000\n", 4),
                           ("max 100000\n", 4)):
         cpu_max.write_text(text)
-        assert detector._worker_count(500) == workers, text
-    cpu_max.write_text("150000 100000\n")
-    assert detector._worker_count(1) == 1
+        assert detector._pool_size() == workers, text
 
 
 def test_worker_count_is_one_inside_a_multiprocessing_child(monkeypatch):
     _with_cpus(monkeypatch, 4)
     with ProcessPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(detector._worker_count, 500).result(timeout=60) == 1
+        assert pool.submit(detector._pool_size).result(timeout=60) == 1
     monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-    assert detector._worker_count(500) == 1
+    assert detector._pool_size() == 1
 
 
 def test_worker_count_is_one_unless_workers_fork(monkeypatch):
@@ -442,60 +465,83 @@ def test_worker_count_is_one_unless_workers_fork(monkeypatch):
     for method in ("spawn", "forkserver"):  # set by the caller
         monkeypatch.setattr(multiprocessing, "get_start_method",
                             lambda allow_none=False, method=method: method)
-        assert detector._worker_count(500) == 1
+        assert detector._pool_size() == 1
     monkeypatch.setattr(multiprocessing, "get_start_method",
                         lambda allow_none=False: None)  # left to the default
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn", "fork", "forkserver"])
-    assert detector._worker_count(500) == 1
+    assert detector._pool_size() == 1
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["fork", "spawn", "forkserver"])
-    assert detector._worker_count(500) == 4
+    assert detector._pool_size() == 4
 
 
 @settings(max_examples=200, deadline=None)
 @given(blocks=st.integers(1, 300), workers=st.integers(1, 8),
-       mode=st.sampled_from(SCORE_MODES), folds=st.integers(2, 6),
-       sigmas=st.integers(1, 12), run_cap=st.sampled_from((1, 50, 400, RUN_PROBLEMS)))
-def test_runs_are_even_contiguous_and_capped(blocks, workers, mode, folds, sigmas, run_cap):
-    # one run per worker, more only where a run would hold more KLIEP CV
-    # problems than the cap; a block that alone exceeds it runs alone
-    cfg = DetectorConfig(n=10, score_mode=mode,
-                         grid=CvGrid(sigma_factors=range(1, sigmas + 1), folds=folds))
-    per_block = len(detector._MODE_DIRECTIONS[mode]) * folds * sigmas
+       mode=st.sampled_from(SCORE_MODES), sigmas=st.integers(1, 12),
+       units=st.sampled_from((1, 10, 50, 400, 3200)))
+def test_runs_are_even_contiguous_and_capped(blocks, workers, mode, sigmas, units):
+    # whole rounds of one run per worker, more rounds only where a run would
+    # hold more KLIEP CV kernels (block, direction, sigma) than the budget's
+    # units; a block that alone exceeds them runs alone
+    cfg = DetectorConfig(n=10, score_mode=mode, grid=CvGrid(sigma_factors=range(1, sigmas + 1)))
+    per_block = len(detector._MODE_DIRECTIONS[mode]) * sigmas
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(detector, "RUN_PROBLEMS", run_cap)
+        _budget(mp, cfg.n, units)
         runs = detector._runs(list(range(blocks)), workers, cfg)
     assert [block for run in runs for block in run] == list(range(blocks))
     lengths = [len(run) for run in runs]
     assert min(lengths) >= max(lengths) - 1 >= 0
-    assert max(lengths) * per_block <= max(run_cap, per_block)
+    assert max(lengths) * per_block <= max(units, per_block)
+    assert len(runs) % workers == 0 or len(runs) == blocks  # whole rounds, or a block each
     assert len(runs) >= min(workers, blocks)
-    if len(runs) > min(workers, blocks):  # one run fewer would break the cap
-        assert -(-blocks // (len(runs) - 1)) * per_block > run_cap
+    fewer = (-(-len(runs) // workers) - 1) * workers
+    if fewer:  # one round of workers fewer would break the cap
+        assert -(-blocks // fewer) * per_block > units
+
+
+def _sweep_peak(cfg, positions, step_at):
+    """The ``tracemalloc`` peak of a sweep of ``positions`` positions, after
+    a short sweep has made the first-call allocations."""
+    need = minimum_length(cfg)
+    change_scores(_series(seed=5, t_len=need + 5), cfg)
+    series = _series(seed=5, t_len=positions + need - 1, step_at=step_at)
+    tracemalloc.start()
+    try:
+        assert len(change_scores(series, cfg).scores) == positions
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_kliep_run_memory_peak_is_bounded_by_the_run_cap(monkeypatch):
-    # 128 blocks of 50 KLIEP CV problems, two runs at the cap; one run of all
-    # of them peaked at 1.4 times the bound.  A run's CV problem holds its
-    # share of the kernels, n^2 / folds doubles, and at n = 20 about as much
-    # again in its b row, theta and fold indices; a third share is headroom.
-    # The engine adds one buffer of at most STACK problems of n^2 doubles.
-    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)
-    n, folds = 20, 5
-    cfg = DetectorConfig(n=n, k=3, estimator_kind="kliep", stride=1, cv_stride=1,
-                         grid=CvGrid(folds=folds, seed=3))
-    series = _series(seed=5, t_len=128 + minimum_length(cfg) - 1, step_at=80)
-    change_scores(_series(seed=5, t_len=60), cfg)  # first-call allocations
-    tracemalloc.start()
-    try:
-        positions = len(change_scores(series, cfg).scores)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert positions * 2 * folds * len(cfg.grid.sigma_factors) == 2 * RUN_PROBLEMS
-    bound = (3 * RUN_PROBLEMS * n * n // folds + STACK * n * n) * 8
-    assert peak <= bound, f"peak {peak / 1024:.0f} KiB, bound {bound / 1024:.0f} KiB"
+    # At n = 20, 128 blocks of 10 CV kernels fit in one run of the default
+    # budget's 2,500 units; at n = 200, 6 blocks make 3 runs of its 25.  A
+    # run holds at most one budget of CV kernels, the engine's buffer one
+    # more (at n = 20 a buffered problem's vectors and the round's
+    # temporaries add about 3/4 of a unit each), and the third is headroom.
+    # With caps counted in problems (400 per buffer, 3,200 per run), not in
+    # bytes, the n = 200 sweep peaked at 14 budgets.
+    _serial(monkeypatch)
+    bound = 3 * estimators.BUDGET
+    for n, blocks in ((20, 128), (200, 6)):
+        cfg = DetectorConfig(n=n, k=3, estimator_kind="kliep", stride=1, cv_stride=1,
+                             grid=CvGrid(folds=5, seed=3))
+        peak = _sweep_peak(cfg, blocks, step_at=80)
+        assert peak <= bound, (f"n={n}: peak {peak / 2**20:.1f} MiB, "
+                               f"bound {bound / 2**20:.1f} MiB")
+
+
+def test_least_squares_chunk_memory_peak_is_bounded_by_the_budget(monkeypatch):
+    # RuLSIF at n = 200, stride 1, one CV block of 60 positions: chunks of the
+    # budget's 25 units hold 12 positions of 2 directions, and the peak stays
+    # below two budgets; with chunks of 200 positions it was 7.6.
+    _serial(monkeypatch)
+    cfg = DetectorConfig(n=200, k=3, estimator_kind="rulsif", stride=1, cv_stride=60,
+                         grid=CvGrid(seed=3))
+    peak = _sweep_peak(cfg, 60, step_at=230)
+    bound = 2 * estimators.BUDGET
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 class _RecordingPool(ProcessPoolExecutor):
@@ -526,7 +572,7 @@ def test_one_worker_starts_no_pool_and_more_shut_theirs_down(monkeypatch):
 
 def _serial_scores(series, cfg):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(detector, "_worker_count", lambda tasks: 1)
+        _serial(mp)
         return change_scores(series, cfg)
 
 
@@ -589,7 +635,7 @@ def test_a_failing_parallel_sweep_leaves_the_pool_serving_the_next(monkeypatch, 
     with pytest.raises(DegenerateBandwidthError) as serial_error:
         _serial_scores(_flat_stretch_series(), cfg)
     _recording_pools(monkeypatch, 2)
-    monkeypatch.setattr(detector, "RUN_PROBLEMS", 50)  # a run per block
+    _budget(monkeypatch, cfg.n, 10)  # a run per block
     monkeypatch.setattr(sys.modules[__name__], "_TASK_LOG", str(tmp_path / "tasks"))
     monkeypatch.setattr(detector, "_score_task", _logging_task)
     with pytest.raises(DegenerateBandwidthError) as error:
@@ -638,26 +684,27 @@ def test_cli_with_two_workers_exits_and_leaves_no_process(tmp_path):
     cv_stride=st.integers(1, 30),
     clip=st.booleans(),
     cpus=st.integers(1, 3),
-    run_cap=st.sampled_from((50, 200, RUN_PROBLEMS)),
+    units=st.sampled_from((10, 40, None)),
     n=st.integers(10, 12),  # 11 and 12 give folds of unequal size
     t_len=st.integers(27, 120),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_parallel_sweep_is_bit_identical_to_serial(kind, mode, stride, cv_stride, clip,
-                                                   cpus, run_cap, n, t_len, seed):
+                                                   cpus, units, n, t_len, seed):
     # short series and long blocks give fewer blocks than workers; the serial
-    # sweep scores one run, or several where the drawn cap on a run's CV
-    # problems forces them, and the workers one run each, or as many as the cap
+    # sweep scores one run, or several where the drawn budget on a run's CV
+    # kernels forces them, and the workers one round of runs, or as many as
+    # the budget needs
     series = _series(seed=seed, t_len=t_len, step_at=t_len // 2)
     cfg = DetectorConfig(n=n, k=3, estimator_kind=kind, score_mode=mode, stride=stride,
                          cv_stride=cv_stride, clip_negative=clip, grid=CvGrid(seed=seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(detector, "_worker_count", lambda blocks: 1)
-        mp.setattr(detector, "RUN_PROBLEMS", run_cap)
+        _serial(mp)
+        _budget(mp, n, units)
         serial = change_scores(series, cfg)
     with pytest.MonkeyPatch.context() as mp:
         _with_cpus(mp, cpus)
-        mp.setattr(detector, "RUN_PROBLEMS", run_cap)
+        _budget(mp, n, units)
         parallel = change_scores(series, cfg)
     assert parallel.boundaries == serial.boundaries
     np.testing.assert_array_equal(parallel.scores, serial.scores)
@@ -703,10 +750,10 @@ def test_kliep_zero_denominator_kernel_fails_at_the_same_position_at_any_worker_
 
 
 def test_earlier_final_fit_error_wins_over_a_later_cv_error_in_one_run(monkeypatch):
-    # the serial sweep's run of blocks t=185..246 holds t=222, whose CV fails
+    # the serial sweep's run of blocks t=190..227 holds t=222, whose CV fails
     # on the flat stretch, and t=219, whose final fits are made to fail; a
     # sweep one block at a time reaches t=219's final fits first
-    monkeypatch.setattr(detector, "_worker_count", lambda tasks: 1)
+    _serial(monkeypatch)
     chunk_terms = detector._chunk_terms
 
     def failing_at_219(windows, chunks, config, alpha):

@@ -362,13 +362,14 @@ def _mixed_stream(count):
 
 @pytest.mark.parametrize("count", [1, 6, 7, 8, 20, 50])
 def test_stream_fits_equal_one_problem_fits(monkeypatch, count):
-    # with a buffer of at most STACK = 7 rows, refilled as problems finish,
+    # with a budget of seven 25 x 25 arrays of doubles, a buffer of at most
+    # 7 rows at the problems' 25 centers, refilled as problems finish,
     # each problem of a stream, in stream order or permuted, gets the
     # (theta, objective, iterations, converged, gap) and the trace of its
     # one-problem fit, bit for bit: converged, certified at the start, cut
     # by max_iters, and, at tolerance -inf, ended where no step passes; the
     # caller's arrays stay as they were
-    monkeypatch.setattr(estimators, "STACK", 7)
+    monkeypatch.setattr(estimators, "BUDGET", 7 * 8 * 25 * 25)
     k_nums, b_vecs = _mixed_stream(count)
     k_before, b_before = [k.copy() for k in k_nums], [b.copy() for b in b_vecs]
     try_steps, buffers = estimators._try_steps, []

@@ -283,7 +283,8 @@ def _per_fold_scores(num, den, grid, alpha):
 def test_fold_stacked_cv_equals_the_per_fold_loop(monkeypatch, n, alpha):
     # 5 folds of 52 or 53 samples have unequal sizes (3 of one, 2 of the
     # other), so their systems are solved in one stack per size, or in
-    # stacks of at most two folds' 25 (sigma, lambda) systems where STACK is 60
+    # stacks of at most two folds' 25 (sigma, lambda) systems where the
+    # budget holds 60 arrays of n x n doubles
     series = generate(SynthSpec(dataset_id=1, length=600, seed=n))
     windows = build_windows(series, 10)
     problems = []
@@ -301,8 +302,9 @@ def test_fold_stacked_cv_equals_the_per_fold_loop(monkeypatch, n, alpha):
         return solve(h_mat, lam, rhs)
 
     monkeypatch.setattr(model_selection, "_solve_spd", recording_solve)
-    for stack, largest in ((model_selection.STACK, 125 if n == 50 else 75), (60, 50)):
-        monkeypatch.setattr(model_selection, "STACK", stack)
+    for units, largest in ((None, 125 if n == 50 else 75), (60, 50)):
+        if units is not None:
+            monkeypatch.setattr(estimators, "BUDGET", units * 8 * n * n)
         stacks.clear()
         many = cv_select_many(problems, CvGrid(), kind, alpha)
         for (num, den, seed), res_many, want in zip(problems, many, expected):
@@ -444,11 +446,12 @@ def test_zero_median_block_raises_the_median_distance_error():
         assert str(got.value) == str(want.value)
 
 
-def test_least_squares_cv_memory_peak_is_bounded_by_stack():
-    # 10 sigmas x 10 lambdas x 10 folds make 1,000 systems per problem; in
-    # stacks of at most STACK of them, the peak is about the one copy of a
-    # stack's systems that _solve_spd makes, STACK x centers^2 doubles (the
-    # stack's H and the kernels take less than half as much again)
+def test_least_squares_cv_memory_peak_is_bounded_by_the_budget():
+    # 10 sigmas x 10 lambdas x 10 folds make 1,000 systems per problem; the
+    # budget holds 277 arrays of 60 x 60 doubles, so stacks of 2 folds' 200
+    # systems, and the peak is about the one copy of a stack's systems that
+    # _solve_spd makes, at most one budget (the stack's H and the kernels
+    # take less than half as much again)
     rng = np.random.default_rng(7)
     centers = 60
     num, den = rng.normal(size=(centers, 20)), rng.normal(0.3, 1.0, size=(centers, 20))
@@ -461,7 +464,7 @@ def test_least_squares_cv_memory_peak_is_bounded_by_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 1.5 * model_selection.STACK * centers**2 * 8
+    bound = 1.5 * estimators.BUDGET
     assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 

@@ -130,7 +130,7 @@ def measure(checkout: str, seed: int) -> dict:
     estimators._try_steps = counting_try_steps
     model_selection.kliep_ascent = recording("cv", model_selection.kliep_ascent)
     detector.kliep_ascent = recording("final", detector.kliep_ascent)
-    detector._worker_count = lambda tasks: 1  # every stream in this process
+    detector._pool_size = lambda: 1  # every stream in this process
     start = time.perf_counter()
     for dataset in DATASETS:
         series = generate(SynthSpec(dataset_id=dataset, length=LENGTH,

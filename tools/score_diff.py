@@ -3,11 +3,15 @@ repository.
 
 Runs a fixed list of sweeps in each checkout -- every estimator on datasets
 1-4, two fixed-seed 2000-point series each, with the benchmark's detector
-setting (n=50, k=10, stride 5, cv_stride 5), and uLSIF on one series per
-dataset at the ``ulsif-dense-cli`` setting (stride 1, cv_stride 500) -- and
-the CV grid (RuLSIF at alpha 0.1, uLSIF, KLIEP) on a fixed list of segment
-pairs of one series per dataset, at n=50 and n=53 (folds of unequal size,
-and for KLIEP two training shapes).  It prints, per sweep, the sha256 of
+setting (n=50, k=10, stride 5, cv_stride 5), uLSIF on one series per
+dataset at the ``ulsif-dense-cli`` setting (stride 1, cv_stride 500), and,
+at n=200, every estimator on one 1000-point series of dataset 1 at stride 5,
+cv_stride 5 and RuLSIF on it at stride 1, cv_stride 50, where the memory
+budget cuts runs of 2 blocks, KLIEP buffers of 25 problems, CV stacks of
+one fold and final-fit chunks of 12 positions -- and the CV grid (RuLSIF at
+alpha 0.1, uLSIF, KLIEP) on a fixed list of segment pairs of one series per
+dataset, at n=50 and n=53 (folds of unequal size, and for KLIEP two
+training shapes).  It prints, per sweep, the sha256 of
 the scores in each checkout (its first 16 hex digits), the largest |score
 difference| and both AUCs, and per CV set the same for its score tables,
 all pairs' in order.  Each child scores every sweep setting twice, the
@@ -43,6 +47,10 @@ LENGTH = 2000
 MASTER_SEED = 12012
 DETECTOR = {"n": 50, "k": 10, "stride": 5, "cv_stride": 5}
 DENSE = {"n": 50, "k": 10, "stride": 1, "cv_stride": 500}
+# sweep kinds: (series length, detector setting)
+SWEEPS = {"sweep": (LENGTH, DETECTOR), "dense": (LENGTH, DENSE),
+          "large": (1000, {**DETECTOR, "n": 200}),
+          "large dense": (1000, {"n": 200, "k": 10, "stride": 1, "cv_stride": 50})}
 # CV sets: (estimator, alpha), segment lengths and pair starts
 CV_KINDS = (("rulsif", 0.1), ("ulsif", 0.0), ("kliep", 0.0))
 CV_LENGTHS = (50, 53)
@@ -54,9 +62,11 @@ def settings() -> list[tuple]:
     sweeps = [(f"{e} ds{d} series {s}", "sweep", e, d, s)
               for e in ESTIMATORS for d in DATASETS for s in SERIES]
     dense = [(f"ulsif dense ds{d} series 1", "dense", "ulsif", d, 1) for d in DATASETS]
+    large = [(f"{e} n200 ds1 series 1", "large", e, 1, 1) for e in ESTIMATORS]
+    large.append(("rulsif n200 dense ds1", "large dense", "rulsif", 1, 1))
     cv = [(f"cv {e} ds{d} n{n}", "cv", e, d, n)
           for e, _ in CV_KINDS for d in DATASETS for n in CV_LENGTHS]
-    return sweeps + dense + cv
+    return sweeps + dense + large + cv
 
 
 def sweep_all(checkout: str) -> None:
@@ -73,7 +83,8 @@ def sweep_all(checkout: str) -> None:
     sweeps = []  # (label, series, config, digest of the first pass)
     for label, what, estimator, dataset, index in settings():
         series_index = index if what == "sweep" else 1
-        series = generate(SynthSpec(dataset_id=dataset, length=LENGTH,
+        length, detector = SWEEPS.get(what, (LENGTH, DETECTOR))
+        series = generate(SynthSpec(dataset_id=dataset, length=length,
                                     seed=mix_seed(MASTER_SEED, 1, dataset, series_index)))
         grid = CvGrid(seed=mix_seed(MASTER_SEED, 2, dataset, series_index))
         if what == "cv":
@@ -87,8 +98,7 @@ def sweep_all(checkout: str) -> None:
             values = [v for res in results for v in res.score_table.values()]
             print(json.dumps({"values": values, "auc": None}), flush=True)
             continue
-        config = DetectorConfig(**(DETECTOR if what == "sweep" else DENSE),
-                                estimator_kind=estimator, grid=grid)
+        config = DetectorConfig(**detector, estimator_kind=estimator, grid=grid)
         scores = change_scores(series, config)
         sweeps.append((label, series, config, score_digest(scores.scores)))
         curve = roc_curve(find_peaks(scores), series.change_points, len(series.change_points))
