@@ -47,7 +47,10 @@ sweep that finds the pool broken is tried once more on the new one), and
 concurrent.futures' exit hook joins it when the interpreter exits.  Each
 task is one run, scored by the same function as each run of the in-process
 path: it carries the (standardized) series values, 8 x d x T bytes, the
-config and its blocks, and builds the window vectors from the values.
+config and its blocks.  No window vector is built: every distance comes
+from ``kernel.squared_distances`` on the raw columns that a block's or a
+chunk's windows cover, bit for bit the distances of the window vectors.
+A CV block's matrix, among its 2n windows, serves both directions.
 The parent joins the runs in series order, cancels the tasks that have not
 started when one fails, and checks that every score is finite.  A worker
 holds one run's CV and final-fit arrays on top of the copy of this process
@@ -55,21 +58,23 @@ it forked from, and an idle worker keeps its heap: after two rounds of 8
 ``kliep-cv``-sized sweeps (2000 points, 2 workers) each worker held
 71-77 MB RSS, shared pages included.
 
-One memory budget, ``estimators.BUDGET`` bytes, sizes every group of fits:
-a group holds at most U = ``estimators.budget_units(n)`` n x n arrays of
-doubles (400 at n = 50, 25 at n = 200).  The KLIEP engine's buffer, CV or
-final, holds U problems; a least-squares CV stack U systems, or one fold's
-sigmas x lambdas where that is more (see ``model_selection``); a final-fit
-chunk U (position, direction) pairs; and a run's KLIEP CV U (block,
-direction, sigma) kernels, so a run holds at most max(1, U // (directions x
-sigmas)) blocks (40 at n = 50 with the default grid, 2 at n = 200).  Final
-fits run in chunks, the positions of one CV block whose pairs share one
-span of at most 4n windows: at most min(1 + 2n // stride, max(1, U //
-directions)) positions.
-One ``cdist`` over a chunk's span and one ``exp`` per direction give the
-band kernel; each pair's (2n, 2n) kernel is a diagonal block of it, taken as
-a strided view.  The distance and kernel matrices hold at most (4n)^2
-doubles each (0.3 MB for n = 50) at any stride.  uLSIF and RuLSIF fit a
+One memory budget, ``estimators.BUDGET`` bytes, sizes every group of fits.
+The KLIEP engine's buffer, CV or final, holds as many problems as their
+kernel rows and per-problem vectors fit in it (``estimators.kliep_rows``).
+Every other group holds at most U = ``estimators.budget_units(n)`` n x n
+arrays of doubles (400 at n = 50, 25 at n = 200): a least-squares CV stack
+U systems, or one fold's sigmas x lambdas where that is more (see
+``model_selection``); a final-fit chunk U (position, direction) pairs; and
+a run's KLIEP CV U (block, direction, sigma) kernels, so a run holds at
+most max(1, U // (directions x sigmas)) blocks (40 at n = 50 with the
+default grid, 2 at n = 200).  Final fits run in chunks, the positions of one
+CV block whose pairs share one span of at most 4n windows: at most
+min(1 + 2n // stride, max(1, U // directions)) positions.
+One ``squared_distances`` over a chunk's span and one ``exp`` per direction
+give the band kernel; each pair's (2n, 2n) kernel is a diagonal block of
+it, taken as a strided view.  The distance and kernel matrices hold at most
+(4n)^2 doubles each (0.3 MB for n = 50) at any stride, and the distances'
+squared differences d x (4n + k - 1)^2.  uLSIF and RuLSIF fit a
 chunk with one ``gram_system`` call, one stacked ``_solve_spd`` and one PE
 expression.  KLIEP streams all of a run's final fits, one chunk's band
 kernel at a time, into ``estimators.kliep_ascent``; each term is the fit's
@@ -89,7 +94,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import seeding
-from .embedding import TimeSeries, build_windows, segment_pair
+from .embedding import TimeSeries
 from .errors import (
     ChangePointError,
     DegenerateBandwidthError,
@@ -104,10 +109,11 @@ from .estimators import (
 )
 # Imported only for perfbench/perftrace.py, which wraps these names here by
 # getattr; they stay until that tracer reads per-layer counters instead.
+from .embedding import build_windows, segment_pair  # noqa: F401
 from .estimators import kl_estimate, kliep_fit, pe_alpha_estimate  # noqa: F401
 from .estimators import rulsif_fit, ulsif_fit  # noqa: F401
 from .kernel import design_matrices  # noqa: F401
-from .kernel import gaussian_kernels
+from .kernel import kernels_of, squared_distances
 from .model_selection import CvGrid, cv_select_many
 from .model_selection import cv_select  # noqa: F401 -- for perfbench/perftrace.py
 
@@ -183,13 +189,19 @@ def _standardized(series: TimeSeries) -> TimeSeries:
     )
 
 
-def _chunk_kernels(windows, chunk: range, selections: dict, n: int) -> list[tuple]:
+def _segment(values: np.ndarray, t: int, count: int, k: int) -> np.ndarray:
+    """The raw series columns of the ``count`` windows from position t."""
+    return values[:, t - 1 : t - 1 + count + k - 1]
+
+
+def _chunk_kernels(values, chunk: range, selections: dict, config) -> list[tuple]:
     """(k_num, k_den) stacks of the positions ``chunk`` for each direction of
     ``selections``: strided views into one band kernel per direction, with
     the numerator samples as centers."""
-    lo = chunk.start - 1
-    span = windows.vectors[lo : lo + (len(chunk) - 1) * chunk.step + 2 * n]
-    kernels = gaussian_kernels(span, span, [sigma for sigma, _ in selections.values()])
+    n = config.n
+    span = _segment(values, chunk.start, (len(chunk) - 1) * chunk.step + 2 * n, config.k)
+    kernels = kernels_of(squared_distances(span, span, config.k),
+                         [sigma for sigma, _ in selections.values()])
     _, row, col = kernels.strides
     views = []
     for kernel, direction in zip(kernels, selections):
@@ -200,12 +212,12 @@ def _chunk_kernels(windows, chunk: range, selections: dict, n: int) -> list[tupl
     return views
 
 
-def _kliep_terms(windows, chunks: list, n: int) -> list[np.ndarray]:
+def _kliep_terms(values, chunks: list, config) -> list[np.ndarray]:
     """``_chunk_terms`` for KLIEP: the final objectives of ``chunks``' fits,
     streamed one chunk's band kernel at a time into ``kliep_ascent``."""
     counts = [len(chunk) * len(selections) for chunk, selections in chunks]
     problems = (problem for chunk, selections in chunks
-                for k_chunk, k_den in _chunk_kernels(windows, chunk, selections, n)
+                for k_chunk, k_den in _chunk_kernels(values, chunk, selections, config)
                 for problem in zip(k_chunk, k_den.mean(axis=1)))
     objectives = kliep_ascent(problems, sum(counts))[1]
     parts = np.split(objectives, np.cumsum(counts)[:-1])
@@ -213,20 +225,19 @@ def _kliep_terms(windows, chunks: list, n: int) -> list[np.ndarray]:
             for part, (_, selections) in zip(parts, chunks)]
 
 
-def _chunk_terms(windows, chunks: list, config, alpha) -> list[np.ndarray]:
+def _chunk_terms(values, chunks: list, config, alpha) -> list[np.ndarray]:
     """(position, direction) divergence terms of each chunk of ``chunks``,
     (positions, selections) pairs whose positions share the (sigma, lambda)
     ``selections`` per direction.  KLIEP streams all chunks' fits into one
     ``kliep_ascent`` call (see ``_kliep_terms``); least squares fits one
     chunk at a time."""
-    n = config.n
     if config.estimator_kind == KLIEP:
-        return _kliep_terms(windows, chunks, n)
+        return _kliep_terms(values, chunks, config)
     terms = []
     for chunk, selections in chunks:
         chunk_terms = []
         for (k_num, k_den), (_, lam) in zip(
-            _chunk_kernels(windows, chunk, selections, n), selections.values()
+            _chunk_kernels(values, chunk, selections, config), selections.values()
         ):
             h_mat, h_vec = gram_system(k_num, k_den, alpha)
             theta = _solve_spd(h_mat, lam, h_vec)[..., None]
@@ -279,21 +290,31 @@ def _runs(blocks: list, workers: int, config) -> list[list]:
     return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _score_run(windows, blocks: list, config) -> list[float]:
-    """Scores of ``blocks``, consecutive CV blocks: first the CV refresh at
-    every block's first position, all in one ``cv_select_many`` call, then
-    the blocks' chunks of final fits."""
+def _cv_problems(values, blocks: list, config):
+    """The ``cv_select_many`` problems of the CV refresh at every block's
+    first position, per direction, made as they are taken: a block's
+    distance matrix, among its 2n windows, serves both directions and is
+    freed when they are prepared."""
+    n, k = config.n, config.k
+    halves = (slice(0, n), slice(n, 2 * n))  # reference and test windows
+    for block in blocks:
+        t = block[0]
+        pair = _segment(values, t, 2 * n, k)
+        sqdist = squared_distances(pair, pair, k)
+        for direction in _MODE_DIRECTIONS[config.score_mode]:
+            num, den = (halves[i] for i in _ROLES[direction])
+            yield sqdist, num, den, seeding.mix_seed(config.grid.seed, t, direction)
+
+
+def _score_run(values, blocks: list, config) -> list[float]:
+    """Scores of ``blocks``, consecutive CV blocks of the series ``values``:
+    first the CV refresh at every block's first position, all in one
+    ``cv_select_many`` call, then the blocks' chunks of final fits."""
     n = config.n
     alpha = config.alpha if config.estimator_kind == RULSIF else 0.0
     directions = _MODE_DIRECTIONS[config.score_mode]
-    problems = []
-    for block in blocks:
-        t = block[0]
-        pair = segment_pair(windows, t, n)
-        for direction in directions:
-            num, den = ((pair.reference, pair.test)[i] for i in _ROLES[direction])
-            problems.append((num, den, seeding.mix_seed(config.grid.seed, t, direction)))
-    results = cv_select_many(problems, config.grid, config.estimator_kind, alpha)
+    results = cv_select_many(_cv_problems(values, blocks, config), config.grid,
+                             config.estimator_kind, alpha)
     per_chunk = min(1 + 2 * n // config.stride, max(1, budget_units(n) // len(directions)))
     chunks = []
     for b, block in enumerate(blocks):
@@ -303,19 +324,21 @@ def _score_run(windows, blocks: list, config) -> list[float]:
         chunks += [(block[first : first + per_chunk], selections)
                    for first in range(0, len(block), per_chunk)]
     scores: list[float] = []
-    for terms in _chunk_terms(windows, chunks, config, alpha):
+    for terms in _chunk_terms(values, chunks, config, alpha):
         if config.clip_negative:
             terms = np.maximum(terms, 0.0)
         scores.extend(sum(row, 0.0) for row in terms.tolist())
     return scores
 
 
-def _score_blocks(windows, blocks: list, config) -> list[float]:
-    """Scores of ``blocks`` as one run.  A run of several blocks that fails
-    is scored again one block at a time, so that the first failing block in
-    series order raises, with the serial sweep's error."""
+def _score_task(values: np.ndarray, config, blocks: list) -> list[float]:
+    """Scores of ``blocks`` as one run, of the (standardized) series
+    ``values``: the one scoring entry of a run, in a worker or in this
+    process.  A run of several blocks that fails is scored again one block
+    at a time, so that the first failing block in series order raises, with
+    the serial sweep's error."""
     try:
-        return _score_run(windows, blocks, config)
+        return _score_run(values, blocks, config)
     except DegenerateBandwidthError as exc:  # from one block's CV or KLIEP fits
         if len(blocks) == 1:
             t = blocks[0][0]
@@ -325,7 +348,7 @@ def _score_blocks(windows, blocks: list, config) -> list[float]:
     except ChangePointError:
         if len(blocks) == 1:
             raise
-    return [score for block in blocks for score in _score_blocks(windows, [block], config)]
+    return [score for block in blocks for score in _score_task(values, config, [block])]
 
 
 # The sweep pool of this process, (size, executor): forked by the first sweep
@@ -355,12 +378,6 @@ def _close_workers() -> None:
         if _POOL is not None:
             _POOL[1].shutdown()
             _POOL = None
-
-
-def _score_task(values: np.ndarray, config, blocks: list) -> list[float]:
-    """``_score_blocks`` on windows built from the series values: the one
-    scoring entry of a run, in a worker or in this process."""
-    return _score_blocks(build_windows(TimeSeries(values), config.k), blocks, config)
 
 
 def _pool_scores(values: np.ndarray, config, runs: list, size: int) -> list[float]:

@@ -47,19 +47,35 @@ LOG_FLOOR = 1e-12
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-# bytes that one group of fits may hold: see budget_units
+# bytes that one group of fits may hold: see budget_units and kliep_rows
 BUDGET = 8_000_000
+# centers-length vectors of doubles that a row of kliep_ascent's buffer holds
+# besides its kernel rows: see kliep_rows
+_ROW_VECTORS = 16
 
 
 def budget_units(centers: int) -> int:
     """How many centers x centers arrays of doubles fit in BUDGET, at least 1:
-    the size of every group of fits, read at call time.  kliep_ascent's buffer
-    holds that many problems (a problem's samples never exceed its centers in
-    any caller), a least-squares CV stack that many (sigma, fold, lambda)
-    systems, a final-fit chunk that many (position, direction) pairs, and a
-    detector run's KLIEP CV that many (block, direction, sigma) kernels; with
-    50 centers that is 400, with 200 it is 25."""
+    the size of every group of fits but the KLIEP engine's buffer (see
+    ``kliep_rows``), read at call time.  A least-squares CV stack holds that
+    many (sigma, fold, lambda) systems, a final-fit chunk that many
+    (position, direction) pairs, and a detector run's KLIEP CV that many
+    (block, direction, sigma) kernels; with 50 centers that is 400, with 200
+    it is 25."""
     return max(1, BUDGET // (8 * centers * centers))
+
+
+def kliep_rows(samples: int, centers: int) -> int:
+    """How many rows of ``kliep_ascent``'s buffer fit in BUDGET, at least 1,
+    for problems of (samples, centers) kernel rows, read at call time.  A row
+    holds those kernel rows and _ROW_VECTORS vectors of centers doubles: its
+    state (b, w, the last move and the search's gradient) and its share of
+    each round's temporaries (the new gradient, the trial point, the
+    projection's sort and sums, the model values).  ``tracemalloc`` puts a
+    row at 17-19 such vectors at 20 to 200 centers, the outputs included.
+    With 50 centers that is 357 CV rows (40 samples) and 303 final-fit
+    rows (50 samples); with 200, 28 and 23."""
+    return max(1, BUDGET // (8 * (samples + _ROW_VECTORS) * centers))
 
 
 @dataclass(frozen=True)
@@ -240,8 +256,8 @@ def kliep_ascent(
     subject to b . theta = 1 and theta >= 0, with b the mean denominator
     kernel row.  A stream that yields fewer or more than ``count`` problems
     raises ``ParameterError``.  The engine copies each problem, as it takes
-    it, into a buffer of min(``budget_units(centers)``, ``count``) rows, so the
-    caller's arrays are never modified and may be freed at once.
+    it, into a buffer of min(``kliep_rows(samples, centers)``, ``count``)
+    rows, so the caller's arrays are never modified and may be freed at once.
     An entry of b that underflows to 0 or below the smallest normal double
     raises ``DegenerateBandwidthError``: with b_l = 0, theta_l is unbounded
     under b . theta = 1, and so is the objective.
@@ -292,7 +308,7 @@ def kliep_ascent(
     if first is None:
         raise ParameterError(f"a KLIEP stream of {count} problems ended after 0")
     samples, centers = np.shape(first[0])
-    cap = min(budget_units(centers), count)  # buffers of cap rows, outputs of count
+    cap = min(kliep_rows(samples, centers), count)  # buffers of cap rows, outputs of count
     bufs = (np.empty((cap, samples, centers)), np.empty((cap, centers)),
             np.empty(cap, dtype=np.int64), *np.empty((3, cap, centers)),
             *np.empty((2, cap)), *np.empty((2, cap), dtype=np.int64),

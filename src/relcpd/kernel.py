@@ -1,15 +1,15 @@
 """Gaussian kernel evaluation, design matrices, and the median-distance
-bandwidth heuristic.  ``kernels_of`` turns squared distances into every
-kernel matrix of the fitters, the ratio model and CV, whether they come from
-``gaussian_kernels`` or from one ``pooled_distances`` matrix;
-``gaussian_kernel`` is a scalar reference."""
+bandwidth heuristic.  Every squared distance comes from
+``squared_distances``, on plain sample arrays or on raw series segments, and
+``kernels_of`` turns squared distances into every kernel matrix of the
+fitters, the ratio model and CV; ``gaussian_kernel`` is a scalar
+reference."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DegenerateBandwidthError, DimensionMismatchError, ParameterError
 
@@ -54,11 +54,56 @@ def gaussian_kernel(y: np.ndarray, y2: np.ndarray, sigma: float) -> float:
     return float(np.exp(-(diff @ diff) / (2.0 * cfg.sigma**2)))
 
 
+def squared_distances(first: np.ndarray, second: np.ndarray, k: int = 1) -> np.ndarray:
+    """Squared Euclidean distances between the length-k windows of two raw
+    d-row segments, (d, count + k - 1) float arrays: entry (i, j) is
+    ||w_i - v_j||^2 for the window vectors w_i = [first[:, i]; ...;
+    first[:, i + k - 1]] of ``first`` and v_j of ``second``, the vectors of
+    ``embedding.build_windows``.  With k = 1 the windows are the columns, so
+    plain (samples, dimensions) arrays pass transposed.
+
+    Each dimension's outer difference is squared once; then, starting from
+    zero, the k x d shifted views of those squares are added in the order of
+    the window vectors' columns, time offset major and dimension minor.  That
+    is the order in which scipy's ``cdist(..., "sqeuclidean")`` sums, so
+    every entry equals cdist's of the window vectors bit for bit.  The sums
+    run in rows as wide as the squares', so that each shifted view is one
+    contiguous stretch of a square; the result is a view of their first
+    columns.  Besides the result, k = 1 holds one dimension's squares at a
+    time, as many doubles as the result; k > 1 holds all d of them,
+    d x (count + k - 1)^2 doubles for a segment paired with itself.
+    """
+    rows, cols = first.shape[1] - k + 1, second.shape[1] - k + 1
+    width = second.shape[1]  # of a square's rows, cols + k - 1
+    out = np.zeros((rows, width))
+    # entry (i, j) of the result and, at time offset o, entry (i + o, j + o)
+    # of a square are i * width + j and that plus o * (width + 1), flat; the
+    # last row's k - 1 columns past the result's are left out
+    size = rows * width - (k - 1)
+    sums = out.reshape(-1)[:size]
+    squares = _squared_differences(first, second)
+    if k > 1:  # each dimension's squares serve k time offsets
+        squares = list(squares)
+    for offset in range(k):
+        start = offset * (width + 1)
+        for square in squares:
+            sums += square.reshape(-1)[start : start + size]
+    return out[:, :cols]
+
+
+def _squared_differences(first: np.ndarray, second: np.ndarray):
+    """(first[r, i] - second[r, j])^2 over (i, j), one row r at a time."""
+    for a, b in zip(first, second):
+        square = np.subtract.outer(a, b)
+        square *= square  # in place: a second array of this size costs page faults
+        yield square
+
+
 def gaussian_kernels(samples: np.ndarray, centers: np.ndarray, sigmas) -> np.ndarray:
     """exp(-||Y_i - C_l||^2 / (2 sigma^2)) for every sigma in ``sigmas``: a
-    (sigma, sample, center) stack from one ``cdist`` of the 2-D float arrays
-    ``samples`` and ``centers``."""
-    return kernels_of(cdist(samples, centers, "sqeuclidean"), sigmas)
+    (sigma, sample, center) stack from one ``squared_distances`` of the 2-D
+    float arrays ``samples`` and ``centers``."""
+    return kernels_of(squared_distances(samples.T, centers.T), sigmas)
 
 
 def kernels_of(sqdist: np.ndarray, sigmas) -> np.ndarray:
@@ -81,35 +126,30 @@ def median_distance(samples: np.ndarray) -> float:
         raise ParameterError(
             f"median distance needs at least 2 samples, got {arr.shape[0]}"
         )
-    return _nonzero_median(float(np.median(pdist(arr))))
+    return pooled_median(squared_distances(arr.T, arr.T))
 
 
-def _nonzero_median(med: float) -> float:
+def pooled_median(sqdist: np.ndarray) -> float:
+    """``median_distance`` of pooled samples from their square matrix of
+    squared distances (of ``squared_distances``): the square root of the
+    middle order statistic of its upper triangle, or the mean of the square
+    roots of the two middle ones.  That equals ``np.median(pdist(pooled))``
+    bit for bit, as the square root of a squared distance is its distance,
+    and it does not depend on the samples' order: ``squared_distances`` of
+    a segment with itself is exactly symmetric, as (a - b)^2 = (b - a)^2.
+    """
+    pairs = sqdist[np.triu_indices(len(sqdist), 1)]
+    half = len(pairs) // 2
+    if len(pairs) % 2:
+        med = float(np.sqrt(np.partition(pairs, half)[half]))
+    else:
+        low, high = np.sqrt(np.partition(pairs, (half - 1, half))[half - 1 : half + 1])
+        med = float((low + high) / 2.0)
     if med == 0.0:  # a zero median would collapse the bandwidth grid
         raise DegenerateBandwidthError(
             "median pairwise distance is zero (samples nearly all identical)"
         )
     return med
-
-
-def pooled_distances(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, float]:
-    """Squared Euclidean distances among the rows of ``first`` stacked on
-    ``second``, from one ``cdist``, and their ``median_distance``.
-
-    Entry (i, j) equals ``cdist`` of rows i and j of the pooled rows alone,
-    so any block of the matrix is that of its two row sets, and the median,
-    the square root of the two middle order statistics of the upper
-    triangle (or of the middle one), equals ``np.median(pdist(pooled))`` bit
-    for bit: the square root of a squared distance is its distance.
-    """
-    pooled = np.vstack([first, second])
-    sqdist = cdist(pooled, pooled, "sqeuclidean")
-    pairs = squareform(sqdist, checks=False)  # the upper triangle, row by row
-    half = len(pairs) // 2
-    if len(pairs) % 2:
-        return sqdist, _nonzero_median(float(np.sqrt(np.partition(pairs, half)[half])))
-    low, high = np.sqrt(np.partition(pairs, (half - 1, half))[half - 1 : half + 1])
-    return sqdist, _nonzero_median(float((low + high) / 2.0))
 
 
 def design_matrices(

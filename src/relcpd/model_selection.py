@@ -2,11 +2,11 @@
 
 The bandwidth grid is expressed as factors of the median pairwise distance
 of the pooled numerator + denominator samples, so both fit directions of a
-segment pair share one candidate set.  One squared-distance matrix of the
-pooled samples per CV block (``kernel.pooled_distances``, one ``cdist``)
-gives that median and both directions' kernel blocks; the second direction
-reuses the first's when ``cv_select_many`` gets the two back to back, as
-the detector passes them.  Fold assignment is one seeded shuffle
+segment pair share one candidate set.  ``cv_select_many`` takes each
+problem's squared-distance matrix of the pooled samples
+(``kernel.squared_distances``), which gives that median and the kernel
+blocks; the detector passes one per CV block, built from the raw series
+segment, for both directions.  Fold assignment is one seeded shuffle
 of sample indices followed by contiguous blocks; numerator and denominator
 sets are folded independently.
 
@@ -64,7 +64,7 @@ from .estimators import (
     kliep_fit,  # noqa: F401 -- only for perfbench/perftrace.py, which wraps it here
     pe_terms,
 )
-from .kernel import kernels_of, pooled_distances
+from .kernel import kernels_of, pooled_median, squared_distances
 from .kernel import median_distance  # noqa: F401 -- for perfbench/perftrace.py
 
 DEFAULT_SIGMA_FACTORS = (0.6, 0.8, 1.0, 1.2, 1.4)
@@ -183,47 +183,39 @@ def _best(sigmas: list, lambdas, scores: np.ndarray, estimator_kind: str) -> CvR
 def cv_select_many(
     problems, grid: CvGrid, estimator_kind: str, alpha: float = 0.0
 ) -> list[CvResult]:
-    """``cv_select`` for each (numerator samples, denominator samples, fold
-    seed) triple of ``problems``, on ``grid`` with its seed replaced by the
-    problem's.  Each result equals that of its own ``cv_select`` call; KLIEP
-    fits the (sigma, fold) problems of all of them in shared streams.  A
-    problem whose sample sets are the last one's swapped (the detector's
-    backward direction after its forward one) reuses that problem's
-    distance matrix and median.  The first problem in order that cannot be
-    prepared (too few samples, zero median distance) raises."""
+    """``cv_select`` for each (squared distances, numerator rows, denominator
+    rows, fold seed) problem of ``problems``, on ``grid`` with its seed
+    replaced by the problem's.  The squared distances are a square matrix of
+    ``kernel.squared_distances`` among pooled samples, and the two slices
+    split its rows into the numerator and the denominator samples; the
+    bandwidth grid scales with the median distance of all its rows.  Each
+    result equals that of a ``cv_select`` call on the two sample sets; KLIEP
+    fits the (sigma, fold) problems of all of them in shared streams.
+    Problems that pass one matrix, one after the other (a detector block's
+    two directions), share its median.  The first problem in order that
+    cannot be prepared (too few samples, zero median distance) raises."""
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ParameterError(f"unknown estimator kind {estimator_kind!r}")
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:  # rulsif_fit's rule; also rejects nan
         raise ParameterError(f"alpha must lie in [0, 1), got {alpha}")
     sigma_sets, tables, cases = [], [], []
-    last = None  # (num, den, squared distances of [num; den], median distance)
-    for numerator_samples, denominator_samples, seed in problems:
-        num = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
-        den = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
-        if num.shape[1] != den.shape[1]:
-            raise DimensionMismatchError(f"numerator dimension {num.shape[1]} does "
-                                         f"not match denominator dimension {den.shape[1]}")
-        if min(num.shape[0], den.shape[0]) < grid.folds:
+    last = None  # (squared distances, their median distance)
+    for sqdist, num_rows, den_rows, seed in problems:
+        m_num, m_den = len(sqdist[num_rows]), len(sqdist[den_rows])
+        if min(m_num, m_den) < grid.folds:
             raise ParameterError(
-                f"sample sets of sizes {num.shape[0]}/{den.shape[0]} are smaller "
+                f"sample sets of sizes {m_num}/{m_den} are smaller "
                 f"than the fold count {grid.folds}"
             )
-        # the other direction of the last problem's pair: its matrix, rows
-        # and columns in [den; num] order
-        swapped = (last is not None and np.array_equal(num, last[1])
-                   and np.array_equal(den, last[0]))
-        if not swapped:
-            last = (num, den, *pooled_distances(num, den))
-        sqdist, d_med = last[2:]
-        sigmas = [f * d_med for f in grid.sigma_factors]
+        if last is None or last[0] is not sqdist:
+            last = (sqdist, pooled_median(sqdist))
+        sigmas = [f * last[1] for f in grid.sigma_factors]
         sigma_sets.append(sigmas)
         rng = seeding.rng_from(seed)
-        num_folds = _fold_blocks(num.shape[0], grid.folds, rng)  # drawn before den's
-        folds = list(zip(num_folds, _fold_blocks(den.shape[0], grid.folds, rng)))
+        num_folds = _fold_blocks(m_num, grid.folds, rng)  # drawn before den's
+        folds = list(zip(num_folds, _fold_blocks(m_den, grid.folds, rng)))
         # the numerator samples are the centers: (sigma, sample, center) stacks
-        first, second = slice(0, len(last[0])), slice(len(last[0]), None)
-        num_rows, den_rows = (second, first) if swapped else (first, second)
         k_num = kernels_of(sqdist[num_rows, num_rows], sigmas)
         k_den = kernels_of(sqdist[den_rows, num_rows], sigmas)
         if estimator_kind == KLIEP:
@@ -239,6 +231,20 @@ def cv_select_many(
             for sigmas, table in zip(sigma_sets, tables)]
 
 
+def cv_problem(numerator_samples, denominator_samples, seed: int) -> tuple:
+    """The ``cv_select_many`` problem of two sample sets, (samples,
+    dimensions) arrays: the squared distances among their rows stacked in
+    that order, the rows of each set, and the fold seed."""
+    num = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
+    den = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
+    if num.shape[1] != den.shape[1]:
+        raise DimensionMismatchError(f"numerator dimension {num.shape[1]} does "
+                                     f"not match denominator dimension {den.shape[1]}")
+    pooled = np.vstack([num, den]).T
+    return (squared_distances(pooled, pooled), slice(0, len(num)),
+            slice(len(num), None), seed)
+
+
 def cv_select(
     numerator_samples: np.ndarray,
     denominator_samples: np.ndarray,
@@ -247,5 +253,5 @@ def cv_select(
     alpha: float = 0.0,
 ) -> CvResult:
     """Exhaustive grid search; returns the best pair and the full table."""
-    problem = (numerator_samples, denominator_samples, grid.seed)
+    problem = cv_problem(numerator_samples, denominator_samples, grid.seed)
     return cv_select_many([problem], grid, estimator_kind, alpha)[0]

@@ -307,18 +307,25 @@ def test_failed_factorization_is_retried_with_jitter_for_that_system_alone(monke
 ] + [pytest.param(1, 60, id="1-stack60"), pytest.param(7, 30, id="7-stack30")])
 def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, units):
     # the band kernel spans at most 4n windows at any stride, every KLIEP
-    # buffer, CV or final, holds at most the budget's units of problems, and
-    # every least-squares final-fit chunk as many (position, direction) pairs
+    # buffer, CV or final, holds the problems that kliep_rows allows, fewer
+    # than the budget's units, and every least-squares final-fit chunk at
+    # most the units' (position, direction) pairs; one distance matrix
+    # serves each CV block and one each chunk
     _serial(monkeypatch)  # calls counted here
     _budget(monkeypatch, 20, units)
     units = estimators.budget_units(20)
     spans, streams, cv_streams, buffers, solves = [], [], [], [], []
-    kernels, solve = detector.gaussian_kernels, detector._solve_spd
-    try_steps = estimators._try_steps
+    distances = []
+    kernels, solve = detector.kernels_of, detector._solve_spd
+    squared_distances, try_steps = detector.squared_distances, estimators._try_steps
 
-    def recording_kernels(samples, centers, sigmas):
-        spans.append(len(samples))
-        return kernels(samples, centers, sigmas)
+    def recording_kernels(sqdist, sigmas):
+        spans.append(len(sqdist))
+        return kernels(sqdist, sigmas)
+
+    def recording_distances(first, second, k):
+        distances.append(first.shape[1] - k + 1)  # windows
+        return squared_distances(first, second, k)
 
     def recording(ascent, stream_sizes):
         def recording_ascent(problems, count):
@@ -339,7 +346,8 @@ def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, units):
         solves.append(len(h_mat))
         return solve(h_mat, lam, rhs)
 
-    monkeypatch.setattr(detector, "gaussian_kernels", recording_kernels)
+    monkeypatch.setattr(detector, "kernels_of", recording_kernels)
+    monkeypatch.setattr(detector, "squared_distances", recording_distances)
     monkeypatch.setattr(estimators, "_try_steps", recording_try_steps)
     monkeypatch.setattr(detector, "kliep_ascent", recording(detector.kliep_ascent, streams))
     monkeypatch.setattr(model_selection, "kliep_ascent",
@@ -353,16 +361,21 @@ def test_chunk_span_and_stack_stay_bounded(monkeypatch, stride, units):
     chunks = sum(-(-size // per_chunk) for size in blocks)
     assert len(spans) == chunks  # one band kernel per chunk
     assert max(spans) == (per_chunk - 1) * stride + 2 * cfg.n <= 4 * cfg.n
+    assert distances == [2 * cfg.n] * len(blocks) + spans
     assert sum(streams) == 2 * positions  # each final fit taken once
     assert sum(cv_streams) == 2 * len(blocks) * cfg.grid.folds * len(cfg.grid.sigma_factors)
-    assert set(buffers) == {min(units, size) for size in streams + cv_streams}
+    final_rows, cv_rows = estimators.kliep_rows(20, 20), estimators.kliep_rows(16, 20)
+    assert set(buffers) == ({min(final_rows, size) for size in streams}
+                            | {min(cv_rows, size) for size in cv_streams})
     assert max(buffers) <= units
     assert len(streams) == len(cv_streams) == 1  # the sweep's one run, one stream each
 
     # least squares solves each chunk's fits as one stack per direction
     spans.clear()
+    distances.clear()
     change_scores(series, _config(estimator_kind="ulsif", stride=stride, cv_stride=100))
     assert len(spans) == chunks and len(solves) == 2 * chunks
+    assert distances == [2 * cfg.n] * len(blocks) + spans
     chunk_stacks = [fwd + bwd for fwd, bwd in zip(solves[::2], solves[1::2])]
     assert sum(chunk_stacks) == 2 * positions  # each final fit once
     assert max(chunk_stacks) <= units
@@ -517,13 +530,14 @@ def _sweep_peak(cfg, positions, step_at):
 def test_kliep_run_memory_peak_is_bounded_by_the_run_cap(monkeypatch):
     # At n = 20, 128 blocks of 10 CV kernels fit in one run of the default
     # budget's 2,500 units; at n = 200, 6 blocks make 3 runs of its 25.  A
-    # run holds at most one budget of CV kernels, the engine's buffer one
-    # more (at n = 20 a buffered problem's vectors and the round's
-    # temporaries add about 3/4 of a unit each), and the third is headroom.
-    # With caps counted in problems (400 per buffer, 3,200 per run), not in
-    # bytes, the n = 200 sweep peaked at 14 budgets.
+    # run holds at most one budget of CV kernels and the engine's buffer one
+    # more, its rows counted with their vectors and the round's temporaries
+    # (estimators.kliep_rows); the peaks read 2.04 and 2.40 budgets.  With a
+    # buffer row counted as n x n doubles, the n = 20 sweep peaked at 2.66;
+    # with caps counted in problems (400 per buffer, 3,200 per run), not in
+    # bytes, the n = 200 sweep peaked at 14.
     _serial(monkeypatch)
-    bound = 3 * estimators.BUDGET
+    bound = 2.75 * estimators.BUDGET
     for n, blocks in ((20, 128), (200, 6)):
         cfg = DetectorConfig(n=n, k=3, estimator_kind="kliep", stride=1, cv_stride=1,
                              grid=CvGrid(folds=5, seed=3))

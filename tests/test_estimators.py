@@ -211,10 +211,11 @@ class TestKliep:
 def _band_views(n=20, stride=3):
     """(k_num, k_den) stacks of both directions of a detector chunk: strided
     views into one band kernel each."""
-    windows = build_windows(generate(SynthSpec(dataset_id=2, length=400, seed=4)), 5)
-    sigma = median_distance(windows.vectors[: 2 * n])
+    series = generate(SynthSpec(dataset_id=2, length=400, seed=4))
+    sigma = median_distance(build_windows(series, 5).vectors[: 2 * n])
     selections = {0: (sigma, 0.1), 1: (1.3 * sigma, 0.1)}
-    return detector._chunk_kernels(windows, range(1, 40, stride), selections, n)
+    config = detector.DetectorConfig(n=n, k=5)
+    return detector._chunk_kernels(series.values, range(1, 40, stride), selections, config)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -362,14 +363,14 @@ def _mixed_stream(count):
 
 @pytest.mark.parametrize("count", [1, 6, 7, 8, 20, 50])
 def test_stream_fits_equal_one_problem_fits(monkeypatch, count):
-    # with a budget of seven 25 x 25 arrays of doubles, a buffer of at most
-    # 7 rows at the problems' 25 centers, refilled as problems finish,
+    # with a budget of seven buffer rows of 20 samples at 25 centers, a
+    # buffer of at most 7 rows, refilled as problems finish,
     # each problem of a stream, in stream order or permuted, gets the
     # (theta, objective, iterations, converged, gap) and the trace of its
     # one-problem fit, bit for bit: converged, certified at the start, cut
     # by max_iters, and, at tolerance -inf, ended where no step passes; the
     # caller's arrays stay as they were
-    monkeypatch.setattr(estimators, "BUDGET", 7 * 8 * 25 * 25)
+    monkeypatch.setattr(estimators, "BUDGET", 7 * 8 * (20 + estimators._ROW_VECTORS) * 25)
     k_nums, b_vecs = _mixed_stream(count)
     k_before, b_before = [k.copy() for k in k_nums], [b.copy() for b in b_vecs]
     try_steps, buffers = estimators._try_steps, []

@@ -20,6 +20,7 @@ from relcpd.model_selection import (
     DEFAULT_LAMBDAS,
     DEFAULT_SIGMA_FACTORS,
     CvGrid,
+    cv_problem,
     cv_select,
     cv_select_many,
 )
@@ -142,7 +143,7 @@ def test_alpha_outside_unit_interval_rejected(kind, alpha):
     with pytest.raises(ParameterError, match="alpha"):
         cv_select(num, den, CvGrid(), kind, alpha)
     with pytest.raises(ParameterError, match="alpha"):
-        model_selection.cv_select_many([(num, den, 0)], CvGrid(), kind, alpha)
+        model_selection.cv_select_many([cv_problem(num, den, 0)], CvGrid(), kind, alpha)
 
 
 @pytest.mark.parametrize("kind", ["rulsif", "kliep"])
@@ -152,7 +153,8 @@ def test_sample_dimensions_must_match(kind):
     with pytest.raises(DimensionMismatchError):
         cv_select(num, den, CvGrid(), kind, 0.1)
     with pytest.raises(DimensionMismatchError):  # in a later problem too
-        model_selection.cv_select_many([(num, num, 0), (num, den, 1)], CvGrid(), kind)
+        model_selection.cv_select_many([cv_problem(num, num, 0), cv_problem(num, den, 1)],
+                                       CvGrid(), kind)
 
 
 @pytest.mark.parametrize("kind", ["rulsif", "kliep"])
@@ -161,7 +163,7 @@ def test_many_problems_equal_one_call_each(kind):
     # and 31 centers: the KLIEP problems of one size but two shapes
     grid = CvGrid(seed=4)
     problems = [(*_samples(seed=seed, n=n), seed) for seed, n in ((0, 30), (1, 31), (2, 30))]
-    results = model_selection.cv_select_many(problems, grid, kind, 0.1)
+    results = model_selection.cv_select_many([cv_problem(*p) for p in problems], grid, kind, 0.1)
     for (num, den, seed), res in zip(problems, results):
         alone = cv_select(num, den, dataclasses.replace(grid, seed=seed), kind, 0.1)
         assert (res.best_sigma, res.best_lambda) == (alone.best_sigma, alone.best_lambda)
@@ -306,7 +308,7 @@ def test_fold_stacked_cv_equals_the_per_fold_loop(monkeypatch, n, alpha):
         if units is not None:
             monkeypatch.setattr(estimators, "BUDGET", units * 8 * n * n)
         stacks.clear()
-        many = cv_select_many(problems, CvGrid(), kind, alpha)
+        many = cv_select_many([cv_problem(*p) for p in problems], CvGrid(), kind, alpha)
         for (num, den, seed), res_many, want in zip(problems, many, expected):
             for res in (cv_select(num, den, CvGrid(seed=seed), kind, alpha), res_many):
                 table = np.array(list(res.score_table.values())).reshape(want.shape)
@@ -398,16 +400,17 @@ def test_kliep_cv_kernels_match_elementwise_formula(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from((11, 12)), extra=st.integers(0, 1), dim=st.sampled_from((1, 3, 10)),
-       kind=st.sampled_from(("rulsif", "kliep")), copies=st.booleans(),
-       ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       kind=st.sampled_from(("rulsif", "kliep")), ties=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 def test_one_distance_matrix_per_block_gives_the_separate_kernels(
-        n, extra, dim, kind, copies, ties, seed):
+        n, extra, dim, kind, ties, seed):
     # a block's two directions, (a, b) then (b, a), take their median and
-    # their four kernel blocks from one pooled distance matrix; each equals
-    # median_distance and gaussian_kernels of its own sets, bit for bit.
-    # 2n + extra pooled samples give odd (n = 11, 2n + 1 = 25) and even pair
-    # counts, ties put equal distances at the middle order statistics, and
-    # n = 11 and 12 give folds of unequal size
+    # their four kernel blocks from one pooled distance matrix of [a; b];
+    # each equals median_distance and gaussian_kernels of its own sets, and
+    # each result that of cv_select, which pools (b, a) as [b; a], bit for
+    # bit.  2n + extra pooled samples give odd (n = 11, 2n + 1 = 25) and even
+    # pair counts, ties put equal distances at the middle order statistics,
+    # and n = 11 and 12 give folds of unequal size
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(n, dim)), rng.normal(0.5, 1.5, size=(n + extra, dim))
     if ties:
@@ -415,21 +418,25 @@ def test_one_distance_matrix_per_block_gives_the_separate_kernels(
     d_med = median_distance(np.vstack([a, b]))
     grid = CvGrid(sigma_factors=(0.5, 1.0, 1.7), lambdas=(0.1, 1.0), seed=seed)
     sigmas = [f * d_med for f in grid.sigma_factors]
-    kernels, pooled = [], []
+    sqdist, a_rows, b_rows, _ = cv_problem(a, b, seed)
+    kernels, medians = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model_selection, "kernels_of",
                    lambda sq, s: kernels.append(kernel.kernels_of(sq, s)) or kernels[-1])
-        mp.setattr(model_selection, "pooled_distances",
-                   lambda x, y: pooled.append(1) or kernel.pooled_distances(x, y))
-        swapped = (b.copy(), a.copy()) if copies else (b, a)  # equal values suffice
-        results = cv_select_many([(a, b, seed), (*swapped, seed + 1)], grid, kind, 0.1)
-    assert len(pooled) == 1
+        mp.setattr(model_selection, "pooled_median",
+                   lambda sq: medians.append(1) or kernel.pooled_median(sq))
+        problems = [(sqdist, a_rows, b_rows, seed), (sqdist, b_rows, a_rows, seed + 1)]
+        results = cv_select_many(problems, grid, kind, 0.1)
+    assert len(medians) == 1
     for result in results:  # factor 1.0 gives the median itself
         assert sorted({sigma for sigma, _ in result.score_table}) == sigmas
     want = [(a, a), (b, a), (b, b), (a, b)]  # (samples, centers) of k_num, k_den per direction
     assert len(kernels) == len(want)
     for got, (samples, centers) in zip(kernels, want):
         np.testing.assert_array_equal(got, gaussian_kernels(samples, centers, sigmas))
+    for (num, den, fold_seed), result in zip(((a, b, seed), (b, a, seed + 1)), results):
+        alone = cv_select(num, den, dataclasses.replace(grid, seed=fold_seed), kind, 0.1)
+        assert result == alone and result.score_table == alone.score_table
 
 
 def test_zero_median_block_raises_the_median_distance_error():
@@ -442,7 +449,7 @@ def test_zero_median_block_raises_the_median_distance_error():
     assert str(want.value) == "median pairwise distance is zero (samples nearly all identical)"
     for kind in ("ulsif", "kliep"):
         with pytest.raises(DegenerateBandwidthError) as got:
-            cv_select_many([(x, y, 0), (y, x, 1)], CvGrid(), kind)
+            cv_select_many([cv_problem(x, y, 0), cv_problem(y, x, 1)], CvGrid(), kind)
         assert str(got.value) == str(want.value)
 
 

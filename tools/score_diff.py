@@ -7,23 +7,27 @@ setting (n=50, k=10, stride 5, cv_stride 5), uLSIF on one series per
 dataset at the ``ulsif-dense-cli`` setting (stride 1, cv_stride 500), and,
 at n=200, every estimator on one 1000-point series of dataset 1 at stride 5,
 cv_stride 5 and RuLSIF on it at stride 1, cv_stride 50, where the memory
-budget cuts runs of 2 blocks, KLIEP buffers of 25 problems, CV stacks of
-one fold and final-fit chunks of 12 positions -- and the CV grid (RuLSIF at
-alpha 0.1, uLSIF, KLIEP) on a fixed list of segment pairs of one series per
-dataset, at n=50 and n=53 (folds of unequal size, and for KLIEP two
-training shapes).  It prints, per sweep, the sha256 of
-the scores in each checkout (its first 16 hex digits), the largest |score
-difference| and both AUCs, and per CV set the same for its score tables,
-all pairs' in order.  Each child scores every sweep setting twice, the
-second pass on the worker pool the first one left warm, and the tool prints
-per checkout how many second passes differ from the first.  Like ``diff``,
-it exits 1 when any digest differs, between the checkouts or between two
-passes, and 0 when all are equal.
+budget cuts runs of 2 blocks, KLIEP buffers of 23-28 problems, CV stacks of
+one fold and final-fit chunks of 12 positions; at the benchmark's setting,
+RuLSIF forward-only and backward-only on one dataset-2 series, and RuLSIF
+on a 3-dimensional series, dataset 3's two rows stacked on dataset 1's row,
+at k=4 with standardization -- and the CV grid (RuLSIF at alpha 0.1, uLSIF,
+KLIEP) on a fixed list of segment pairs of one series per dataset, at n=50
+and n=53 (folds of unequal size, and for KLIEP two training shapes).  It
+prints, per sweep, the sha256 of the scores in each checkout (its first 16
+hex digits), the largest |score difference| and both AUCs, and per CV set
+the same for its score tables, all pairs' in order.  Each child scores
+every sweep setting twice, the second pass on the worker pool the first one
+left warm, and the tool prints per checkout how many second passes differ
+from the first.  Like ``diff``, it exits 1 when any digest differs, between
+the checkouts or between two passes, and 0 when all are equal.
 
     python3 tools/score_diff.py <checkout A> <checkout B>
 
 Each checkout's sweeps run in a child process that imports the package from
-that checkout's ``src``.  Not a test; pytest does not collect it.
+that checkout's ``src``.  A checkout whose ``model_selection`` has no
+``cv_problem`` takes the CV problems as (numerator, denominator, seed)
+sample sets.  Not a test; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,10 @@ DENSE = {"n": 50, "k": 10, "stride": 1, "cv_stride": 500}
 # sweep kinds: (series length, detector setting)
 SWEEPS = {"sweep": (LENGTH, DETECTOR), "dense": (LENGTH, DENSE),
           "large": (1000, {**DETECTOR, "n": 200}),
-          "large dense": (1000, {"n": 200, "k": 10, "stride": 1, "cv_stride": 50})}
+          "large dense": (1000, {"n": 200, "k": 10, "stride": 1, "cv_stride": 50}),
+          "forward": (LENGTH, {**DETECTOR, "score_mode": "forward"}),
+          "backward": (LENGTH, {**DETECTOR, "score_mode": "backward"}),
+          "3-d": (LENGTH, {**DETECTOR, "k": 4, "standardize": True})}
 # CV sets: (estimator, alpha), segment lengths and pair starts
 CV_KINDS = (("rulsif", 0.1), ("ulsif", 0.0), ("kliep", 0.0))
 CV_LENGTHS = (50, 53)
@@ -64,9 +71,11 @@ def settings() -> list[tuple]:
     dense = [(f"ulsif dense ds{d} series 1", "dense", "ulsif", d, 1) for d in DATASETS]
     large = [(f"{e} n200 ds1 series 1", "large", e, 1, 1) for e in ESTIMATORS]
     large.append(("rulsif n200 dense ds1", "large dense", "rulsif", 1, 1))
+    modes = [(f"rulsif {mode} ds2", mode, "rulsif", 2, 1) for mode in ("forward", "backward")]
+    modes.append(("rulsif 3-d k4 ds3+ds1", "3-d", "rulsif", 3, 1))
     cv = [(f"cv {e} ds{d} n{n}", "cv", e, d, n)
           for e, _ in CV_KINDS for d in DATASETS for n in CV_LENGTHS]
-    return sweeps + dense + large + cv
+    return sweeps + dense + large + modes + cv
 
 
 def sweep_all(checkout: str) -> None:
@@ -74,11 +83,13 @@ def sweep_all(checkout: str) -> None:
     CV tables) and, for sweeps, the AUC; then one line with the labels of
     the sweeps whose second pass gives other scores than the first."""
     sys.path.insert(0, str(Path(checkout) / "src"))
-    from relcpd import (CvGrid, DetectorConfig, SynthSpec, change_scores, find_peaks,
-                        generate, roc_curve)
+    from relcpd import (CvGrid, DetectorConfig, SynthSpec, TimeSeries, change_scores,
+                        find_peaks, generate, roc_curve)
+    from relcpd import model_selection
     from relcpd.embedding import build_windows, segment_pair
-    from relcpd.model_selection import cv_select_many
     from relcpd.seeding import mix_seed
+
+    cv_problem = getattr(model_selection, "cv_problem", lambda *problem: problem)
 
     sweeps = []  # (label, series, config, digest of the first pass)
     for label, what, estimator, dataset, index in settings():
@@ -86,15 +97,21 @@ def sweep_all(checkout: str) -> None:
         length, detector = SWEEPS.get(what, (LENGTH, DETECTOR))
         series = generate(SynthSpec(dataset_id=dataset, length=length,
                                     seed=mix_seed(MASTER_SEED, 1, dataset, series_index)))
+        if what == "3-d":
+            below = generate(SynthSpec(dataset_id=1, length=length,
+                                       seed=mix_seed(MASTER_SEED, 1, 1, series_index)))
+            series = TimeSeries(np.vstack([series.values, below.values]),
+                                change_points=series.change_points)
         grid = CvGrid(seed=mix_seed(MASTER_SEED, 2, dataset, series_index))
         if what == "cv":
             windows = build_windows(series, DETECTOR["k"])
             problems = []
             for t in CV_STARTS:
                 pair = segment_pair(windows, t, index)
-                problems += [(pair.reference, pair.test, mix_seed(grid.seed, t, 0)),
-                             (pair.test, pair.reference, mix_seed(grid.seed, t, 1))]
-            results = cv_select_many(problems, grid, estimator, dict(CV_KINDS)[estimator])
+                problems += [cv_problem(pair.reference, pair.test, mix_seed(grid.seed, t, 0)),
+                             cv_problem(pair.test, pair.reference, mix_seed(grid.seed, t, 1))]
+            results = model_selection.cv_select_many(problems, grid, estimator,
+                                                     dict(CV_KINDS)[estimator])
             values = [v for res in results for v in res.score_table.values()]
             print(json.dumps({"values": values, "auc": None}), flush=True)
             continue
