@@ -16,6 +16,7 @@ from dataclasses import asdict, replace
 from . import seeding
 from .detector import DetectorConfig, _close_workers, change_scores
 from .errors import ChangePointError, ParameterError, integer
+from .estimators import KLIEP, lapack_dposv
 from .evaluation import MATCH_WINDOW, MIN_ALARM_SPACING
 from .evaluation import find_peaks, roc_curve, summarize_runs
 from .synthgen import DATASET_IDS, SynthSpec, generate
@@ -85,9 +86,11 @@ def run_bench(
     ``length`` and ``segment_len`` are checked before the first sweep; each
     of these must be an integer.  With ``jobs`` > 1 the cells run on that many
     worker processes and each sweep runs inside its worker; the detector's
-    sweep pool, if an earlier sweep left one, is joined before they fork.
-    With ``jobs`` = 1 they run here, one after another, and each sweep
-    spreads its CV blocks over the CPUs (see ``detector``).
+    sweep pool, if an earlier sweep left one, is joined before they fork,
+    and LAPACK is loaded before they fork where any estimator is least
+    squares, so the workers inherit it (see ``estimators``).  With ``jobs`` =
+    1 they run here, one after another, and each sweep spreads its CV blocks
+    over the CPUs (see ``detector``).
     """
     runs, jobs, seed = integer("runs", runs), integer("jobs", jobs), integer("seed", seed)
     length, segment_len = integer("length", length), integer("segment_len", segment_len)
@@ -105,6 +108,8 @@ def run_bench(
         tasks.append((d, r, seed, length, segment_len, run_config))
     if jobs > 1 and len(tasks) > 1:
         _close_workers()  # fork the cells from a process with no pool threads
+        if any(e != KLIEP for e in estimators):
+            lapack_dposv()  # loaded once here and inherited by every cell worker
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_task, tasks))
     else:

@@ -44,7 +44,11 @@ first sweep that needs two or more workers forks it, and every later sweep
 reuses it, so a sweep with fewer runs than workers leaves the others idle.
 It is forked anew when that count changes or after a worker died (the
 sweep that finds the pool broken is tried once more on the new one), and
-concurrent.futures' exit hook joins it when the interpreter exits.  Each
+concurrent.futures' exit hook joins it when the interpreter exits.  A uLSIF
+or RuLSIF sweep loads LAPACK (``estimators.lapack_dposv``) in this process
+before it scores anything, so a pool it forks inherits the library; a KLIEP
+sweep never loads it, and the workers of a pool that a KLIEP sweep forked
+load it themselves when a later least-squares sweep reuses them.  Each
 task is one run, scored by the same function as each run of the in-process
 path: it carries the (standardized) series values, 8 x d x T bytes, the
 config and its blocks.  No window vector is built: every distance comes
@@ -105,7 +109,7 @@ from .errors import (
 )
 from .estimators import (
     ESTIMATOR_KINDS, KLIEP, RULSIF, _solve_spd, budget_units, gram_system, kliep_ascent,
-    pe_terms,
+    lapack_dposv, pe_terms,
 )
 # Imported only for perfbench/perftrace.py, which wraps these names here by
 # getattr; they stay until that tracer reads per-layer counters instead.
@@ -414,6 +418,8 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     t_last = t_len - 2 * config.n - config.k + 2
     starts = range(1, t_last + 1, config.stride)
     blocks = [starts[b : b + config.cv_stride] for b in range(0, len(starts), config.cv_stride)]
+    if config.estimator_kind != KLIEP:
+        lapack_dposv()  # before any fork, so that the workers inherit it
     size = _pool_size()
     workers = min(size, len(blocks))
     runs = _runs(blocks, workers, config)

@@ -15,6 +15,14 @@ the engine.
 
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
+
+Only the least-squares solve needs LAPACK.  ``lapack_dposv`` imports
+``scipy.linalg.lapack`` on its first call, so a process that fits only KLIEP
+(or only generates, evaluates or prints help) never loads ``scipy.linalg``;
+``dposv`` stays a module attribute that tests may patch.  The detector and
+the bench harness call ``lapack_dposv`` before they fork workers for
+least-squares work, so the workers inherit the loaded library instead of
+each loading its own copy.
 """
 
 from __future__ import annotations
@@ -23,10 +31,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-# imported only for perfbench/perftrace.py, which counts its calls here by
-# getattr, until that tracer reads per-layer counters instead
-from scipy.linalg import cho_factor  # noqa: F401
-from scipy.linalg.lapack import dposv
 
 from .errors import (
     DegenerateBandwidthError,
@@ -107,6 +111,29 @@ class FitDiagnostics:
     gap: float = 0.0  # KLIEP: certified bound on the distance to the maximum
 
 
+def lapack_dposv():
+    """LAPACK's dposv, from ``scipy.linalg.lapack`` imported on the first
+    call and kept as this module's ``dposv``."""
+    global dposv
+    if "dposv" not in globals():
+        from scipy.linalg.lapack import dposv
+    return dposv
+
+
+def __getattr__(name: str):
+    """``dposv`` and ``cho_factor`` on demand (PEP 562): ``dposv`` for tests
+    that patch it, ``cho_factor`` only for perfbench/perftrace.py, which
+    counts its calls here by getattr, until that tracer reads per-layer
+    counters instead."""
+    if name == "dposv":
+        return lapack_dposv()
+    if name == "cho_factor":
+        from scipy.linalg import cho_factor
+
+        return cho_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _solve_spd(h_mat: np.ndarray, lam, rhs: np.ndarray) -> np.ndarray:
     """Cholesky solve of (H + lam I) theta = rhs for one system or each of a
     stack: H (..., b, b), ``lam`` (...) and rhs (..., b) broadcast to one stack
@@ -131,15 +158,16 @@ def _solve_spd(h_mat: np.ndarray, lam, rhs: np.ndarray) -> np.ndarray:
     theta = np.empty(shape + (width,))
     theta[...] = rhs
     theta = theta.reshape(-1, width)
+    posv = lapack_dposv()
     for i, (a, b) in enumerate(zip(systems, theta)):
-        if dposv(a.T, b, lower=1, overwrite_a=1, overwrite_b=1)[2]:
+        if posv(a.T, b, lower=1, overwrite_a=1, overwrite_b=1)[2]:
             index = np.unravel_index(i, shape)
             h_own = np.broadcast_to(h_mat, shape + (width, width))[index]
             a[...] = h_own
             diagonals[i] += lams[i]
             diagonals[i] += 1e-10 * float(np.trace(h_own)) / width
             b[...] = np.broadcast_to(rhs, shape + (width,))[index]
-            if dposv(a.T, b, lower=1, overwrite_a=1, overwrite_b=1)[2]:
+            if posv(a.T, b, lower=1, overwrite_a=1, overwrite_b=1)[2]:
                 raise SingularSystemError(
                     "H + lambda I is not positive definite; use lambda > 0"
                 )

@@ -7,6 +7,8 @@ reference."""
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +71,13 @@ def squared_distances(first: np.ndarray, second: np.ndarray, k: int = 1) -> np.n
     every entry equals cdist's of the window vectors bit for bit.  The sums
     run in rows as wide as the squares', so that each shifted view is one
     contiguous stretch of a square; the result is a view of their first
-    columns.  Besides the result, k = 1 holds one dimension's squares at a
-    time, as many doubles as the result; k > 1 holds all d of them,
-    d x (count + k - 1)^2 doubles for a segment paired with itself.
+    columns.  The squares are written into this thread's scratch buffer,
+    which is kept between calls at the size of the largest call so far: k = 1
+    uses one dimension's squares at a time, about as many doubles as the
+    result; k > 1 all d of them, d x (count + k - 1)^2 doubles for a segment
+    paired with itself.  Reusing it spares each call the page faults of
+    fresh squares, which glibc returns to the system between calls from a few
+    hundred windows on.
     """
     rows, cols = first.shape[1] - k + 1, second.shape[1] - k + 1
     width = second.shape[1]  # of a square's rows, cols + k - 1
@@ -81,7 +87,7 @@ def squared_distances(first: np.ndarray, second: np.ndarray, k: int = 1) -> np.n
     # last row's k - 1 columns past the result's are left out
     size = rows * width - (k - 1)
     sums = out.reshape(-1)[:size]
-    squares = _squared_differences(first, second)
+    squares = _squared_differences(first, second, len(first) if k > 1 else 1)
     if k > 1:  # each dimension's squares serve k time offsets
         squares = list(squares)
     for offset in range(k):
@@ -91,11 +97,25 @@ def squared_distances(first: np.ndarray, second: np.ndarray, k: int = 1) -> np.n
     return out[:, :cols]
 
 
-def _squared_differences(first: np.ndarray, second: np.ndarray):
-    """(first[r, i] - second[r, j])^2 over (i, j), one row r at a time."""
-    for a, b in zip(first, second):
-        square = np.subtract.outer(a, b)
-        square *= square  # in place: a second array of this size costs page faults
+# per thread, the squares of squared_distances' largest call so far
+_SCRATCH = threading.local()
+
+
+def _squared_differences(first: np.ndarray, second: np.ndarray, slots: int):
+    """(first[r, i] - second[r, j])^2 over (i, j), one row r at a time, each
+    in slot r % ``slots`` of this thread's scratch buffer: a square is
+    overwritten ``slots`` rows later."""
+    shape = (slots, first.shape[1], second.shape[1])
+    size = shape[0] * shape[1] * shape[2]
+    scratch = getattr(_SCRATCH, "buffer", None)
+    if scratch is None or scratch.size < size:
+        scratch = _SCRATCH.buffer = np.empty(size)
+    scratch = scratch[:size].reshape(shape)
+    for r, (a, b) in enumerate(zip(first, second)):
+        square = scratch[r % slots]
+        square[...] = a[:, None]  # then in place: faster than subtract.outer(out=)
+        square -= b
+        square *= square
         yield square
 
 
@@ -138,7 +158,7 @@ def pooled_median(sqdist: np.ndarray) -> float:
     and it does not depend on the samples' order: ``squared_distances`` of
     a segment with itself is exactly symmetric, as (a - b)^2 = (b - a)^2.
     """
-    pairs = sqdist[np.triu_indices(len(sqdist), 1)]
+    pairs = sqdist[_upper_triangle(len(sqdist))]
     half = len(pairs) // 2
     if len(pairs) % 2:
         med = float(np.sqrt(np.partition(pairs, half)[half]))
@@ -150,6 +170,16 @@ def pooled_median(sqdist: np.ndarray) -> float:
             "median pairwise distance is zero (samples nearly all identical)"
         )
     return med
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_triangle(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size, 1)``, read-only, kept for the last size: a
+    sweep's CV blocks all share one size, 2n."""
+    indices = np.triu_indices(size, 1)
+    for index in indices:
+        index.setflags(write=False)
+    return indices
 
 
 def design_matrices(

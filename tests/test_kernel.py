@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
-from relcpd import kernel
+from relcpd import dataio, kernel
 from relcpd.embedding import TimeSeries, build_windows
 from relcpd.errors import (
     DegenerateBandwidthError,
@@ -217,12 +217,117 @@ def test_flat_stretch_raises_the_zero_median_error():
         assert str(error.value) == ZERO_MEDIAN
 
 
-def test_importing_the_package_and_cli_loads_no_scipy_spatial():
+def _fresh(script: str, *args: str) -> list[str]:
+    """The lines that ``script`` prints, run with ``args`` in a fresh
+    interpreter that imports this checkout's relcpd."""
     src = str(Path(kernel.__file__).resolve().parents[1])
-    run = "import sys, relcpd, relcpd.cli; print('scipy.spatial' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", run], capture_output=True, text=True, timeout=120,
-        check=False, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True,
+        timeout=300, check=False, env={**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")])})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    return done.stdout.splitlines()
+
+
+def test_importing_the_package_and_cli_loads_no_scipy_spatial():
+    run = "import sys, relcpd, relcpd.cli; print('scipy.spatial' in sys.modules)"
+    assert _fresh(run) == ["False"]
+
+
+def test_importing_the_package_and_cli_loads_no_scipy_linalg():
+    run = "import sys, relcpd, relcpd.cli; print('scipy.linalg' in sys.modules)"
+    assert _fresh(run) == ["False"]
+
+
+_CLI = """
+import sys
+from relcpd.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exit:  # --help
+    code = exit.code
+print(code, 'scipy.linalg' in sys.modules)
+"""
+
+
+def test_help_synth_and_eval_load_no_scipy_linalg(tmp_path):
+    stem = str(tmp_path / "series")
+    assert _fresh(_CLI, "--help")[-1] == "0 False"
+    synth = ("synth", "--dataset", "2", "--length", "400", "--out", stem)
+    assert _fresh(_CLI, *synth)[-1] == "0 False"
+    scores = tmp_path / "series.scores.csv"
+    boundaries = np.arange(30, 371)
+    dataio.write_scores_csv(scores, boundaries, np.exp(-((boundaries - 200) / 9.0) ** 2))
+    assert _fresh(_CLI, "eval", str(scores), "--truth", stem + ".truth",
+                  "--out", str(tmp_path / "eval"))[-1] == "0 False"
+    assert (tmp_path / "eval.roc.csv").exists()
+
+
+# One sweep of a short series on ``workers`` forced workers; ``forks`` records,
+# at every fork of this process, whether LAPACK was loaded.
+_SWEEP = """
+import os, sys
+import numpy as np
+from relcpd import detector
+from relcpd.detector import DetectorConfig, change_scores
+from relcpd.embedding import TimeSeries
+
+forks = []
+os.register_at_fork(before=lambda: forks.append('scipy.linalg' in sys.modules))
+
+def linalg_loaded():
+    return 'scipy.linalg' in sys.modules
+
+def sweep(kind, workers):
+    detector._pool_size = lambda: workers
+    series = TimeSeries(np.random.default_rng(4).normal(size=(2, 300)))
+    config = DetectorConfig(n=20, k=3, estimator_kind=kind, stride=4, cv_stride=3)
+    return change_scores(series, config).scores
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kliep_sweeps_load_no_scipy_linalg(workers):
+    # in this process and in the pool's workers
+    run = _SWEEP + """
+sweep('kliep', WORKERS)
+pool = detector._POOL
+in_worker = pool[1].submit(linalg_loaded).result() if pool else False
+print(linalg_loaded(), in_worker, len(forks) == (WORKERS > 1) * WORKERS)
+""".replace("WORKERS", str(workers))
+    assert _fresh(run)[-1] == "False False True"
+
+
+def test_least_squares_sweep_loads_lapack_before_its_pool_forks():
+    run = _SWEEP + """
+sweep('rulsif', 2)
+print(forks)
+"""
+    assert _fresh(run)[-1] == "[True, True]"
+
+
+def test_pool_forked_by_a_kliep_sweep_gives_serial_least_squares_scores():
+    # the workers forked without LAPACK load it themselves
+    run = _SWEEP + """
+sweep('kliep', 2)
+pool = detector._POOL
+parallel = sweep('rulsif', 2)
+print(forks, detector._POOL is pool, np.array_equal(parallel, sweep('rulsif', 1)))
+"""
+    assert _fresh(run)[-1] == "[False, False] True True"
+
+
+def test_bench_jobs_two_loads_lapack_before_forking_and_writes_the_serial_report(tmp_path):
+    flags = ["--datasets", "1,3", "--estimators", "ulsif", "--runs", "2", "--length",
+             "500", "--segment-len", "100", "--n", "20", "--k", "3", "--stride", "10",
+             "--cv-stride", "10", "--seed", "7"]
+    run = _SWEEP + """
+from relcpd.cli import main
+main(['bench', '--out', sys.argv[1], '--jobs', '2'] + sys.argv[3:])
+print(forks)
+main(['bench', '--out', sys.argv[2], '--jobs', '1'] + sys.argv[3:])
+"""
+    parallel, serial = tmp_path / "parallel", tmp_path / "serial"
+    assert "[True, True]" in _fresh(run, str(parallel), str(serial), *flags)
+    assert (parallel.with_suffix(".json").read_bytes()
+            == serial.with_suffix(".json").read_bytes())
