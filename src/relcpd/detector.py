@@ -46,9 +46,9 @@ It is forked anew when that count changes or after a worker died (the
 sweep that finds the pool broken is tried once more on the new one), and
 concurrent.futures' exit hook joins it when the interpreter exits.  A uLSIF
 or RuLSIF sweep loads LAPACK (``estimators.lapack_dposv``) in this process
-before it scores anything, so a pool it forks inherits the library; a KLIEP
-sweep never loads it, and the workers of a pool that a KLIEP sweep forked
-load it themselves when a later least-squares sweep reuses them.  Each
+before it scores anything, so a pool it forks inherits the extension; a
+KLIEP sweep never loads it, and the workers of a pool that a KLIEP sweep
+forked load it themselves when a later least-squares sweep reuses them.  Each
 task is one run, scored by the same function as each run of the in-process
 path: it carries the (standardized) series values, 8 x d x T bytes, the
 config and its blocks.  No window vector is built: every distance comes
@@ -58,9 +58,7 @@ A CV block's matrix, among its 2n windows, serves both directions.
 The parent joins the runs in series order, cancels the tasks that have not
 started when one fails, and checks that every score is finite.  A worker
 holds one run's CV and final-fit arrays on top of the copy of this process
-it forked from, and an idle worker keeps its heap: after two rounds of 8
-``kliep-cv``-sized sweeps (2000 points, 2 workers) each worker held
-71-77 MB RSS, shared pages included.
+it forked from, and an idle worker keeps its heap.
 
 One memory budget, ``estimators.BUDGET`` bytes, sizes every group of fits.
 The KLIEP engine's buffer, CV or final, holds as many problems as their

@@ -16,18 +16,24 @@ the engine.
 From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
 Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
 
-Only the least-squares solve needs LAPACK.  ``lapack_dposv`` imports
-``scipy.linalg.lapack`` on its first call, so a process that fits only KLIEP
-(or only generates, evaluates or prints help) never loads ``scipy.linalg``;
+Only the least-squares solve needs LAPACK, and only its ``dposv``.
+``lapack_dposv`` loads scipy's LAPACK extension, ``scipy.linalg._flapack``,
+on its first call, and never the ``scipy.linalg`` package, whose init loads
+hundreds of modules this package does not use.  A process that fits only
+KLIEP (or only generates, evaluates or prints help) loads neither.
 ``dposv`` stays a module attribute that tests may patch.  The detector and
 the bench harness call ``lapack_dposv`` before they fork workers for
-least-squares work, so the workers inherit the loaded library instead of
+least-squares work, so the workers inherit the loaded extension instead of
 each loading its own copy.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,12 +117,34 @@ class FitDiagnostics:
     gap: float = 0.0  # KLIEP: certified bound on the distance to the maximum
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
 def lapack_dposv():
-    """LAPACK's dposv, from ``scipy.linalg.lapack`` imported on the first
-    call and kept as this module's ``dposv``."""
+    """LAPACK's dposv, kept as this module's ``dposv`` after the first call.
+
+    It comes from the extension module ``scipy.linalg._flapack``, the object
+    ``scipy.linalg.lapack.dposv`` also is.  ``import scipy`` runs first: it
+    is light, and its distributor init sets up the bundled BLAS's library
+    path where the platform needs one (Windows).  The extension is then
+    taken from ``sys.modules``, or loaded from scipy's ``linalg`` directory
+    and registered there, so a later ``import scipy.linalg`` reuses it
+    instead of loading a second copy.  Raises ``ImportError`` when scipy has
+    no such extension."""
     global dposv
     if "dposv" not in globals():
-        from scipy.linalg.lapack import dposv
+        import scipy
+
+        flapack = sys.modules.get(_FLAPACK)
+        if flapack is None:
+            spec = importlib.machinery.PathFinder.find_spec(
+                _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+            if spec is None:
+                raise ImportError(f"no module named {_FLAPACK!r}", name=_FLAPACK)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            sys.modules[_FLAPACK] = flapack
+        dposv = flapack.dposv
     return dposv
 
 

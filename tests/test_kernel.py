@@ -264,7 +264,7 @@ def test_help_synth_and_eval_load_no_scipy_linalg(tmp_path):
 
 
 # One sweep of a short series on ``workers`` forced workers; ``forks`` records,
-# at every fork of this process, whether LAPACK was loaded.
+# at every fork of this process, whether LAPACK (the extension) was loaded.
 _SWEEP = """
 import os, sys
 import numpy as np
@@ -273,10 +273,14 @@ from relcpd.detector import DetectorConfig, change_scores
 from relcpd.embedding import TimeSeries
 
 forks = []
-os.register_at_fork(before=lambda: forks.append('scipy.linalg' in sys.modules))
+os.register_at_fork(before=lambda: forks.append(linalg_loaded()))
 
 def linalg_loaded():
-    return 'scipy.linalg' in sys.modules
+    return 'scipy.linalg._flapack' in sys.modules
+
+def lapack_state():
+    # the extension, and the scipy.linalg package
+    return linalg_loaded(), 'scipy.linalg' in sys.modules
 
 def sweep(kind, workers):
     detector._pool_size = lambda: workers
@@ -318,16 +322,53 @@ print(forks, detector._POOL is pool, np.array_equal(parallel, sweep('rulsif', 1)
 
 
 def test_bench_jobs_two_loads_lapack_before_forking_and_writes_the_serial_report(tmp_path):
+    # each cell reports, after its sweep, whether it ran in a worker; one
+    # os.write per line, so that two workers' lines do not interleave
     flags = ["--datasets", "1,3", "--estimators", "ulsif", "--runs", "2", "--length",
              "500", "--segment-len", "100", "--n", "20", "--k", "3", "--stride", "10",
              "--cv-stride", "10", "--seed", "7"]
     run = _SWEEP + """
+from relcpd import bench
 from relcpd.cli import main
+
+def reporting_task(args, task=bench._task):
+    outcome = task(args)
+    os.write(1, f'cell {os.getpid() != PARENT} {lapack_state()}\\n'.encode())
+    return outcome
+
+PARENT = os.getpid()
+bench._task = reporting_task
 main(['bench', '--out', sys.argv[1], '--jobs', '2'] + sys.argv[3:])
-print(forks)
+print('parent', lapack_state(), forks, flush=True)
 main(['bench', '--out', sys.argv[2], '--jobs', '1'] + sys.argv[3:])
 """
     parallel, serial = tmp_path / "parallel", tmp_path / "serial"
-    assert "[True, True]" in _fresh(run, str(parallel), str(serial), *flags)
+    lines = [line for line in _fresh(run, str(parallel), str(serial), *flags)
+             if line.startswith(("cell", "parent"))]
+    assert lines == (["cell True (True, False)"] * 4 + ["parent (True, False) [True, True]"]
+                     + ["cell False (True, False)"] * 4)
     assert (parallel.with_suffix(".json").read_bytes()
             == serial.with_suffix(".json").read_bytes())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_least_squares_sweeps_load_lapack_without_the_scipy_linalg_package(workers):
+    # in this process and in the pool's workers
+    run = _SWEEP + """
+sweep('rulsif', WORKERS)
+pool = detector._POOL
+print(lapack_state(), pool[1].submit(lapack_state).result() if pool else None)
+""".replace("WORKERS", str(workers))
+    in_worker = "(True, False)" if workers > 1 else "None"
+    assert _fresh(run)[-1] == f"(True, False) {in_worker}"
+
+
+def test_scipy_linalg_imported_after_a_sweep_reuses_its_lapack():
+    run = _SWEEP + """
+sweep('ulsif', 2)
+import scipy.linalg.lapack
+from relcpd import estimators
+print(lapack_state(), scipy.linalg.lapack.dposv is estimators.dposv,
+      float(scipy.linalg.cho_factor(np.eye(2) * 4.0)[0][0, 0]))
+"""
+    assert _fresh(run)[-1] == "(True, True) True 2.0"

@@ -11,7 +11,10 @@ cv_stride 5, on the machine's default worker count).  Per case it prints the
 median wall time from start to exit as the parent sees it, the median
 ``ru_maxrss`` of the interpreter itself and the largest of its reaped
 worker processes (``-`` where it forked none), and the scipy modules loaded
-at exit: their count and the packages one level below ``scipy``.
+at exit: their count, whether ``scipy.linalg`` is there as the package
+(``package``), only as its LAPACK extension ``scipy.linalg._flapack``
+(``_flapack``) or not at all (``-``), and the modules one level below
+``scipy`` that were imported themselves.
 
 Not a test; pytest does not collect it.
 """
@@ -112,14 +115,17 @@ def main() -> int:
                     results[name].append(
                         run_once(checkout.resolve(), source, case_args, workdir / "report"))
         print(f"{checkout}  ({args.runs} runs each, medians)")
-        print(f"  {'case':34s} {'wall s':>7s} {'RSS MB':>7s} {'workers':>8s}  scipy modules")
+        print(f"  {'case':34s} {'wall s':>7s} {'RSS MB':>7s} {'workers':>8s} "
+              f"{'linalg':>8s}  scipy modules")
         for name, runs in results.items():
             wall, rss, workers = (statistics.median(r[i] for r in runs) for i in range(3))
             modules = runs[-1][3]
-            packages = sorted({".".join(m.split(".")[:2]) for m in modules} - {"scipy"})
+            linalg = ("package" if "scipy.linalg" in modules
+                      else "_flapack" if "scipy.linalg._flapack" in modules else "-")
+            packages = [m for m in modules if m.count(".") == 1]
             loaded = f"{len(modules)}: {', '.join(packages)}" if modules else "none"
             print(f"  {name:34s} {wall:7.3f} {rss:7.1f} "
-                  f"{f'{workers:.1f}' if workers else '-':>8s}  {loaded}")
+                  f"{f'{workers:.1f}' if workers else '-':>8s} {linalg:>8s}  {loaded}")
     return 0
 
 
