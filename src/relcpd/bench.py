@@ -84,13 +84,14 @@ def run_bench(
     e) uses it with estimator e and the grid seed mixed from (seed, d, r).
     Every run's config, the dataset ids, ``runs``, ``jobs``, ``seed``,
     ``length`` and ``segment_len`` are checked before the first sweep; each
-    of these must be an integer.  With ``jobs`` > 1 the cells run on that many
-    worker processes and each sweep runs inside its worker; the detector's
-    sweep pool, if an earlier sweep left one, is joined before they fork,
-    and LAPACK is loaded before they fork where any estimator is least
-    squares, so the workers inherit it (see ``estimators``).  With ``jobs`` =
-    1 they run here, one after another, and each sweep spreads its CV blocks
-    over the CPUs (see ``detector``).
+    of these must be an integer, and neither the datasets nor the estimators
+    may be empty.  With ``jobs`` > 1 the cells run on that many worker
+    processes and each sweep runs inside its worker; the detector's sweep
+    pool, if an earlier sweep left one, is joined before they fork, and
+    LAPACK is loaded before they fork where any estimator is least squares,
+    so the workers inherit it (see ``estimators``).  With ``jobs`` = 1 they
+    run here, one after another, and each sweep spreads its CV blocks over
+    the CPUs (see ``detector``).
     """
     runs, jobs, seed = integer("runs", runs), integer("jobs", jobs), integer("seed", seed)
     length, segment_len = integer("length", length), integer("segment_len", segment_len)
@@ -101,6 +102,8 @@ def run_bench(
     if not set(datasets) <= set(DATASET_IDS):
         raise ParameterError(f"dataset ids must be among {DATASET_IDS}, got {datasets}")
     estimators = list(dict.fromkeys(estimators))
+    if not datasets or not estimators:
+        raise ParameterError(f"nothing to run: datasets {datasets}, estimators {estimators}")
     tasks = []
     for d, e, r in itertools.product(datasets, estimators, range(runs)):
         grid = replace(config.grid, seed=seeding.mix_seed(seed, _DETECT_TAG, d, r))

@@ -17,18 +17,20 @@ any grouping or evaluation order gives the same scores, bit for bit.
 
 The unit of work is a run of consecutive CV blocks, scored in two phases:
 first the CV refresh of every block, in one ``cv_select_many`` call, then
-the final fits of all the blocks.  A sweep's blocks are cut into contiguous
-runs whose lengths differ by at most 1, in whole rounds of one run per
-worker: one round, and more only where a run's KLIEP CV would hold more
-kernels than the memory budget allows (below).  For KLIEP each phase
-streams its problems into ``estimators.kliep_ascent``, CV one stream per
-training size (one where the fold count divides n), so a run pays for about
-two stream ends, where rounds run nearly empty.  The same runs serve uLSIF
-and RuLSIF, which compute each block as on their own.  A run of several
-blocks that fails is scored again one block at a time, so the first failing
-block in series order raises, with the serial sweep's error.
+the final fits of all the blocks.  A sweep's blocks are cut into one
+contiguous run per worker, in series order, whose lengths differ by at most
+1; a serial sweep is one run of all its blocks.  For KLIEP each phase
+streams its problems into ``estimators.kliep_ascent``: CV one stream per
+training size (one where the fold count divides n) and per group of
+problems that ``cv_select_many`` fits within the memory budget (below), the
+final fits one stream per run.  So a run pays for about one stream end,
+where rounds run nearly empty, per CV group and one for its final fits.
+The same runs serve uLSIF and RuLSIF, which compute each block as on their
+own.  A run of several blocks that fails is scored again one block at a
+time, so the first failing block in series order raises, with the serial
+sweep's error.
 
-A sweep runs on ``min(available CPUs, CPU quota, runs)`` worker processes.
+A sweep runs on ``min(available CPUs, CPU quota, blocks)`` worker processes.
 The available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count``
 where that is missing; ``taskset`` limits them); the quota is that of the
 cgroup v2 file CPU_MAX, ``<quota> <period>`` rounded up to whole CPUs, and a
@@ -41,7 +43,7 @@ is 1, so pools never nest and no worker re-imports the caller's
 pool.  Otherwise it runs on the process's one sweep pool, a fork
 ``ProcessPoolExecutor`` of ``min(available CPUs, CPU quota)`` workers.  The
 first sweep that needs two or more workers forks it, and every later sweep
-reuses it, so a sweep with fewer runs than workers leaves the others idle.
+reuses it, so a sweep with fewer blocks than workers leaves the others idle.
 It is forked anew when that count changes or after a worker died (the
 sweep that finds the pool broken is tried once more on the new one), and
 concurrent.futures' exit hook joins it when the interpreter exits.  A uLSIF
@@ -55,10 +57,10 @@ config and its blocks.  No window vector is built: every distance comes
 from ``kernel.squared_distances`` on the raw columns that a block's or a
 chunk's windows cover, bit for bit the distances of the window vectors.
 A CV block's matrix, among its 2n windows, serves both directions.
-The parent joins the runs in series order, cancels the tasks that have not
-started when one fails, and checks that every score is finite.  A worker
-holds one run's CV and final-fit arrays on top of the copy of this process
-it forked from, and an idle worker keeps its heap.
+The parent joins the runs in series order and checks that every score is
+finite; when a run fails, the sweep raises and the other runs finish on
+their workers.  A worker holds one run's CV and final-fit arrays on top of
+the copy of this process it forked from, and an idle worker keeps its heap.
 
 One memory budget, ``estimators.BUDGET`` bytes, sizes every group of fits.
 The KLIEP engine's buffer, CV or final, holds as many problems as their
@@ -67,11 +69,11 @@ Every other group holds at most U = ``estimators.budget_units(n)`` n x n
 arrays of doubles (400 at n = 50, 25 at n = 200): a least-squares CV stack
 U systems, or one fold's sigmas x lambdas where that is more (see
 ``model_selection``); a final-fit chunk U (position, direction) pairs; and
-a run's KLIEP CV U (block, direction, sigma) kernels, so a run holds at
-most max(1, U // (directions x sigmas)) blocks (40 at n = 50 with the
-default grid, 2 at n = 200).  Final fits run in chunks, the positions of one
-CV block whose pairs share one span of at most 4n windows: at most
-min(1 + 2n // stride, max(1, U // directions)) positions.
+a group of KLIEP CV problems U (problem, sigma) kernels, or one problem's
+sigmas where that is more, so a run of any length holds one group's CV
+kernels at a time (``model_selection``).  Final fits run in chunks, the
+positions of one CV block whose pairs share one span of at most 4n
+windows: at most min(1 + 2n // stride, max(1, U // directions)) positions.
 One ``squared_distances`` over a chunk's span and one ``exp`` per direction
 give the band kernel; each pair's (2n, 2n) kernel is a diagonal block of
 it, taken as a strided view.  The distance and kernel matrices hold at most
@@ -280,14 +282,10 @@ def _pool_size() -> int:
     return min(cpus, _cpu_quota() or cpus)
 
 
-def _runs(blocks: list, workers: int, config) -> list[list]:
-    """``blocks`` cut into contiguous runs whose lengths differ by at most 1,
-    in whole rounds of ``workers`` runs: one round, and more where a run
-    would hold more than ``budget_units(n)`` KLIEP CV kernels, one per
-    (block, direction, sigma), but never more runs than blocks."""
-    per_block = len(_MODE_DIRECTIONS[config.score_mode]) * len(config.grid.sigma_factors)
-    most = max(1, budget_units(config.n) // per_block)  # blocks per run
-    count = min(len(blocks), workers * -(-len(blocks) // (workers * most)))
+def _runs(blocks: list, workers: int) -> list[list]:
+    """``blocks`` cut into ``workers`` contiguous runs whose lengths differ by
+    at most 1, or one run per block where there are fewer blocks."""
+    count = min(workers, len(blocks))
     cuts = [len(blocks) * r // count for r in range(count + 1)]
     return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
@@ -384,11 +382,9 @@ def _close_workers() -> None:
 
 def _pool_scores(values: np.ndarray, config, runs: list, size: int) -> list[float]:
     """Scores of ``runs``, one task each on the sweep pool of ``size``
-    workers, joined in series order.  Tasks that have not started when a
-    sweep fails are cancelled.  A pool that lost a worker (killed, or out of
-    memory) is forked anew and the sweep tried once more."""
+    workers, joined in series order.  A pool that lost a worker (killed, or
+    out of memory) is forked anew and the sweep tried once more."""
     for retry in (False, True):
-        futures = []
         try:
             pool = _workers(size)
             futures = [pool.submit(_score_task, values, config, run) for run in runs]
@@ -397,9 +393,6 @@ def _pool_scores(values: np.ndarray, config, runs: list, size: int) -> list[floa
             _close_workers()
             if retry:
                 raise
-        finally:
-            for future in futures:
-                future.cancel()
 
 
 def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
@@ -419,10 +412,9 @@ def change_scores(series: TimeSeries, config: DetectorConfig) -> ScoreSeries:
     if config.estimator_kind != KLIEP:
         lapack_dposv()  # before any fork, so that the workers inherit it
     size = _pool_size()
-    workers = min(size, len(blocks))
-    runs = _runs(blocks, workers, config)
-    if workers == 1:
-        scores = [score for run in runs for score in _score_task(series.values, config, run)]
+    runs = _runs(blocks, size)
+    if len(runs) == 1:
+        scores = _score_task(series.values, config, runs[0])
     else:
         scores = _pool_scores(series.values, config, runs, size)
 

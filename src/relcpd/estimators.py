@@ -69,9 +69,9 @@ def budget_units(centers: int) -> int:
     the size of every group of fits but the KLIEP engine's buffer (see
     ``kliep_rows``), read at call time.  A least-squares CV stack holds that
     many (sigma, fold, lambda) systems, a final-fit chunk that many
-    (position, direction) pairs, and a detector run's KLIEP CV that many
-    (block, direction, sigma) kernels; with 50 centers that is 400, with 200
-    it is 25."""
+    (position, direction) pairs, and a ``cv_select_many`` group of KLIEP
+    problems that many (problem, sigma) kernels; with 50 centers that is
+    400, with 200 it is 25."""
     return max(1, BUDGET // (8 * centers * centers))
 
 

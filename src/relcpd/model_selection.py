@@ -37,10 +37,15 @@ criteria are summed in fold order, so the table equals that of a loop over
 folds bit for bit.  Problems are not stacked together.
 
 The KLIEP grid streams every (sigma, fold) problem, its training rows and
-its fold's mean denominator kernel row, into ``estimators.kliep_ascent``:
-one stream per training shape for all of a ``cv_select_many`` call (up to
-2,000 problems for a detector run at its cap at n = 50, 40 blocks of the
-default grid).  The held-out scores are exactly those of one fit per problem.
+its fold's mean denominator kernel row, into ``estimators.kliep_ascent``.
+``cv_select_many`` fits its problems in groups of consecutive ones, one
+stream per training shape and group.  A group holds at most U (problem,
+sigma) kernels of centers x centers doubles, or one problem's sigmas where
+that is more, and is fitted as soon as the next problem's kernels would
+take it past U (80 problems of the default grid's 5 sigmas at 50 centers,
+5 at 200); so a call keeps at most one group's kernels, however many
+problems it takes.  The held-out scores are exactly those of one fit per
+problem.
 
 Ties are broken toward the larger sigma, then the larger lambda.
 """
@@ -190,10 +195,12 @@ def cv_select_many(
     split its rows into the numerator and the denominator samples; the
     bandwidth grid scales with the median distance of all its rows.  Each
     result equals that of a ``cv_select`` call on the two sample sets; KLIEP
-    fits the (sigma, fold) problems of all of them in shared streams.
-    Problems that pass one matrix, one after the other (a detector block's
-    two directions), share its median.  The first problem in order that
-    cannot be prepared (too few samples, zero median distance) raises."""
+    fits the (sigma, fold) problems of each group of consecutive problems
+    that fits the memory budget (see above) in shared streams.  Problems
+    that pass one matrix, one after the other (a detector block's two
+    directions), share its median.  A problem that cannot be prepared (too
+    few samples, zero median distance) raises when it is reached, and a
+    group whose fits fail when it is fitted."""
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ParameterError(f"unknown estimator kind {estimator_kind!r}")
     alpha = float(alpha)
@@ -222,11 +229,15 @@ def cv_select_many(
             # the ascent needs only each fold's mean denominator kernel rows
             b_vecs = [k_den[:, den_tr].mean(axis=1) for _, (den_tr, _) in folds]
             cases.append((k_num, b_vecs, folds))
+            # fitted before the next problem's kernels would take them past U
+            if (len(cases) + 1) * len(sigmas) > budget_units(m_num):
+                tables += _kliep_cv_scores(cases)
+                cases = []
         else:
             tables.append(_least_squares_scores(k_num, k_den, folds, grid.lambdas, alpha))
     if estimator_kind == KLIEP:  # the lambda axis repeats the per-sigma score
         tables = [np.repeat(scores[:, None], len(grid.lambdas), axis=1)
-                  for scores in _kliep_cv_scores(cases)]
+                  for scores in tables + _kliep_cv_scores(cases)]
     return [_best(sigmas, grid.lambdas, table, estimator_kind)
             for sigmas, table in zip(sigma_sets, tables)]
 

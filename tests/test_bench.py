@@ -74,6 +74,16 @@ def test_non_integral_counts_and_seeds_rejected_before_any_run(monkeypatch, name
         bench.run_bench(**{**kwargs, name: value})
 
 
+@pytest.mark.parametrize("name", ["datasets", "estimators"])
+def test_empty_datasets_or_estimators_rejected_before_any_run(monkeypatch, name):
+    # these used to return a report with no cells or no estimator columns
+    monkeypatch.setattr(bench, "run_one", lambda *args: pytest.fail("a run started"))
+    kwargs = dict(datasets=(1,), estimators=("ulsif",), runs=1, seed=2, length=300,
+                  config=DetectorConfig(n=10, k=3))
+    with pytest.raises(ParameterError, match="nothing to run"):
+        bench.run_bench(**{**kwargs, name: ()})
+
+
 def test_bench_jobs_two_after_a_parallel_sweep_writes_the_serial_report(tmp_path):
     # the sweep leaves the detector's pool running; bench --jobs 2 joins it
     # before forking its cells, so no pool thread lives in the forking process

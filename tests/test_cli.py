@@ -362,7 +362,7 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith("error: parameter:")
 
     @pytest.mark.parametrize("flag, value", [("--datasets", "1,5"), ("--jobs", "0"),
-                                             ("--jobs", "-3")])
+                                             ("--jobs", "-3"), ("--datasets", "")])
     def test_bad_dataset_or_jobs_rejected_before_any_run(self, tmp_path, capsys,
                                                          monkeypatch, flag, value):
         def no_run(*args):

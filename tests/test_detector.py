@@ -198,29 +198,30 @@ def _scores_loop(series, config):
 @pytest.mark.parametrize(
     "mode, stride, cv_stride, n, units",
     [
-        # 12 blocks of 10 CV kernels (direction, sigma); 80 units cut runs of
-        # 6 and 6
+        # 12 blocks of 2 CV problems (direction) of 5 kernels (sigma); 80
+        # units cut CV groups of 16 problems and 8
         pytest.param("symmetric", 5, 2, 20, 80, id="symmetric-5-2"),
-        # 10 units force one block per run
+        # 10 units force one block per CV group
         pytest.param("symmetric", 5, 2, 20, 10, id="symmetric-5-2-cap50"),
-        # the default budget: 3 blocks in one run, its 234 final fits in one stream
+        # the default budget: 3 blocks in one CV group, its 234 final fits in
+        # one stream
         pytest.param("symmetric", 1, 50, 20, None, id="symmetric-1-50"),
-        # runs of 1 block and 2, final fits through a buffer of 20 across
-        # chunks of 10 positions
+        # CV groups of 4 problems and 2, final fits through a buffer of 20
+        # across chunks of 10 positions
         pytest.param("symmetric", 1, 50, 20, 20, id="symmetric-1-50-stack100"),
-        # 39 blocks of 5 CV kernels in one run
+        # 39 blocks of 5 CV kernels in one CV group
         pytest.param("forward", 3, 1, 20, None, id="forward-3-1"),
-        # unequal folds; 19 blocks in one run
+        # unequal folds; 19 blocks in one CV group
         pytest.param("backward", 2, 3, 22, None, id="backward-2-3-n22"),
-        # unequal folds; 10 blocks: runs of 2, 3, 2 and 3
+        # unequal folds; 10 blocks: CV groups of 6, 6, 6 and 2 problems
         pytest.param("symmetric", 4, 3, 22, 30, id="symmetric-4-3-n22-stack150"),
     ],
 )
 def test_kliep_block_fits_match_per_position_loop(monkeypatch, mode, stride, cv_stride, n,
                                                   units):
-    # a run's CV problems are fitted as one stream per training size, and its
+    # a CV group's problems are fitted as one stream per training size, and
     # final fits as one stream that cuts across chunks and CV refreshes
-    _serial(monkeypatch)  # runs split by the budget alone
+    _serial(monkeypatch)  # one run, its CV groups cut by the budget
     _budget(monkeypatch, n, units)
     series = _series(seed=9, t_len=160, step_at=80)
     cfg = _config(
@@ -436,9 +437,10 @@ def test_worker_count_is_capped_by_cpus_and_blocks(monkeypatch):
     # scoring is left out, as only the worker count is recorded
     runs, workers = detector._runs, []
 
-    def recording_runs(blocks, count, config):
-        workers.append(count)
-        return runs(blocks, count, config)
+    def recording_runs(blocks, count):
+        cut = runs(blocks, count)
+        workers.append(len(cut))
+        return cut
 
     monkeypatch.setattr(detector, "_runs", recording_runs)
     monkeypatch.setattr(detector, "_pool_scores", lambda values, config, runs, size: [
@@ -490,27 +492,14 @@ def test_worker_count_is_one_unless_workers_fork(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(blocks=st.integers(1, 300), workers=st.integers(1, 8),
-       mode=st.sampled_from(SCORE_MODES), sigmas=st.integers(1, 12),
-       units=st.sampled_from((1, 10, 50, 400, 3200)))
-def test_runs_are_even_contiguous_and_capped(blocks, workers, mode, sigmas, units):
-    # whole rounds of one run per worker, more rounds only where a run would
-    # hold more KLIEP CV kernels (block, direction, sigma) than the budget's
-    # units; a block that alone exceeds them runs alone
-    cfg = DetectorConfig(n=10, score_mode=mode, grid=CvGrid(sigma_factors=range(1, sigmas + 1)))
-    per_block = len(detector._MODE_DIRECTIONS[mode]) * sigmas
-    with pytest.MonkeyPatch.context() as mp:
-        _budget(mp, cfg.n, units)
-        runs = detector._runs(list(range(blocks)), workers, cfg)
+@given(blocks=st.integers(1, 300), workers=st.integers(1, 8))
+def test_runs_are_even_contiguous_and_capped(blocks, workers):
+    # one run per worker, capped at one per block
+    runs = detector._runs(list(range(blocks)), workers)
+    assert len(runs) == min(workers, blocks)
     assert [block for run in runs for block in run] == list(range(blocks))
     lengths = [len(run) for run in runs]
-    assert min(lengths) >= max(lengths) - 1 >= 0
-    assert max(lengths) * per_block <= max(units, per_block)
-    assert len(runs) % workers == 0 or len(runs) == blocks  # whole rounds, or a block each
-    assert len(runs) >= min(workers, blocks)
-    fewer = (-(-len(runs) // workers) - 1) * workers
-    if fewer:  # one round of workers fewer would break the cap
-        assert -(-blocks // fewer) * per_block > units
+    assert max(lengths) - 1 <= min(lengths) >= 1
 
 
 def _sweep_peak(cfg, positions, step_at):
@@ -528,14 +517,17 @@ def _sweep_peak(cfg, positions, step_at):
 
 
 def test_kliep_run_memory_peak_is_bounded_by_the_run_cap(monkeypatch):
-    # At n = 20, 128 blocks of 10 CV kernels fit in one run of the default
-    # budget's 2,500 units; at n = 200, 6 blocks make 3 runs of its 25.  A
-    # run holds at most one budget of CV kernels and the engine's buffer one
-    # more, its rows counted with their vectors and the round's temporaries
-    # (estimators.kliep_rows); the peaks read 2.04 and 2.40 budgets.  With a
-    # buffer row counted as n x n doubles, the n = 20 sweep peaked at 2.66;
-    # with caps counted in problems (400 per buffer, 3,200 per run), not in
-    # bytes, the n = 200 sweep peaked at 14.
+    # One serial run: at n = 20, the 256 CV problems of 5 kernels fit in one
+    # cv_select_many group of the default budget's 2,500 units; at n = 200,
+    # the 12 problems go in groups of 5, its 25 units.  A group holds at most
+    # one budget of CV kernels and the engine's buffer one more, its rows
+    # counted with their vectors and the round's temporaries
+    # (estimators.kliep_rows); the peaks read 2.05 and 2.61 budgets (2.40 at
+    # n = 200 with groups of 4 problems, 20 units).  With a group fitted only
+    # after the next problem's kernels were made, the n = 200 sweep peaked at
+    # 2.82; with a buffer row counted as n x n doubles, the n = 20 sweep at
+    # 2.66; with caps counted in problems, not in bytes, the n = 200 sweep
+    # at 14.
     _serial(monkeypatch)
     bound = 2.75 * estimators.BUDGET
     for n, blocks in ((20, 128), (200, 6)):
@@ -630,28 +622,15 @@ def test_a_killed_worker_is_replaced_on_the_next_sweep(monkeypatch):
     np.testing.assert_array_equal(again.scores, serial.scores)
 
 
-_TASK_LOG = None  # a file each worker task appends its series length to
-_score_task = detector._score_task
-
-
-def _logging_task(values, config, blocks):
-    with open(_TASK_LOG, "a") as log:
-        log.write(f"{values.shape[1]}\n")
-    return _score_task(values, config, blocks)
-
-
-def test_a_failing_parallel_sweep_leaves_the_pool_serving_the_next(monkeypatch, tmp_path):
-    # the flat stretch fails in its 24th of 50 runs; the tasks not yet
-    # started are cancelled, and the next sweep runs on the same pool
+def test_a_failing_parallel_sweep_leaves_the_pool_serving_the_next(monkeypatch):
+    # the flat stretch fails in one of 2 runs, with the serial sweep's
+    # error, and the next sweep runs on the same pool
     cfg = DetectorConfig(stride=5, cv_stride=2)
     good = _series(seed=2, t_len=500, step_at=250)
     serial = _serial_scores(good, cfg)
     with pytest.raises(DegenerateBandwidthError) as serial_error:
         _serial_scores(_flat_stretch_series(), cfg)
     _recording_pools(monkeypatch, 2)
-    _budget(monkeypatch, cfg.n, 10)  # a run per block
-    monkeypatch.setattr(sys.modules[__name__], "_TASK_LOG", str(tmp_path / "tasks"))
-    monkeypatch.setattr(detector, "_score_task", _logging_task)
     with pytest.raises(DegenerateBandwidthError) as error:
         change_scores(_flat_stretch_series(), cfg)
     assert str(error.value) == str(serial_error.value)
@@ -659,9 +638,6 @@ def test_a_failing_parallel_sweep_leaves_the_pool_serving_the_next(monkeypatch, 
     assert _RecordingPool.started == [2]
     assert parallel.boundaries == serial.boundaries
     np.testing.assert_array_equal(parallel.scores, serial.scores)
-    started = (tmp_path / "tasks").read_text().split()
-    assert started.count("500") == 40  # every task of the good sweep's 40 blocks
-    assert started.count("600") < 50  # here 29 of 50 started
 
 
 def test_cli_with_two_workers_exits_and_leaves_no_process(tmp_path):
@@ -706,9 +682,8 @@ def test_cli_with_two_workers_exits_and_leaves_no_process(tmp_path):
 def test_parallel_sweep_is_bit_identical_to_serial(kind, mode, stride, cv_stride, clip,
                                                    cpus, units, n, t_len, seed):
     # short series and long blocks give fewer blocks than workers; the serial
-    # sweep scores one run, or several where the drawn budget on a run's CV
-    # kernels forces them, and the workers one round of runs, or as many as
-    # the budget needs
+    # sweep scores one run and the workers one run each, with CV groups cut
+    # by the drawn budget
     series = _series(seed=seed, t_len=t_len, step_at=t_len // 2)
     cfg = DetectorConfig(n=n, k=3, estimator_kind=kind, score_mode=mode, stride=stride,
                          cv_stride=cv_stride, clip_negative=clip, grid=CvGrid(seed=seed))
@@ -764,9 +739,9 @@ def test_kliep_zero_denominator_kernel_fails_at_the_same_position_at_any_worker_
 
 
 def test_earlier_final_fit_error_wins_over_a_later_cv_error_in_one_run(monkeypatch):
-    # the serial sweep's run of blocks t=190..227 holds t=222, whose CV fails
-    # on the flat stretch, and t=219, whose final fits are made to fail; a
-    # sweep one block at a time reaches t=219's final fits first
+    # the serial sweep's one run holds t=222, whose CV fails on the flat
+    # stretch, and t=219, whose final fits are made to fail; a sweep one
+    # block at a time reaches t=219's final fits first
     _serial(monkeypatch)
     chunk_terms = detector._chunk_terms
 

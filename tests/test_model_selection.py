@@ -158,16 +158,35 @@ def test_sample_dimensions_must_match(kind):
 
 
 @pytest.mark.parametrize("kind", ["rulsif", "kliep"])
-def test_many_problems_equal_one_call_each(kind):
+def test_many_problems_equal_one_call_each(kind, monkeypatch):
     # 30 and 31 numerator samples give training folds of 24 rows against 30
-    # and 31 centers: the KLIEP problems of one size but two shapes
+    # and 31 centers: the KLIEP problems of one size but two shapes.  The
+    # default budget's 1,040 units of 31 x 31 doubles (1,111 of 30 x 30), 10
+    # and 1 cut the KLIEP problems, 5 sigma kernels each, into groups of all
+    # 3, of 2 and 1, and of 1.
     grid = CvGrid(seed=4)
     problems = [(*_samples(seed=seed, n=n), seed) for seed, n in ((0, 30), (1, 31), (2, 30))]
-    results = model_selection.cv_select_many([cv_problem(*p) for p in problems], grid, kind, 0.1)
-    for (num, den, seed), res in zip(problems, results):
-        alone = cv_select(num, den, dataclasses.replace(grid, seed=seed), kind, 0.1)
-        assert (res.best_sigma, res.best_lambda) == (alone.best_sigma, alone.best_lambda)
-        assert res.score_table == alone.score_table
+    alone = [cv_select(num, den, dataclasses.replace(grid, seed=seed), kind, 0.1)
+             for num, den, seed in problems]
+    scores, groups = model_selection._kliep_cv_scores, []
+
+    def recording_scores(cases):
+        groups.append([len(k_num) for k_num, _, _ in cases])
+        return scores(cases)
+
+    monkeypatch.setattr(model_selection, "_kliep_cv_scores", recording_scores)
+    for units, sizes in ((None, [3]), (10, [2, 1]), (1, [1, 1, 1])):
+        if units is not None:
+            monkeypatch.setattr(estimators, "BUDGET", units * 8 * 31 * 31)
+        groups.clear()
+        results = cv_select_many([cv_problem(*p) for p in problems], grid, kind, 0.1)
+        for res, want in zip(results, alone, strict=True):
+            assert (res.best_sigma, res.best_lambda) == (want.best_sigma, want.best_lambda)
+            assert res.score_table == want.score_table
+        # a full last group leaves an empty call after it
+        assert [len(group) for group in groups if group] == (sizes if kind == "kliep" else [])
+        most = max(estimators.budget_units(31), len(grid.sigma_factors))
+        assert all(sum(group) <= most for group in groups)
     assert model_selection.cv_select_many([], grid, kind) == []
 
 

@@ -7,13 +7,14 @@ setting (n=50, k=10, stride 5, cv_stride 5), uLSIF on one series per
 dataset at the ``ulsif-dense-cli`` setting (stride 1, cv_stride 500), and,
 at n=200, every estimator on one 1000-point series of dataset 1 at stride 5,
 cv_stride 5 and RuLSIF on it at stride 1, cv_stride 50, where the memory
-budget cuts runs of 2 blocks, KLIEP buffers of 23-28 problems, CV stacks of
-one fold and final-fit chunks of 12 positions; at the benchmark's setting,
-RuLSIF forward-only and backward-only on one dataset-2 series, and RuLSIF
-on a 3-dimensional series, dataset 3's two rows stacked on dataset 1's row,
-at k=4 with standardization -- and the CV grid (RuLSIF at alpha 0.1, uLSIF,
-KLIEP) on a fixed list of segment pairs of one series per dataset, at n=50
-and n=53 (folds of unequal size, and for KLIEP two training shapes).  It
+budget cuts KLIEP CV groups of 5 problems, KLIEP buffers of 23-28 problems,
+CV stacks of one fold and final-fit chunks of 12 positions; at the
+benchmark's setting, RuLSIF forward-only and backward-only on one dataset-2
+series, and RuLSIF on a 3-dimensional series, dataset 3's two rows stacked
+on dataset 1's row, at k=4 with standardization -- and the CV grid (RuLSIF
+at alpha 0.1, uLSIF, KLIEP) on a fixed list of segment pairs of one series
+per dataset, at n=50 and n=53 (folds of unequal size, and for KLIEP two
+training shapes).  It
 prints, per sweep, the sha256 of the scores in each checkout (its first 16
 hex digits), the largest |score difference| and both AUCs, and per CV set
 the same for its score tables, all pairs' in order.  Each child scores
