@@ -82,16 +82,14 @@ def run_bench(
 
     ``config`` is the template of every run: run r of (dataset d, estimator
     e) uses it with estimator e and the grid seed mixed from (seed, d, r).
-    Every run's config, the dataset ids, ``runs``, ``jobs``, ``seed``,
-    ``length`` and ``segment_len`` are checked before the first sweep; each
-    of these must be an integer, and neither the datasets nor the estimators
-    may be empty.  With ``jobs`` > 1 the cells run on that many worker
-    processes and each sweep runs inside its worker; the detector's sweep
-    pool, if an earlier sweep left one, is joined before they fork, and
-    LAPACK is loaded before they fork where any estimator is least squares,
-    so the workers inherit it (see ``estimators``).  With ``jobs`` = 1 they
-    run here, one after another, and each sweep spreads its CV blocks over
-    the CPUs (see ``detector``).
+    Every run's config and the other arguments are checked before the first
+    sweep (``ParameterError``): ``runs``, ``jobs``, ``seed``, ``length``,
+    ``segment_len`` and the dataset ids are integers, ``runs`` and ``jobs``
+    at least 1, the dataset ids known, and neither list is empty.  With
+    ``jobs`` > 1 the cells run on that many worker processes, each sweep
+    serial inside its worker; with ``jobs`` = 1 they run here, one after
+    another, each sweep on the detector's workers.  The report is the same
+    for any ``jobs``.
     """
     runs, jobs, seed = integer("runs", runs), integer("jobs", jobs), integer("seed", seed)
     length, segment_len = integer("length", length), integer("segment_len", segment_len)

@@ -2,87 +2,25 @@
 
 For each position t the detector forms two consecutive n-window segments,
 fits one ratio model per direction, and emits the divergence estimate at
-the boundary t + n.  The symmetric score is the sum of both directions.
-
-Direction naming: the forward mode takes its numerator samples from the
+the boundary t + n.  The forward mode takes its numerator samples from the
 earlier segment (the one starting at t) and its denominator samples from
-the later one; the backward mode swaps the roles.  The symmetric score is
-invariant to the naming.
+the later one, the backward mode swaps the roles, and the symmetric score
+is the sum of both.
 
-Hyper-parameters are re-selected by cross-validation every ``cv_stride``
-positions; in between, the last selection is reused.  The positions that
-share one selection form a CV block.  CV seeds derive from the master seed
-via ``seeding.mix_seed(master, t, direction)``, so blocks are independent:
-any grouping or evaluation order gives the same scores, bit for bit.
+The positions that share one CV selection form a CV block.  CV seeds
+derive from ``seeding.mix_seed(master, t, direction)``, so the scores do
+not depend on how blocks are grouped, where or in which order they are
+scored: every grouping gives the serial sweep's scores bit for bit.  Every
+distance comes from ``kernel.squared_distances`` on the raw series, bit
+for bit the distances of the window vectors, and ``estimators.BUDGET``
+sizes every group of fits.
 
-The unit of work is a run of consecutive CV blocks, scored in two phases:
-first the CV refresh of every block, in one ``cv_select_many`` call, then
-the final fits of all the blocks.  A sweep's blocks are cut into one
-contiguous run per worker, in series order, whose lengths differ by at most
-1; a serial sweep is one run of all its blocks.  For KLIEP each phase
-streams its problems into ``estimators.kliep_ascent``: CV one stream per
-training size (one where the fold count divides n) and per group of
-problems that ``cv_select_many`` fits within the memory budget (below), the
-final fits one stream per run.  So a run pays for about one stream end,
-where rounds run nearly empty, per CV group and one for its final fits.
-The same runs serve uLSIF and RuLSIF, which compute each block as on their
-own.  A run of several blocks that fails is scored again one block at a
-time, so the first failing block in series order raises, with the serial
-sweep's error.
-
-A sweep runs on ``min(available CPUs, CPU quota, blocks)`` worker processes.
-The available CPUs are those of ``os.sched_getaffinity`` (``os.cpu_count``
-where that is missing; ``taskset`` limits them); the quota is that of the
-cgroup v2 file CPU_MAX, ``<quota> <period>`` rounded up to whole CPUs, and a
-file that reads ``max`` or is missing sets none.  Workers fork from this
-process; where the start method is not ``fork`` (spawn on macOS and
-Windows, forkserver on Linux from Python 3.14), or inside any
-multiprocessing child (a ``bench --jobs`` worker for instance), the count
-is 1, so pools never nest and no worker re-imports the caller's
-``__main__``.  With one worker the sweep runs in this process and starts no
-pool.  Otherwise it runs on the process's one sweep pool, a fork
-``ProcessPoolExecutor`` of ``min(available CPUs, CPU quota)`` workers.  The
-first sweep that needs two or more workers forks it, and every later sweep
-reuses it, so a sweep with fewer blocks than workers leaves the others idle.
-It is forked anew when that count changes or after a worker died (the
-sweep that finds the pool broken is tried once more on the new one), and
-concurrent.futures' exit hook joins it when the interpreter exits.  A uLSIF
-or RuLSIF sweep loads LAPACK (``estimators.lapack_dposv``) in this process
-before it scores anything, so a pool it forks inherits the extension; a
-KLIEP sweep never loads it, and the workers of a pool that a KLIEP sweep
-forked load it themselves when a later least-squares sweep reuses them.  Each
-task is one run, scored by the same function as each run of the in-process
-path: it carries the (standardized) series values, 8 x d x T bytes, the
-config and its blocks.  No window vector is built: every distance comes
-from ``kernel.squared_distances`` on the raw columns that a block's or a
-chunk's windows cover, bit for bit the distances of the window vectors.
-A CV block's matrix, among its 2n windows, serves both directions.
-The parent joins the runs in series order and checks that every score is
-finite; when a run fails, the sweep raises and the other runs finish on
-their workers.  A worker holds one run's CV and final-fit arrays on top of
-the copy of this process it forked from, and an idle worker keeps its heap.
-
-One memory budget, ``estimators.BUDGET`` bytes, sizes every group of fits.
-The KLIEP engine's buffer, CV or final, holds as many problems as their
-kernel rows and per-problem vectors fit in it (``estimators.kliep_rows``).
-Every other group holds at most U = ``estimators.budget_units(n)`` n x n
-arrays of doubles (400 at n = 50, 25 at n = 200): a least-squares CV stack
-U systems, or one fold's sigmas x lambdas where that is more (see
-``model_selection``); a final-fit chunk U (position, direction) pairs; and
-a group of KLIEP CV problems U (problem, sigma) kernels, or one problem's
-sigmas where that is more, so a run of any length holds one group's CV
-kernels at a time (``model_selection``).  Final fits run in chunks, the
-positions of one CV block whose pairs share one span of at most 4n
-windows: at most min(1 + 2n // stride, max(1, U // directions)) positions.
-One ``squared_distances`` over a chunk's span and one ``exp`` per direction
-give the band kernel; each pair's (2n, 2n) kernel is a diagonal block of
-it, taken as a strided view.  The distance and kernel matrices hold at most
-(4n)^2 doubles each (0.3 MB for n = 50) at any stride, and the distances'
-squared differences d x (4n + k - 1)^2.  uLSIF and RuLSIF fit a
-chunk with one ``gram_system`` call, one stacked ``_solve_spd`` and one PE
-expression.  KLIEP streams all of a run's final fits, one chunk's band
-kernel at a time, into ``estimators.kliep_ascent``; each term is the fit's
-final objective.
+A sweep runs on ``min(available CPUs, CPU quota, blocks)`` worker
+processes of one sweep pool per process, forked once and reused by later
+sweeps; the count is 1, and the sweep runs here, where the start method is
+not ``fork`` or inside a multiprocessing child (README: "How a sweep
+runs").  The first failing block in series order raises, with the serial
+sweep's error, and a non-finite score raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -135,6 +73,17 @@ CPU_MAX = "/sys/fs/cgroup/cpu.max"  # the cgroup v2 CPU quota, read only
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """One sweep's setting, checked when built (``ParameterError``).
+
+    ``n`` windows per segment (at least 2 and the fold count) of length ``k``;
+    ``alpha`` in [0, 1), used by RuLSIF only (uLSIF and KLIEP fit alpha 0);
+    ``score_mode`` symmetric (sum of both directions), forward or backward.
+    Every ``stride``-th position is scored, and CV re-selects at every
+    ``cv_stride``-th scored position.  ``clip_negative`` raises each
+    direction's negative term to 0 before the sum; ``standardize`` scales
+    each dimension to zero mean and unit variance first (a constant one is
+    only centered).  ``grid.seed`` is the master CV seed."""
+
     n: int = 50
     k: int = 10
     alpha: float = 0.1

@@ -1,30 +1,18 @@
 """Density-ratio estimators and divergence estimates.
 
-Three fitters share the kernel model g(Y; theta) = sum_l theta_l K(Y, C_l):
+Three fitters share the kernel model g(Y; theta) = sum_l theta_l K(Y, C_l).
+``ulsif_fit`` and ``rulsif_fit`` fit the plain ratio p/p' and the
+alpha-relative ratio p / (alpha p + (1 - alpha) p') by least squares, in
+closed form.  ``kliep_fit`` fits the plain ratio by maximum likelihood under
+a normalization constraint, on ``kliep_ascent``, the one engine for every
+KLIEP problem (``kliep_fit``, CV and the detector's final fits).  From a
+fitted model, ``pe_alpha_estimate`` approximates the alpha-relative Pearson
+divergence and ``kl_estimate`` the Kullback-Leibler divergence.
 
-* ``ulsif_fit``   -- least-squares fit of the plain ratio p/p'; closed form.
-* ``rulsif_fit``  -- least-squares fit of the alpha-relative ratio
-                     p / (alpha p + (1 - alpha) p'); same closed form with an
-                     alpha-mixed Gram matrix.
-* ``kliep_fit``   -- maximum-likelihood fit of the plain ratio under a
-                     normalization constraint; projected gradient ascent.
-
-KLIEP fits run on ``kliep_ascent``, the one engine for every KLIEP problem
-(``kliep_fit``, CV and the detector's final fits); its docstring describes
-the engine.
-
-From a fitted model, ``pe_alpha_estimate`` approximates the alpha-relative
-Pearson divergence and ``kl_estimate`` the Kullback-Leibler divergence.
-
-Only the least-squares solve needs LAPACK, and only its ``dposv``.
-``lapack_dposv`` loads scipy's LAPACK extension, ``scipy.linalg._flapack``,
-on its first call, and never the ``scipy.linalg`` package, whose init loads
-hundreds of modules this package does not use.  A process that fits only
-KLIEP (or only generates, evaluates or prints help) loads neither.
-``dposv`` stays a module attribute that tests may patch.  The detector and
-the bench harness call ``lapack_dposv`` before they fork workers for
-least-squares work, so the workers inherit the loaded extension instead of
-each loading its own copy.
+Only the least-squares solve needs LAPACK: ``lapack_dposv`` loads scipy's
+extension ``scipy.linalg._flapack`` on its first call, never the
+``scipy.linalg`` package, and keeps ``dposv`` as a module attribute that
+tests may patch.
 """
 
 from __future__ import annotations
@@ -65,26 +53,17 @@ _ROW_VECTORS = 16
 
 
 def budget_units(centers: int) -> int:
-    """How many centers x centers arrays of doubles fit in BUDGET, at least 1:
-    the size of every group of fits but the KLIEP engine's buffer (see
-    ``kliep_rows``), read at call time.  A least-squares CV stack holds that
-    many (sigma, fold, lambda) systems, a final-fit chunk that many
-    (position, direction) pairs, and a ``cv_select_many`` group of KLIEP
-    problems that many (problem, sigma) kernels; with 50 centers that is
-    400, with 200 it is 25."""
+    """How many centers x centers arrays of doubles fit in BUDGET, at least 1,
+    read at call time: the size of every group of fits but the KLIEP
+    engine's buffer (see ``kliep_rows``)."""
     return max(1, BUDGET // (8 * centers * centers))
 
 
 def kliep_rows(samples: int, centers: int) -> int:
     """How many rows of ``kliep_ascent``'s buffer fit in BUDGET, at least 1,
     for problems of (samples, centers) kernel rows, read at call time.  A row
-    holds those kernel rows and _ROW_VECTORS vectors of centers doubles: its
-    state (b, w, the last move and the search's gradient) and its share of
-    each round's temporaries (the new gradient, the trial point, the
-    projection's sort and sums, the model values).  ``tracemalloc`` puts a
-    row at 17-19 such vectors at 20 to 200 centers, the outputs included.
-    With 50 centers that is 357 CV rows (40 samples) and 303 final-fit
-    rows (50 samples); with 200, 28 and 23."""
+    counts as those kernel rows and _ROW_VECTORS vectors of centers doubles:
+    its state and its share of each round's temporaries."""
     return max(1, BUDGET // (8 * (samples + _ROW_VECTORS) * centers))
 
 
@@ -111,6 +90,11 @@ class RatioModel:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """How a fit ended: its final objective; for KLIEP also its iterations,
+    whether it converged, and ``gap``, a certified bound on how far the
+    objective is below its maximum.  Least-squares fits are closed form, so
+    they keep the defaults."""
+
     objective_value: float
     iterations: int = 0
     converged: bool = True
@@ -121,16 +105,13 @@ _FLAPACK = "scipy.linalg._flapack"
 
 
 def lapack_dposv():
-    """LAPACK's dposv, kept as this module's ``dposv`` after the first call.
-
-    It comes from the extension module ``scipy.linalg._flapack``, the object
-    ``scipy.linalg.lapack.dposv`` also is.  ``import scipy`` runs first: it
-    is light, and its distributor init sets up the bundled BLAS's library
-    path where the platform needs one (Windows).  The extension is then
-    taken from ``sys.modules``, or loaded from scipy's ``linalg`` directory
-    and registered there, so a later ``import scipy.linalg`` reuses it
-    instead of loading a second copy.  Raises ``ImportError`` when scipy has
-    no such extension."""
+    """LAPACK's dposv, kept as this module's ``dposv`` after the first call:
+    the object ``scipy.linalg.lapack.dposv`` also is, from the extension
+    ``scipy.linalg._flapack``.  After ``import scipy``, whose init sets up the
+    bundled BLAS's library path, the extension is taken from ``sys.modules``,
+    or loaded from scipy's ``linalg`` directory and registered there, so a
+    later ``import scipy.linalg`` reuses it.  Raises ``ImportError`` when
+    scipy has no such extension."""
     global dposv
     if "dposv" not in globals():
         import scipy
@@ -260,10 +241,9 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection of every row of ``v`` (problems, m) onto
     the unit simplex {x >= 0, sum x = 1} (Duchi et al., ICML 2008): x =
     max(v - tau, 0), where, with the row sorted in descending order u, tau =
-    (u_1 + ... + u_r - 1) / r at the last r with u_r above it.  Cheaper
-    heuristics (clamp then rescale) stall the ascent at points that are not
-    KKT points.  The rescaling pins sum x = 1; a degenerate all-zero
-    candidate stays unscaled and the line search rejects it.
+    (u_1 + ... + u_r - 1) / r at the last r with u_r above it.  The
+    rescaling pins sum x = 1; a degenerate all-zero candidate stays
+    unscaled and the line search rejects it.
     """
     width = v.shape[1]
     desc = np.sort(v, axis=1)[:, ::-1]
@@ -310,47 +290,27 @@ def kliep_ascent(
     ``problems`` yields ``count`` (k_num, b) pairs of one shape, (samples,
     centers) and (centers): problem p maximizes mean_i log (k_num @ theta)_i
     subject to b . theta = 1 and theta >= 0, with b the mean denominator
-    kernel row.  A stream that yields fewer or more than ``count`` problems
-    raises ``ParameterError``.  The engine copies each problem, as it takes
-    it, into a buffer of min(``kliep_rows(samples, centers)``, ``count``)
-    rows, so the caller's arrays are never modified and may be freed at once.
-    An entry of b that underflows to 0 or below the smallest normal double
-    raises ``DegenerateBandwidthError``: with b_l = 0, theta_l is unbounded
-    under b . theta = 1, and so is the objective.
-    The ascent runs in w = b * theta over the unit simplex: the buffered
-    kernel rows are divided by b, and w starts at the uniform weights
-    1 / centers or at the uniform theta, w = b / sum(b), whichever has the
-    higher objective.  From the uniform theta alone, a center with a tiny
-    b_l starts with almost no weight and a gradient entry near 1 / b_l, too
-    steep for any halving of the first step to pass (as at b_l = 1.6e-109);
-    from the uniform weights alone, a fit could end below the uniform
-    theta's objective, by up to its gap.
+    kernel row.  Each problem is copied, as it is taken, into a buffer of
+    min(``kliep_rows(samples, centers)``, ``count``) rows, so the caller's
+    arrays are never modified and may be freed at once.  Raises
+    ``ParameterError`` when the stream yields fewer or more than ``count``
+    problems, ``DegenerateBandwidthError`` when an entry of b is below the
+    smallest normal double (with b_l = 0, theta_l and the objective are
+    unbounded), and ``NumericError`` when an objective is not finite.
 
-    An iteration of a problem takes the gradient in w and its certified gap,
-    log max_l grad_l: no feasible point is better by more than that, so a
-    problem whose gap is at most ``tolerance`` (nats) stops as converged.
-    Otherwise it tries a step from a trial value, halved up to _MAX_HALVINGS
-    times until a candidate projected by ``_simplex_project`` passes the
-    Armijo test (factor 1e-4).  The trial is the spectral step s.s / (-s.y)
-    of the last move s and gradient change y (Barzilai & Borwein 1988, as in
-    SPG: Birgin, Martinez & Raydan 2000), or the scale-free 1 / max_l grad_l
-    where -s.y <= 0 or the quotient is not finite: at the first iteration,
-    where s = 0, and, f being concave, hardly ever after it (never in the
-    291,572 later trials of ``tools/kliep_stacks.py`` at seeds 3 and 11).
-    A problem where no step passes, or that reaches ``max_iters``
-    iterations, ends not converged.
+    The ascent runs in w = b * theta over the unit simplex, from the uniform
+    weights or the uniform theta, whichever has the higher objective.  Each
+    iteration takes the gradient in w and its certified gap, log max_l
+    grad_l (no feasible point is better by more); a problem whose gap is at
+    most ``tolerance`` (nats) stops as converged.  Otherwise it tries the
+    spectral step s.s / (-s.y) (Barzilai & Borwein 1988, as in SPG: Birgin,
+    Martinez & Raydan 2000), or 1 / max_l grad_l where that is not positive
+    and finite, halved up to _MAX_HALVINGS times until a candidate projected
+    by ``_simplex_project`` passes the Armijo test.  A problem where no step
+    passes, or that reaches ``max_iters`` iterations, ends not converged.
+    Each problem follows the iterates of a one-problem fit, whatever else is
+    buffered with it.
 
-    Each round takes new problems into the rows that finished ones freed (or
-    up to the buffer's size), takes the gradient of every buffered problem at
-    its new point, drops the problems that are finished, compacting the
-    buffer in place with rows from above its new length, then lets every
-    problem left try one candidate, its trial step halved as often as its
-    search has missed, so a search spans as many rounds as it needs while
-    the others go on.  The buffer stays full until the stream runs dry; only
-    the stream's end runs nearly empty rounds, which cost about as much as
-    full ones (numpy call overhead dominates small rounds).  Products are
-    matrix-vector or dot products per problem, so each problem follows the
-    same iterates as in a one-problem fit, whatever else is buffered with it.
     ``traces``, when given, holds one list per problem for its start
     objective and the objective after every accepted step.  Returns (theta,
     objective, iterations, converged, gap) in stream order, with gap the
@@ -468,13 +428,12 @@ def kliep_fit(
     """Constrained maximum-likelihood ratio fit by projected gradient ascent.
 
     Maximizes mean_i log g(Y_i) subject to mean_j g(Y'_j) = 1 and theta >= 0
-    with ``kliep_ascent`` on a stream of one problem: spectral trial steps,
-    halved until the Armijo test passes, so the objective trace is monotone
-    non-decreasing.  ``tolerance`` is the certified gap in nats at which the
-    ascent stops as converged.  ``trace``, when given, receives the start
-    objective and the objective after every accepted step.  The diagnostics'
-    ``gap``, the ascent's log max_l grad_l / b_l at theta, bounds how far the
-    objective is below its maximum; a converged fit has gap <= ``tolerance``.
+    with ``kliep_ascent`` on a stream of one problem, so the objective trace
+    is monotone non-decreasing.  ``tolerance`` is the certified gap in nats
+    at which the ascent stops as converged.  ``trace``, when given, receives
+    the start objective and the objective after every accepted step.  The
+    diagnostics' ``gap`` bounds how far the objective is below its maximum;
+    a converged fit has gap <= ``tolerance``.
     """
     b_vec = design.k_den.mean(axis=0)
     theta, objective, iterations, converged, gap = kliep_ascent(

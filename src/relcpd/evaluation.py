@@ -1,11 +1,11 @@
 """Alarm extraction, alarm-truth matching, ROC curves, and AUC.
 
-Alarms are the strict local maxima of the score series (plateaus count once,
-at their first index), deduplicated so consecutive alarms are at least
-MIN_ALARM_SPACING time steps apart.  An alarm is correct when it falls
-within MATCH_WINDOW steps of a ground-truth change point; each truth is
-creditable at most once.  The ROC curve sweeps the threshold downward
-through the distinct alarm scores.
+Alarms are the scores above the previous one and at least the next one (so
+a plateau's first index, even where the plateau then rises), deduplicated
+so consecutive alarms are at least MIN_ALARM_SPACING time steps apart.  An
+alarm is correct when it falls within MATCH_WINDOW steps of a ground-truth
+change point; each truth is creditable at most once.  The ROC curve sweeps
+the threshold downward through the distinct alarm scores.
 """
 
 from __future__ import annotations
@@ -24,12 +24,19 @@ MATCH_WINDOW = 10
 
 @dataclass(frozen=True)
 class AlarmList:
+    """Alarms in time order: the boundary ``times`` of the kept peaks and
+    their ``scores``."""
+
     times: tuple[int, ...]
     scores: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class RocCurve:
+    """(fpr, tpr) ``points`` from (0, 0) in sweep order, the alarm score
+    ``thresholds`` of each (inf at the start, -inf at an added end point),
+    and the trapezoidal ``auc`` along them."""
+
     points: tuple[tuple[float, float], ...]  # (fpr, tpr), sweep order
     thresholds: tuple[float, ...]
     auc: float

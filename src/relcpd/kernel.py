@@ -64,20 +64,12 @@ def squared_distances(first: np.ndarray, second: np.ndarray, k: int = 1) -> np.n
     ``embedding.build_windows``.  With k = 1 the windows are the columns, so
     plain (samples, dimensions) arrays pass transposed.
 
-    Each dimension's outer difference is squared once; then, starting from
-    zero, the k x d shifted views of those squares are added in the order of
-    the window vectors' columns, time offset major and dimension minor.  That
-    is the order in which scipy's ``cdist(..., "sqeuclidean")`` sums, so
-    every entry equals cdist's of the window vectors bit for bit.  The sums
-    run in rows as wide as the squares', so that each shifted view is one
-    contiguous stretch of a square; the result is a view of their first
-    columns.  The squares are written into this thread's scratch buffer,
-    which is kept between calls at the size of the largest call so far: k = 1
-    uses one dimension's squares at a time, about as many doubles as the
-    result; k > 1 all d of them, d x (count + k - 1)^2 doubles for a segment
-    paired with itself.  Reusing it spares each call the page faults of
-    fresh squares, which glibc returns to the system between calls from a few
-    hundred windows on.
+    The k x d squared differences are summed from zero in the order of the
+    window vectors' columns, time offset major and dimension minor, the
+    order of scipy's ``cdist(..., "sqeuclidean")``, so every entry equals
+    cdist's of the window vectors bit for bit.  The result is a view of the
+    first columns of a wider array.  The squares go to a per-thread scratch
+    buffer, kept between calls at the size of the largest call so far.
     """
     rows, cols = first.shape[1] - k + 1, second.shape[1] - k + 1
     width = second.shape[1]  # of a square's rows, cols + k - 1
@@ -151,13 +143,11 @@ def median_distance(samples: np.ndarray) -> float:
 
 def pooled_median(sqdist: np.ndarray) -> float:
     """``median_distance`` of pooled samples from their square matrix of
-    squared distances (of ``squared_distances``): the square root of the
-    middle order statistic of its upper triangle, or the mean of the square
-    roots of the two middle ones.  That equals ``np.median(pdist(pooled))``
-    bit for bit, as the square root of a squared distance is its distance,
-    and it does not depend on the samples' order: ``squared_distances`` of
-    a segment with itself is exactly symmetric, as (a - b)^2 = (b - a)^2.
-    """
+    squared distances (of ``squared_distances``), equal to
+    ``np.median(pdist(pooled))`` bit for bit whatever the samples' order:
+    the square root of the middle order statistic of its upper triangle, or
+    the mean of the square roots of the two middle ones.  A zero median
+    raises ``DegenerateBandwidthError``."""
     pairs = sqdist[_upper_triangle(len(sqdist))]
     half = len(pairs) // 2
     if len(pairs) % 2:

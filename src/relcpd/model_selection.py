@@ -2,13 +2,9 @@
 
 The bandwidth grid is expressed as factors of the median pairwise distance
 of the pooled numerator + denominator samples, so both fit directions of a
-segment pair share one candidate set.  ``cv_select_many`` takes each
-problem's squared-distance matrix of the pooled samples
-(``kernel.squared_distances``), which gives that median and the kernel
-blocks; the detector passes one per CV block, built from the raw series
-segment, for both directions.  Fold assignment is one seeded shuffle
-of sample indices followed by contiguous blocks; numerator and denominator
-sets are folded independently.
+segment pair share one candidate set.  Fold assignment is one seeded
+shuffle of sample indices followed by contiguous blocks; numerator and
+denominator sets are folded independently, the numerator first.
 
 Held-out criteria:
 
@@ -20,34 +16,11 @@ Held-out criteria:
   is ignored (KLIEP has no ridge term); the score table repeats the
   per-sigma score across lambda so the table stays exhaustive.
 
-The least-squares grid runs on stacked (sigma, sample, center) kernels and on
-the final fits' solve.  The folds of one problem whose (training, held-out)
-sizes agree (all of them where the fold count divides the sample counts)
-form stacks of max(1, U // (sigmas x lambdas)) folds, with U =
-``estimators.budget_units(centers)``: one ``estimators.gram_system`` call
-builds H and h for every (sigma, fold) of a stack, and one
-``estimators._solve_spd`` call solves all its (sigma, fold, lambda) systems
-H + lambda I by Cholesky factorization, retrying a system that is not
-positive definite with jitter on its own.  So a stack holds at most
-max(U, sigmas x lambdas) systems, and its largest temporary, the one copy of
-them, at most ``estimators.BUDGET`` bytes unless one fold's systems alone
-exceed it (the default grid's 125 systems, one stack, take 2.5 MB at 50
-centers; at 200 centers a stack is one fold's 25 systems, 8 MB).  The folds'
-criteria are summed in fold order, so the table equals that of a loop over
-folds bit for bit.  Problems are not stacked together.
-
-The KLIEP grid streams every (sigma, fold) problem, its training rows and
-its fold's mean denominator kernel row, into ``estimators.kliep_ascent``.
-``cv_select_many`` fits its problems in groups of consecutive ones, one
-stream per training shape and group.  A group holds at most U (problem,
-sigma) kernels of centers x centers doubles, or one problem's sigmas where
-that is more, and is fitted as soon as the next problem's kernels would
-take it past U (80 problems of the default grid's 5 sigmas at 50 centers,
-5 at 200); so a call keeps at most one group's kernels, however many
-problems it takes.  The held-out scores are exactly those of one fit per
-problem.
-
-Ties are broken toward the larger sigma, then the larger lambda.
+Ties are broken toward the larger sigma, then the larger lambda.  With U =
+``estimators.budget_units(centers)``, a least-squares stack holds at most
+max(U, sigmas x lambdas) systems and a KLIEP group max(U, sigmas) (problem,
+sigma) kernels.  The grouping does not change the tables, which equal
+those of one fit per fold bit for bit (fold criteria are summed in order).
 """
 
 from __future__ import annotations
@@ -104,6 +77,10 @@ class CvGrid:
 
 @dataclass(frozen=True)
 class CvResult:
+    """The selected (``best_sigma``, ``best_lambda``) and ``score_table``,
+    the held-out criterion of every (sigma, lambda) of the grid, with sigma
+    in distance units (factor x median distance)."""
+
     best_sigma: float
     best_lambda: float
     score_table: dict[tuple[float, float], float] = field(repr=False)
@@ -119,12 +96,9 @@ def _fold_blocks(count: int, folds: int, rng: np.random.Generator) -> list[tuple
 
 def _kliep_cv_scores(cases: list) -> list[np.ndarray]:
     """Held-out numerator log-likelihood per sigma, averaged over folds, of
-    each (k_num, b_vecs, folds) case of ``cases``.
-
-    ``b_vecs[f]`` holds fold f's mean denominator kernel rows (sigma,
-    center).  The (sigma, fold) problems of all cases' folds with one
-    training shape go to one ``kliep_ascent`` stream.
-    """
+    each (k_num, b_vecs, folds) case of ``cases``, with ``b_vecs[f]`` fold
+    f's mean denominator kernel rows (sigma, center): one ``kliep_ascent``
+    stream per training shape."""
     fold_scores = [np.empty((len(k_num), len(folds))) for k_num, _, folds in cases]
     by_shape: dict[tuple, list] = {}  # (training size, centers): (case, fold)s
     for c, (k_num, _, folds) in enumerate(cases):
@@ -193,14 +167,11 @@ def cv_select_many(
     replaced by the problem's.  The squared distances are a square matrix of
     ``kernel.squared_distances`` among pooled samples, and the two slices
     split its rows into the numerator and the denominator samples; the
-    bandwidth grid scales with the median distance of all its rows.  Each
-    result equals that of a ``cv_select`` call on the two sample sets; KLIEP
-    fits the (sigma, fold) problems of each group of consecutive problems
-    that fits the memory budget (see above) in shared streams.  Problems
-    that pass one matrix, one after the other (a detector block's two
-    directions), share its median.  A problem that cannot be prepared (too
-    few samples, zero median distance) raises when it is reached, and a
-    group whose fits fail when it is fitted."""
+    bandwidth grid scales with the median distance of all its rows, taken
+    once for consecutive problems that pass the same matrix.  Each result
+    equals that of a ``cv_select`` call on the two sample sets.  A problem
+    that cannot be prepared (too few samples, zero median distance) raises
+    when it is reached, and a group whose fits fail when it is fitted."""
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ParameterError(f"unknown estimator kind {estimator_kind!r}")
     alpha = float(alpha)

@@ -26,6 +26,10 @@ DATASET_IDS = (1, 2, 3, 4)
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """One benchmark series: generator ``dataset_id`` (1-4), ``length``
+    points in blocks of ``segment_len`` (a divisor of ``length``), drawn
+    from ``seed``.  Invalid values raise ``ParameterError``."""
+
     dataset_id: int
     length: int = 5000
     segment_len: int = 100

@@ -420,6 +420,16 @@ def test_stream_count_must_match_the_stream():
         kliep_ascent([], 0)
 
 
+def test_group_and_buffer_sizes_of_the_default_budget():
+    # the sizes README quotes: units of n x n doubles, and the KLIEP buffer
+    # rows of CV problems (4n/5 training samples) and final fits (n), at
+    # n = 50 and n = 200
+    assert estimators.BUDGET == 8_000_000
+    assert (estimators.budget_units(50), estimators.budget_units(200)) == (400, 25)
+    assert (estimators.kliep_rows(40, 50), estimators.kliep_rows(50, 50)) == (357, 303)
+    assert (estimators.kliep_rows(160, 200), estimators.kliep_rows(200, 200)) == (28, 23)
+
+
 class TestKliepAscent:
     def test_mixed_stack_matches_loop(self):
         k_nums, k_dens = _kliep_problems(11, 12)
